@@ -81,6 +81,27 @@ fn mask(nbits: u32) -> u64 {
     }
 }
 
+/// The words a non-empty bit range `off..off + n` touches: index of the
+/// first and last word, and the masks selecting the range's bits within
+/// them (all words in between are covered whole).
+#[inline]
+fn word_span(off: usize, n: usize) -> (usize, usize, u64, u64) {
+    debug_assert!(n > 0);
+    let end = off + n - 1;
+    (
+        off / 64,
+        end / 64,
+        u64::MAX << (off % 64),
+        mask((end % 64 + 1) as u32),
+    )
+}
+
+/// Replaces the bits of `w[i]` selected by `m` with those of `val`.
+#[inline]
+fn put(w: &mut [u64], i: usize, val: u64, m: u64) {
+    w[i] = (w[i] & !m) | (val & m);
+}
+
 impl BitBuf {
     /// Creates an empty buffer.
     #[inline]
@@ -142,6 +163,16 @@ impl BitBuf {
     /// carry no slack after a shrink pass).
     pub fn shrink_to_fit(&mut self) {
         self.words.shrink_to_fit();
+    }
+
+    /// Makes room for `nbits` bits in total without the amortised
+    /// over-allocation of [`BitBuf::grow`]: if the capacity is short, it
+    /// becomes exactly `ceil(nbits/64)` words. For owners that run
+    /// their own growth policy.
+    pub fn reserve_exact(&mut self, nbits: usize) {
+        let words = nbits.div_ceil(64);
+        self.words
+            .reserve_exact(words.saturating_sub(self.words.len()));
     }
 
     /// Reads `nbits` bits (0..=64) starting at bit offset `off`.
@@ -339,47 +370,113 @@ impl BitBuf {
     }
 
     /// Moves the `n` bits at `src..src + n` to `dst..dst + n` within
-    /// this buffer, `dst >= src`. Copies back-to-front in word-sized
-    /// chunks so overlapping ranges are safe: each chunk's write lands
-    /// at or above every not-yet-read source bit.
+    /// this buffer, `dst >= src`. A word-level funnel shift walking the
+    /// destination words back-to-front: every source word is read once
+    /// (carried over to the next destination word) and every
+    /// destination word written once, so overlapping ranges are safe —
+    /// each write lands at or above every not-yet-read source word.
     fn move_bits_right(&mut self, src: usize, dst: usize, n: usize) {
         debug_assert!(dst >= src);
         if n == 0 || dst == src {
             return;
         }
-        let mut rem = n;
-        while rem > 0 {
-            let chunk = rem.min(64) as u32;
-            rem -= chunk as usize;
-            let v = self.read_bits(src + rem, chunk);
-            self.write_bits(dst + rem, v, chunk);
+        let (wd, r) = ((dst - src) / 64, ((dst - src) % 64) as u32);
+        let (first, last, head, tail) = word_span(dst, n);
+        let w = &mut self.words[..];
+        if r == 0 {
+            if first == last {
+                put(w, first, w[first - wd], head & tail);
+            } else {
+                put(w, last, w[last - wd], tail);
+                w.copy_within(first + 1 - wd..last - wd, first + 1);
+                put(w, first, w[first - wd], head);
+            }
+            return;
         }
+        // Destination word `i` is `w[i - wd] << r | w[i - wd - 1] >> (64 - r)`.
+        // The low part of the first word comes from below the source
+        // range when `dst % 64 >= r`; it is masked out, so don't read it.
+        let low_of_first = if dst % 64 < r as usize {
+            w[first - wd - 1]
+        } else {
+            0
+        };
+        let mut cur = w[last - wd];
+        if first == last {
+            put(w, first, cur << r | low_of_first >> (64 - r), head & tail);
+            return;
+        }
+        let mut next = w[last - wd - 1];
+        put(w, last, cur << r | next >> (64 - r), tail);
+        cur = next;
+        for i in (first + 1..last).rev() {
+            next = w[i - wd - 1];
+            w[i] = cur << r | next >> (64 - r);
+            cur = next;
+        }
+        put(w, first, cur << r | low_of_first >> (64 - r), head);
     }
 
     /// Moves the `n` bits at `src..src + n` to `dst..dst + n` within
-    /// this buffer, `dst <= src`. Copies front-to-back in word-sized
-    /// chunks; safe for overlap since writes trail the reads.
+    /// this buffer, `dst <= src`. The front-to-back mirror of
+    /// [`BitBuf::move_bits_right`]; safe for overlap since writes trail
+    /// the reads.
     fn move_bits_left(&mut self, src: usize, dst: usize, n: usize) {
         debug_assert!(dst <= src);
         if n == 0 || dst == src {
             return;
         }
-        let mut done = 0usize;
-        while done < n {
-            let chunk = (n - done).min(64) as u32;
-            let v = self.read_bits(src + done, chunk);
-            self.write_bits(dst + done, v, chunk);
-            done += chunk as usize;
+        let (wd, r) = ((src - dst) / 64, ((src - dst) % 64) as u32);
+        let (first, last, head, tail) = word_span(dst, n);
+        let w = &mut self.words[..];
+        if r == 0 {
+            if first == last {
+                put(w, first, w[first + wd], head & tail);
+            } else {
+                put(w, first, w[first + wd], head);
+                w.copy_within(first + 1 + wd..last + wd, first + 1);
+                put(w, last, w[last + wd], tail);
+            }
+            return;
         }
+        // Destination word `i` is `w[i + wd] >> r | w[i + wd + 1] << (64 - r)`.
+        // The high part of the last word comes from above the source
+        // range (possibly past the buffer) when the source ends in word
+        // `last + wd`; it is masked out, so don't read it.
+        let high_of_last = if (src + n - 1) / 64 > last + wd {
+            w[last + wd + 1]
+        } else {
+            0
+        };
+        let mut cur = w[first + wd];
+        if first == last {
+            put(w, first, cur >> r | high_of_last << (64 - r), head & tail);
+            return;
+        }
+        let mut next = w[first + wd + 1];
+        put(w, first, cur >> r | next << (64 - r), head);
+        cur = next;
+        for i in first + 1..last {
+            next = w[i + wd + 1];
+            w[i] = cur >> r | next << (64 - r);
+            cur = next;
+        }
+        put(w, last, cur >> r | high_of_last << (64 - r), tail);
     }
 
-    /// Zeroes the `n` bits at `off..off + n`.
+    /// Zeroes the `n` bits at `off..off + n`: masked head and tail
+    /// words around a plain word fill.
     fn zero_bits(&mut self, off: usize, n: usize) {
-        let mut done = 0usize;
-        while done < n {
-            let chunk = (n - done).min(64) as u32;
-            self.write_bits(off + done, 0, chunk);
-            done += chunk as usize;
+        if n == 0 {
+            return;
+        }
+        let (first, last, head, tail) = word_span(off, n);
+        if first == last {
+            self.words[first] &= !(head & tail);
+        } else {
+            self.words[first] &= !head;
+            self.words[first + 1..last].fill(0);
+            self.words[last] &= !tail;
         }
     }
 
@@ -1182,5 +1279,104 @@ mod tests {
         assert!(!b.get(1) && !b.get(62) && !b.get(65) && !b.get(128));
         b.set(63, false);
         assert!(!b.get(63));
+    }
+    /// The per-chunk kernels the word-level ones replaced (one
+    /// `read_bits` + `write_bits` per 64-bit chunk), kept as the
+    /// reference the differential tests below pin the new ones against.
+    mod reference {
+        use super::BitBuf;
+
+        pub fn move_bits_right(b: &mut BitBuf, src: usize, dst: usize, n: usize) {
+            let mut rem = n;
+            while rem > 0 {
+                let chunk = rem.min(64) as u32;
+                rem -= chunk as usize;
+                let v = b.read_bits(src + rem, chunk);
+                b.write_bits(dst + rem, v, chunk);
+            }
+        }
+
+        pub fn move_bits_left(b: &mut BitBuf, src: usize, dst: usize, n: usize) {
+            let mut done = 0usize;
+            while done < n {
+                let chunk = (n - done).min(64) as u32;
+                let v = b.read_bits(src + done, chunk);
+                b.write_bits(dst + done, v, chunk);
+                done += chunk as usize;
+            }
+        }
+
+        pub fn zero_bits(b: &mut BitBuf, off: usize, n: usize) {
+            let mut done = 0usize;
+            while done < n {
+                let chunk = (n - done).min(64) as u32;
+                b.write_bits(off + done, 0, chunk);
+                done += chunk as usize;
+            }
+        }
+    }
+
+    /// A bit offset biased towards word boundaries: a word index plus
+    /// one of the residues where the head/tail masking can go wrong.
+    fn offset_strategy() -> impl proptest::strategy::Strategy<Value = usize> {
+        use proptest::prelude::*;
+        (0usize..12, prop_oneof![0usize..64, 0usize..2, 62usize..64])
+            .prop_map(|(word, bit)| word * 64 + bit)
+    }
+
+    mod kernel_diff {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Buffer of `len` bits filled from `words` (cycled).
+        fn filled(words: &[u64], len: usize) -> BitBuf {
+            let mut b = BitBuf::zeroed(len);
+            for i in 0..len.div_ceil(64) {
+                let n = (len - i * 64).min(64) as u32;
+                b.write_bits(i * 64, words[i % words.len()], n);
+            }
+            b
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// Overlapping and disjoint moves in both directions agree
+            /// with the per-chunk reference on the whole buffer (so
+            /// bits outside the destination range are checked too).
+            #[test]
+            fn moves_match_per_chunk_reference(
+                words in proptest::collection::vec(any::<u64>(), 1..8),
+                a in offset_strategy(),
+                b in offset_strategy(),
+                n in prop_oneof![0usize..130, 0usize..700, (0usize..10).prop_map(|w| w * 64)],
+                slack in offset_strategy(),
+            ) {
+                let (lo, hi) = (a.min(b), a.max(b));
+                let base = filled(&words, hi + n + slack % 200);
+                let (mut got, mut want) = (base.clone(), base.clone());
+                got.move_bits_right(lo, hi, n);
+                reference::move_bits_right(&mut want, lo, hi, n);
+                prop_assert_eq!(&got, &want, "right {} -> {} n {}", lo, hi, n);
+                let (mut got, mut want) = (base.clone(), base);
+                got.move_bits_left(hi, lo, n);
+                reference::move_bits_left(&mut want, hi, lo, n);
+                prop_assert_eq!(&got, &want, "left {} -> {} n {}", hi, lo, n);
+            }
+
+            #[test]
+            fn zero_matches_per_chunk_reference(
+                words in proptest::collection::vec(any::<u64>(), 1..8),
+                off in offset_strategy(),
+                n in prop_oneof![0usize..130, 0usize..700, (0usize..10).prop_map(|w| w * 64)],
+                slack in offset_strategy(),
+            ) {
+                let base = filled(&words, off + n + slack % 200);
+                let (mut got, mut want) = (base.clone(), base);
+                got.zero_bits(off, n);
+                reference::zero_bits(&mut want, off, n);
+                prop_assert_eq!(&got, &want, "zero {} n {}", off, n);
+            }
+        }
     }
 }

@@ -83,8 +83,8 @@ impl Packer {
         }
         let bits_len = node.bits_len();
         let bits_bytes = bits_len.div_ceil(8);
-        let n_subs = node.subs().len();
-        let n_values = node.values().len();
+        let n_subs = node.n_subs();
+        let n_values = node.n_values();
         if bits_len > u32::MAX as usize
             || vals.len() > u32::MAX as usize
             || n_subs > u32::MAX as usize

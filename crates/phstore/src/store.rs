@@ -107,7 +107,7 @@ fn write_node<V: ValueCodec, const K: usize>(
     node: &NodeRef<'_, V, K>,
 ) -> Result<RecordId, StoreError> {
     // Children first (post-order) so their ids are known.
-    let mut child_ids = Vec::with_capacity(node.subs().len());
+    let mut child_ids = Vec::with_capacity(node.n_subs());
     for sub in node.subs() {
         child_ids.push(write_node(w, &sub)?);
     }
@@ -117,7 +117,7 @@ fn write_node<V: ValueCodec, const K: usize>(
     payload.push(node.is_hc() as u8);
     payload.push(0);
     payload.extend_from_slice(&(child_ids.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&(node.values().len() as u32).to_le_bytes());
+    payload.extend_from_slice(&(node.n_values() as u32).to_le_bytes());
     payload.extend_from_slice(&(node.bits_len() as u32).to_le_bytes());
     for word in node.bits_words() {
         payload.extend_from_slice(&word.to_le_bytes());

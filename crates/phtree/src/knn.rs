@@ -194,9 +194,9 @@ impl<V, const K: usize> PhTree<V, K> {
                         let mut p = prefix;
                         hc::apply_addr(&mut p, h, node.post_len as u32);
                         match slot {
-                            SlotRef::Post { pf_off, value } => {
+                            SlotRef::Post { seg, pf_off, value } => {
                                 let mut key = p;
-                                node.read_postfix_into(pf_off, &mut key);
+                                seg.read_postfix_into(pf_off, &mut key);
                                 let d = metric.point(center, &key);
                                 push(&mut heap, &mut items, d, Item::Entry(key, value));
                             }

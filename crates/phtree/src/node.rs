@@ -23,7 +23,7 @@
 //! all). Both vectors grow geometrically, so a node absorbing entries
 //! pays an amortised O(1) allocations per child instead of an exact-fit
 //! reallocate-and-copy on every structural update; a shrink pass
-//! ([`Node::shrink_repr`]) releases the slack, and bulk construction
+//! ([`Node::shrink_subtree`]) releases the slack, and bulk construction
 //! ([`Node::from_children`]) allocates at exact final size up front.
 //! Dense ranks ("how many postfix entries precede address h") are
 //! answered by word-wise popcounts over the packed kind bits.
@@ -32,9 +32,55 @@
 //! cost of both forms — `n·(k+1) + n_post·post_bits` for LHC versus
 //! `2^k·(2 + post_bits)` for HC — recomputed on every structural
 //! update, mirroring the paper's size comparison.
+//!
+//! # Paged LHC
+//!
+//! An LHC update shifts on average half the bit string, which at high
+//! `K` grows to thousands of ~130-byte postfixes in one node. So an LHC
+//! node whose child table outgrows one page ([`PAGE_BYTES`]) is stored
+//! as a one-level B+-tree instead, the **paged** form:
+//!
+//! * the *outer* node keeps
+//!   `[infix | children: 32 bits | postfix entries: 32 bits | fence
+//!   addresses: S·K bits]` in `bits`, holds no values, and its `subs`
+//!   are the `S ≥ 2` *segments* in address order;
+//! * a **segment** is an ordinary LHC node behind its own `Arc`, with
+//!   the outer node's `post_len` and `infix_len = 0`, holding a
+//!   contiguous, non-empty run of the children (their values and
+//!   sub-nodes included). Fence `i` is the first address of segment
+//!   `i`; the two counters are the totals over all segments, so the
+//!   HC/LHC size comparison stays O(1).
+//!
+//! An update resolves its segment by binary search over the fences and
+//! shifts only that segment; a path copy under a snapshot copies that
+//! one segment. After a structural update the touched segment is
+//! rebalanced:
+//!
+//! * **split** — longer than one page, it is cut into two halves of
+//!   equal bit size;
+//! * **merge** — shorter than a quarter page, it is appended to (or
+//!   prepended by) its smaller neighbour, and the result split again if
+//!   that overflows the page;
+//! * **unpage** — when a merge leaves one segment, the node goes back
+//!   to plain LHC.
+//!
+//! A node is paged when an update leaves its plain LHC child table
+//! longer than a page, when bulk construction or decoding produces such
+//! a table, or when an oversized HC node falls back to LHC. Every
+//! segment therefore stays between a quarter page and one page (plus
+//! one entry), which is what bounds the cost of an update.
+//!
+//! **The logical form is canonical, the paging is not.** A node's
+//! *logical* content — representation (HC or LHC) and the one LHC bit
+//! string the segments concatenate to — is a pure function of the
+//! entries below it, exactly as before; [`Node::logical_bits`] yields
+//! it, serialisation ([`crate::raw`]) writes it and decoding re-pages
+//! it, so stored bytes never show paging. Where the segment boundaries
+//! fall depends on the order of updates.
 
 use crate::config::ReprMode;
 use phbits::BitBuf;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Bits per dimension; the paper's `w`. Fixed to 64 in this
@@ -46,10 +92,39 @@ pub const W: u32 = 64;
 /// nodes always stay in LHC form.
 const MAX_HC_K: usize = 22;
 
+/// Page size of a paged LHC node: the child-table length beyond which
+/// an LHC node is cut into segments, and the most a segment holds
+/// before it splits. Picked from the sweep recorded in EXPERIMENTS.md
+/// ("Page size of paged LHC nodes").
+pub(crate) const PAGE_BYTES: usize = 4096;
+const PAGE_BITS: usize = PAGE_BYTES * 8;
+
+/// Width of each of the two child counters a paged node keeps after its
+/// infix.
+const COUNT_BITS: usize = 32;
+
+// A segment under a quarter page merges with a neighbour. For that rule
+// to keep every segment non-empty, a quarter page must hold the largest
+// possible entry (K = 64 address, kind bit, 63-bit postfix per
+// dimension).
+const _: () = assert!(PAGE_BITS / 4 > 64 + 1 + 63 * 64);
+
 /// HC slot kind codes (2 bits each in the kind table).
 const KIND_EMPTY: u64 = 0;
 const KIND_POST: u64 = 1;
 const KIND_SUB: u64 = 2;
+
+/// Physical representation of a node (see the module docs). One byte,
+/// so the node struct is as large as when this was a `bool`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Repr {
+    /// Linear hypercube; also what every segment of a paged node is.
+    Lhc,
+    /// Full hypercube.
+    Hc,
+    /// LHC cut into address-ordered segments.
+    Paged,
+}
 
 /// A child extracted from a node (used when merging one-child nodes).
 pub(crate) enum Child<V, const K: usize> {
@@ -59,22 +134,31 @@ pub(crate) enum Child<V, const K: usize> {
     Sub(Node<V, K>),
 }
 
-/// Result of a lightweight, borrow-free slot probe.
+/// Result of probing a slot for a key, carrying only owned data so the
+/// caller is free to mutate the node afterwards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Probe {
+pub(crate) enum Probe<const K: usize> {
     /// The slot is empty.
     Empty,
-    /// The slot holds a postfix entry whose record starts at `pf_off`.
-    Post { pf_off: usize },
+    /// The slot holds the postfix entry of exactly the probed key.
+    Same,
+    /// The slot holds the postfix entry of another key: the probed key
+    /// with its low `post_len` bits replaced by the stored postfix.
+    Other([u64; K]),
     /// The slot holds a sub-node.
     Sub,
 }
 
 /// Read-only view of an occupied hypercube slot.
 pub(crate) enum SlotRef<'a, V, const K: usize> {
-    /// A postfix entry: bit offset of its postfix record in the node's
-    /// buffer, and the value.
-    Post { pf_off: usize, value: &'a V },
+    /// A postfix entry: the node whose bit string holds its postfix
+    /// record (the probed node itself, or one of its segments), the bit
+    /// offset of the record in that buffer, and the value.
+    Post {
+        seg: &'a Node<V, K>,
+        pf_off: usize,
+        value: &'a V,
+    },
     /// A sub-node.
     Sub(&'a Node<V, K>),
 }
@@ -87,19 +171,21 @@ pub(crate) struct Node<V, const K: usize> {
     pub post_len: u8,
     /// Number of prefix bits per dimension stored in this node's infix.
     pub infix_len: u8,
-    /// Whether the node is in HC (full hypercube) form.
-    hc: bool,
+    /// Which of the three layouts `bits`, `subs` and `values` are in.
+    repr: Repr,
     /// The packed bit string (see module docs).
     pub bits: BitBuf,
-    /// Sub-node children in hypercube-address order, each behind an
-    /// `Arc` so whole subtrees are structurally shared between tree
-    /// versions (copy-on-write: mutation goes through
-    /// [`Arc::make_mut`], which copies a node only while another
-    /// version still references it). Capacity may exceed the length
-    /// (amortised growth); [`Node::shrink_repr`] releases the slack.
+    /// Sub-node children in hypercube-address order (in paged form: the
+    /// segments), each behind an `Arc` so whole subtrees are
+    /// structurally shared between tree versions (copy-on-write:
+    /// mutation goes through [`Arc::make_mut`], which copies a node
+    /// only while another version still references it). Capacity may
+    /// exceed the length (amortised growth); [`Node::shrink_subtree`]
+    /// releases the slack.
     pub subs: Vec<Arc<Node<V, K>>>,
-    /// Values of postfix entries in hypercube-address order. Capacity
-    /// may exceed the length, as for `subs`.
+    /// Values of postfix entries in hypercube-address order (in paged
+    /// form: empty, the segments hold them). Capacity may exceed the
+    /// length, as for `subs`.
     pub values: Vec<V>,
 }
 
@@ -113,12 +199,23 @@ pub(crate) enum BulkChild<V, const K: usize> {
     Sub(Node<V, K>),
 }
 
+impl<V, const K: usize> BulkChild<V, K> {
+    /// Bits this child takes in an LHC child table.
+    fn lhc_bits(&self, post_bits: usize) -> usize {
+        match self {
+            BulkChild::Post { .. } => K + 1 + post_bits,
+            BulkChild::Sub(_) => K + 1,
+        }
+    }
+}
+
 impl<V, const K: usize> Node<V, K> {
-    /// Reassembles a node from serialised parts (see [`crate::raw`]).
-    /// Performs consistency checks; returns a description of the first
-    /// violated invariant on mismatch — corrupt input must surface as an
-    /// error, never a panic, so storage layers can map it into their own
-    /// corruption reporting.
+    /// Reassembles a node from serialised parts (see [`crate::raw`]):
+    /// its *logical* form, HC or one LHC bit string, which is paged
+    /// here if it is long enough. Performs consistency checks; returns
+    /// a description of the first violated invariant on mismatch —
+    /// corrupt input must surface as an error, never a panic, so
+    /// storage layers can map it into their own corruption reporting.
     pub fn from_parts(
         post_len: u8,
         infix_len: u8,
@@ -127,15 +224,16 @@ impl<V, const K: usize> Node<V, K> {
         subs: Vec<Arc<Node<V, K>>>,
         values: Vec<V>,
     ) -> Result<Self, &'static str> {
-        let n = Node {
+        let mut n = Node {
             post_len,
             infix_len,
-            hc,
+            repr: if hc { Repr::Hc } else { Repr::Lhc },
             bits,
             subs,
             values,
         };
         n.validate_local()?;
+        n.page_if_oversized();
         Ok(n)
     }
 
@@ -143,7 +241,8 @@ impl<V, const K: usize> Node<V, K> {
     /// depth/arity relation to its direct children): split/infix bit
     /// budgets, the exact bit-string length for the claimed
     /// representation, slot-kind codes, kind/count agreement, LHC
-    /// address ordering and range, and child depth chaining.
+    /// address ordering and range, child depth chaining, and for a
+    /// paged node its segments, fences and counters.
     ///
     /// This is the decode-side validation shared by [`Node::from_parts`]
     /// and [`Node::check_invariants`]; it must reject hostile bytes with
@@ -153,52 +252,57 @@ impl<V, const K: usize> Node<V, K> {
         if self.post_len as u32 >= W || self.post_len as u32 + (self.infix_len as u32) >= W {
             return Err("split/infix bits exceed key width");
         }
-        let n = self.n_children();
-        let posts = self.n_posts();
+        let n = self.local_children();
+        let posts = self.values.len();
+        let ib = self.infix_bits();
         // Bit-length formula must hold for the claimed representation
         // before anything below reads kinds or addresses out of `bits`.
-        if self.hc {
-            if K > MAX_HC_K {
-                return Err("HC representation beyond dimension limit");
-            }
-            if self.bits.len() != self.infix_bits() + (1usize << K) * (2 + self.post_bits()) {
-                return Err("HC bit-string length mismatch");
-            }
-            let mut seen_posts = 0;
-            let mut seen_subs = 0;
-            for h in 0..(1u64 << K) {
-                match self.hc_kind(h) {
-                    KIND_EMPTY => {}
-                    KIND_POST => seen_posts += 1,
-                    KIND_SUB => seen_subs += 1,
-                    _ => return Err("invalid HC slot kind"),
+        match self.repr {
+            Repr::Hc => {
+                if K > MAX_HC_K {
+                    return Err("HC representation beyond dimension limit");
+                }
+                if self.bits.len() != ib + (1usize << K) * (2 + self.post_bits()) {
+                    return Err("HC bit-string length mismatch");
+                }
+                let mut seen_posts = 0;
+                let mut seen_subs = 0;
+                for h in 0..(1u64 << K) {
+                    match self.hc_kind(h) {
+                        KIND_EMPTY => {}
+                        KIND_POST => seen_posts += 1,
+                        KIND_SUB => seen_subs += 1,
+                        _ => return Err("invalid HC slot kind"),
+                    }
+                }
+                if seen_posts != posts || seen_subs != self.subs.len() {
+                    return Err("HC kind table disagrees with child counts");
                 }
             }
-            if seen_posts != posts || seen_subs != self.n_subs() {
-                return Err("HC kind table disagrees with child counts");
-            }
-        } else {
-            let ib = self.infix_bits();
-            if self.bits.len() != ib + n * (K + 1) + posts * self.post_bits() {
-                return Err("LHC bit-string length mismatch");
-            }
-            // Single pass: each address is read once and compared against
-            // the previous one, and kind bits are counted in one
-            // word-chunked popcount over the packed kind run.
-            let mut prev = 0u64;
-            for j in 0..n {
-                let addr = self.bits.read_bits(ib + j * K, K as u32);
-                if j > 0 && prev >= addr {
-                    return Err("LHC addresses not sorted/unique");
+            Repr::Lhc => {
+                if self.bits.len() != ib + n * (K + 1) + posts * self.post_bits() {
+                    return Err("LHC bit-string length mismatch");
                 }
-                if K < 64 && addr >= (1u64 << K) {
-                    return Err("LHC address out of range");
+                // Single pass: each address is read once and compared against
+                // the previous one, and kind bits are counted in one
+                // word-chunked popcount over the packed kind run.
+                let mut prev = 0u64;
+                for j in 0..n {
+                    let addr = self.bits.read_bits(ib + j * K, K as u32);
+                    if j > 0 && prev >= addr {
+                        return Err("LHC addresses not sorted/unique");
+                    }
+                    if K < 64 && addr >= (1u64 << K) {
+                        return Err("LHC address out of range");
+                    }
+                    prev = addr;
                 }
-                prev = addr;
+                if self.bits.count_ones(ib + n * K, n) != self.subs.len() {
+                    return Err("LHC kind bits disagree with child counts");
+                }
             }
-            if self.bits.count_ones(ib + n * K, n) != self.n_subs() {
-                return Err("LHC kind bits disagree with child counts");
-            }
+            // The segments check their own children below them.
+            Repr::Paged => return self.validate_paged(),
         }
         for sub in self.subs.iter() {
             if sub.post_len as u32 + sub.infix_len as u32 + 1 != self.post_len as u32 {
@@ -211,9 +315,47 @@ impl<V, const K: usize> Node<V, K> {
         Ok(())
     }
 
-    /// Whether the node is in HC form (serialisation accessor).
-    pub fn hc_flag(&self) -> bool {
-        self.hc
+    /// [`Node::validate_local`] for the paged form: every segment is a
+    /// valid non-empty infix-less LHC node at this node's split bit,
+    /// fence `i` is exactly segment `i`'s first address, addresses
+    /// ascend across segment boundaries, and the counters are the
+    /// totals. Segment *sizes* are not checked: they bound update cost,
+    /// not correctness.
+    fn validate_paged(&self) -> Result<(), &'static str> {
+        if self.subs.len() < 2 {
+            return Err("paged node with fewer than 2 segments");
+        }
+        if !self.values.is_empty() {
+            return Err("paged node holds values outside its segments");
+        }
+        if self.bits.len() != self.fence_off(self.subs.len()) {
+            return Err("paged bit-string length mismatch");
+        }
+        let (mut n, mut posts) = (0, 0);
+        let mut last = None;
+        for (i, seg) in self.subs.iter().enumerate() {
+            if seg.repr != Repr::Lhc || seg.infix_len != 0 || seg.post_len != self.post_len {
+                return Err("paged segment is not an infix-less LHC node at the split bit");
+            }
+            seg.validate_local()?;
+            if seg.local_children() == 0 {
+                return Err("empty paged segment");
+            }
+            let first = seg.lhc_addr_at(0);
+            if self.fence(i) != first {
+                return Err("fence disagrees with its segment's first address");
+            }
+            if last.is_some_and(|l| l >= first) {
+                return Err("paged segments overlap or are out of order");
+            }
+            last = Some(seg.lhc_addr_at(seg.local_children() - 1));
+            n += seg.local_children();
+            posts += seg.values.len();
+        }
+        if (self.n_children(), self.n_posts()) != (n, posts) {
+            return Err("paged child counters disagree with the segments");
+        }
+        Ok(())
     }
 
     /// Creates an empty (LHC) node. `infix_len` bits per dimension of
@@ -227,7 +369,7 @@ impl<V, const K: usize> Node<V, K> {
         let mut n = Node {
             post_len,
             infix_len,
-            hc: false,
+            repr: Repr::Lhc,
             bits,
             subs: Vec::new(),
             values: Vec::new(),
@@ -245,9 +387,11 @@ impl<V, const K: usize> Node<V, K> {
     /// [`Node::maybe_switch_repr`] applies incrementally), and the bit
     /// string and child vectors are allocated at exact final size — no
     /// per-child reallocation, no capacity slack, and no HC⇄LHC
-    /// flip-flopping on the way up. The result is byte-identical to the
-    /// node sequential insertion would converge to, because the
-    /// representation and layout are pure functions of the contents.
+    /// flip-flopping on the way up; an LHC table longer than a page is
+    /// emitted as segments directly. The result is logically identical
+    /// to the node sequential insertion would converge to, because the
+    /// representation and logical layout are pure functions of the
+    /// contents.
     pub(crate) fn from_children(
         post_len: u8,
         infix_len: u8,
@@ -261,7 +405,6 @@ impl<V, const K: usize> Node<V, K> {
             .iter()
             .filter(|(_, c)| matches!(c, BulkChild::Post { .. }))
             .count();
-        let n_subs = n - posts;
         let ib = infix_len as usize * K;
         let pb = post_len as usize * K;
         let lhc_cost = n * (K + 1) + posts * pb;
@@ -275,47 +418,107 @@ impl<V, const K: usize> Node<V, K> {
             ReprMode::ForceHc => K <= MAX_HC_K,
             ReprMode::Adaptive => hc_cost < lhc_cost,
         };
-        let nbits = ib + if hc { hc_cost } else { lhc_cost };
+        if !hc && lhc_cost <= PAGE_BITS {
+            return Self::lhc_from_children(post_len, infix_len, key, children, posts);
+        }
+        if !hc {
+            // Cut the sorted children into pages of equal bit size.
+            let pages = lhc_cost.div_ceil(PAGE_BITS);
+            let mut segs = Vec::with_capacity(pages);
+            let mut rest = children.into_iter().peekable();
+            let mut done_bits = 0;
+            for page in 1..=pages {
+                let mut chunk = Vec::new();
+                let mut chunk_posts = 0;
+                while let Some((_, c)) = rest.peek() {
+                    if page < pages && !chunk.is_empty() && done_bits >= lhc_cost * page / pages {
+                        break;
+                    }
+                    done_bits += c.lhc_bits(pb);
+                    chunk_posts += matches!(c, BulkChild::Post { .. }) as usize;
+                    chunk.extend(rest.next());
+                }
+                segs.push(Self::lhc_from_children(
+                    post_len,
+                    0,
+                    key,
+                    chunk,
+                    chunk_posts,
+                ));
+            }
+            let mut node = Node {
+                post_len,
+                infix_len,
+                repr: Repr::Lhc,
+                bits: BitBuf::zeroed(ib),
+                subs: Vec::new(),
+                values: Vec::new(),
+            };
+            node.write_infix(key);
+            node.install_segments(segs, n, posts);
+            return node;
+        }
         let mut node = Node {
             post_len,
             infix_len,
-            hc,
-            bits: BitBuf::zeroed(nbits),
-            subs: Vec::with_capacity(n_subs),
+            repr: Repr::Hc,
+            bits: BitBuf::zeroed(ib + hc_cost),
+            subs: Vec::with_capacity(n - posts),
             values: Vec::with_capacity(posts),
         };
         node.write_infix(key);
-        if hc {
-            let pf_base = node.hc_pf_base();
-            for (h, child) in children {
-                let kind_off = node.hc_kind_off(h);
-                match child {
-                    BulkChild::Post { key, value } => {
-                        node.bits.write_bits(kind_off, KIND_POST, 2);
-                        node.write_postfix_at(pf_base + h as usize * pb, &key);
-                        node.values.push(value);
-                    }
-                    BulkChild::Sub(sub) => {
-                        node.bits.write_bits(kind_off, KIND_SUB, 2);
-                        node.subs.push(Arc::new(sub));
-                    }
+        let pf_base = node.hc_pf_base();
+        for (h, child) in children {
+            let kind_off = node.hc_kind_off(h);
+            match child {
+                BulkChild::Post { key, value } => {
+                    node.bits.write_bits(kind_off, KIND_POST, 2);
+                    node.write_postfix_at(pf_base + h as usize * pb, &key);
+                    node.values.push(value);
+                }
+                BulkChild::Sub(sub) => {
+                    node.bits.write_bits(kind_off, KIND_SUB, 2);
+                    node.subs.push(Arc::new(sub));
                 }
             }
-        } else {
-            let pf_base = ib + n * (K + 1);
-            let mut pr = 0usize;
-            for (j, (h, child)) in children.into_iter().enumerate() {
-                node.bits.write_bits(ib + j * K, h, K as u32);
-                match child {
-                    BulkChild::Post { key, value } => {
-                        node.write_postfix_at(pf_base + pr * pb, &key);
-                        node.values.push(value);
-                        pr += 1;
-                    }
-                    BulkChild::Sub(sub) => {
-                        node.bits.set(ib + n * K + j, true);
-                        node.subs.push(Arc::new(sub));
-                    }
+        }
+        node
+    }
+
+    /// [`Node::from_children`] for a plain LHC node (or one segment of
+    /// a paged one), `posts` of whose `children` are postfix entries.
+    fn lhc_from_children(
+        post_len: u8,
+        infix_len: u8,
+        key: &[u64; K],
+        children: Vec<(u64, BulkChild<V, K>)>,
+        posts: usize,
+    ) -> Self {
+        let n = children.len();
+        let ib = infix_len as usize * K;
+        let pb = post_len as usize * K;
+        let mut node = Node {
+            post_len,
+            infix_len,
+            repr: Repr::Lhc,
+            bits: BitBuf::zeroed(ib + n * (K + 1) + posts * pb),
+            subs: Vec::with_capacity(n - posts),
+            values: Vec::with_capacity(posts),
+        };
+        node.write_infix(key);
+        let pf_base = ib + n * (K + 1);
+        let mut pr = 0usize;
+        for (j, (h, child)) in children.into_iter().enumerate() {
+            node.bits.write_bits(ib + j * K, h, K as u32);
+            match child {
+                BulkChild::Post { key, value } => {
+                    node.write_postfix_at(pf_base + pr * pb, &key);
+                    node.values.push(value);
+                    pr += 1;
+                }
+                BulkChild::Sub(sub) => {
+                    node.bits.set(ib + n * K + j, true);
+                    node.subs.push(Arc::new(sub));
                 }
             }
         }
@@ -332,27 +535,71 @@ impl<V, const K: usize> Node<V, K> {
         self.post_len as usize * K
     }
 
+    /// Children stored in this node's own `bits`/`subs`/`values` — all
+    /// of them for an LHC or HC node and for a segment. Not meaningful
+    /// on a paged node, whose `subs` are segments.
+    #[inline]
+    fn local_children(&self) -> usize {
+        self.values.len() + self.subs.len()
+    }
+
     /// Number of locally stored entries (postfixes).
     #[inline]
     pub fn n_posts(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Number of sub-node children.
-    #[inline]
-    pub fn n_subs(&self) -> usize {
-        self.subs.len()
+        match self.repr {
+            Repr::Paged => self
+                .bits
+                .read_bits(self.infix_bits() + COUNT_BITS, COUNT_BITS as u32)
+                as usize,
+            _ => self.values.len(),
+        }
     }
 
     /// Number of occupied hypercube slots.
     #[inline]
     pub fn n_children(&self) -> usize {
-        self.n_posts() + self.n_subs()
+        match self.repr {
+            Repr::Paged => self.bits.read_bits(self.infix_bits(), COUNT_BITS as u32) as usize,
+            _ => self.local_children(),
+        }
     }
 
     #[inline]
     pub fn is_hc(&self) -> bool {
-        self.hc
+        self.repr == Repr::Hc
+    }
+
+    /// Number of sub-node children.
+    #[inline]
+    pub fn n_subs(&self) -> usize {
+        self.n_children() - self.n_posts()
+    }
+
+    /// The sub-node children in address order, whichever form the node
+    /// is in (a paged node's are spread over its segments).
+    pub fn child_nodes(&self) -> impl Iterator<Item = &Arc<Node<V, K>>> {
+        let own = match self.repr {
+            Repr::Paged => &[][..],
+            _ => &self.subs[..],
+        };
+        own.iter()
+            .chain(self.segments().iter().flat_map(|s| s.subs.iter()))
+    }
+
+    /// Paged: the segments in address order; empty for other forms.
+    pub fn segments(&self) -> &[Arc<Node<V, K>>] {
+        match self.repr {
+            Repr::Paged => &self.subs,
+            _ => &[],
+        }
+    }
+
+    /// The values of the postfix entries in address order, whichever
+    /// form the node is in.
+    pub fn post_values(&self) -> impl Iterator<Item = &V> {
+        self.values
+            .iter()
+            .chain(self.segments().iter().flat_map(|s| s.values.iter()))
     }
 
     // ------------------------------------------------------------------
@@ -393,25 +640,6 @@ impl<V, const K: usize> Node<V, K> {
         self.bits.eq_key(0, il, self.post_len as u32 + 1, key)
     }
 
-    /// Rewrites the infix to `new_len` bits per dimension taken from
-    /// `key` (used when an infix is split or extended by node
-    /// restructuring).
-    pub fn reset_infix(&mut self, new_len: u8, key: &[u64; K], mode: ReprMode) {
-        let old = self.infix_bits();
-        self.infix_len = new_len;
-        let new = self.infix_bits();
-        if new < old {
-            self.bits.remove_range(new, old - new);
-        } else if new > old {
-            self.bits.insert_gap(old, new - old);
-        }
-        self.write_infix(key);
-        // The infix length feeds the HC/LHC size comparison only through
-        // rounding, but keep the representation a pure function of the
-        // node's final state.
-        self.maybe_switch_repr(mode);
-    }
-
     // ------------------------------------------------------------------
     // Layout offsets
     // ------------------------------------------------------------------
@@ -447,6 +675,51 @@ impl<V, const K: usize> Node<V, K> {
         self.infix_bits() + 2 * (1usize << K)
     }
 
+    /// Paged: bit offset of fence `i` (`i` = segment count gives the
+    /// length of the outer bit string).
+    #[inline]
+    fn fence_off(&self, i: usize) -> usize {
+        self.infix_bits() + 2 * COUNT_BITS + i * K
+    }
+
+    /// Paged: fence `i`, the first address of segment `i`.
+    #[inline]
+    fn fence(&self, i: usize) -> u64 {
+        self.bits.read_bits(self.fence_off(i), K as u32)
+    }
+
+    /// Paged: index of the segment whose address range covers `h` — the
+    /// last one whose fence is `<= h`, or the first segment for an `h`
+    /// below every fence.
+    fn seg_index(&self, h: u64) -> usize {
+        debug_assert_eq!(self.repr, Repr::Paged);
+        let (mut lo, mut hi) = (0usize, self.subs.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.fence(mid) <= h {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.saturating_sub(1)
+    }
+
+    /// Where an address-ordered LHC scan from address `h` starts: the
+    /// LHC node to scan first (this node, or the segment covering `h`)
+    /// and the segments to continue with once it is exhausted. This is
+    /// the seam through which the window-query walker sees paged nodes.
+    /// Callers must check `!is_hc()`.
+    pub fn lhc_scan_from(&self, h: u64) -> (&Node<V, K>, std::slice::Iter<'_, Arc<Node<V, K>>>) {
+        debug_assert_ne!(self.repr, Repr::Hc);
+        if self.repr == Repr::Paged {
+            let si = self.seg_index(h);
+            (&self.subs[si], self.subs[si + 1..].iter())
+        } else {
+            (self, [].iter())
+        }
+    }
+
     /// LHC: address of child `j`.
     #[inline]
     pub fn lhc_addr_at(&self, j: usize) -> u64 {
@@ -456,13 +729,13 @@ impl<V, const K: usize> Node<V, K> {
     /// LHC: whether child `j` is a sub-node.
     #[inline]
     fn lhc_is_sub(&self, j: usize) -> bool {
-        self.bits.get(self.lhc_kind_off(self.n_children(), j))
+        self.bits.get(self.lhc_kind_off(self.local_children(), j))
     }
 
     /// LHC: number of postfix entries among children `0..j`.
     #[inline]
     fn lhc_post_rank(&self, j: usize) -> usize {
-        let n = self.n_children();
+        let n = self.local_children();
         j - self.bits.count_ones(self.lhc_kind_off(n, 0), j)
     }
 
@@ -500,7 +773,7 @@ impl<V, const K: usize> Node<V, K> {
     fn lhc_search(&self, h: u64) -> Result<usize, usize> {
         use std::cmp::Ordering;
         let ib = self.infix_bits();
-        let n = self.n_children();
+        let n = self.local_children();
         let key = [h];
         let (mut lo, mut hi) = (0usize, n);
         while lo < hi {
@@ -516,17 +789,21 @@ impl<V, const K: usize> Node<V, K> {
 
     /// For window queries: index of the first child with address `>= h`.
     pub fn lhc_lower_bound(&self, h: u64) -> usize {
-        debug_assert!(!self.hc);
+        debug_assert_eq!(self.repr, Repr::Lhc);
+        if h == 0 {
+            return 0; // scans of a whole node start here
+        }
         match self.lhc_search(h) {
             Ok(j) | Err(j) => j,
         }
     }
 
-    /// Number of LHC children (callers must check `!is_hc()`).
+    /// Number of LHC children (callers must hold a plain LHC node or a
+    /// segment, see [`Node::lhc_scan_from`]).
     #[inline]
     pub fn lhc_len(&self) -> usize {
-        debug_assert!(!self.hc);
-        self.n_children()
+        debug_assert_eq!(self.repr, Repr::Lhc);
+        self.local_children()
     }
 
     /// LHC: initial state for an incremental scan starting at child `j`:
@@ -535,21 +812,25 @@ impl<V, const K: usize> Node<V, K> {
     /// rank on every postfix child; this turns the per-child rank
     /// popcount of [`Node::lhc_at`] into O(1) bookkeeping.
     pub fn lhc_scan_state(&self, j: usize) -> (usize, usize) {
-        debug_assert!(!self.hc);
-        (self.lhc_post_rank(j), self.lhc_pf_base(self.n_children()))
+        debug_assert_eq!(self.repr, Repr::Lhc);
+        (
+            self.lhc_post_rank(j),
+            self.lhc_pf_base(self.local_children()),
+        )
     }
 
     /// LHC: like [`Node::lhc_at`], but with the dense post rank `pr` of
     /// child `j` and the postfix base supplied by a caller tracking them
     /// incrementally (see [`Node::lhc_scan_state`]).
     pub fn lhc_at_ranked(&self, j: usize, pr: usize, pf_base: usize) -> (u64, SlotRef<'_, V, K>) {
-        debug_assert!(!self.hc);
+        debug_assert_eq!(self.repr, Repr::Lhc);
         debug_assert_eq!(pr, self.lhc_post_rank(j), "rank tracking out of sync");
         let addr = self.lhc_addr_at(j);
         let slot = if self.lhc_is_sub(j) {
             SlotRef::Sub(&self.subs[j - pr])
         } else {
             SlotRef::Post {
+                seg: self,
                 pf_off: pf_base + pr * self.post_bits(),
                 value: &self.values[pr],
             }
@@ -559,19 +840,8 @@ impl<V, const K: usize> Node<V, K> {
 
     /// For LHC nodes: the address and slot at child index `j`.
     pub fn lhc_at(&self, j: usize) -> (u64, SlotRef<'_, V, K>) {
-        debug_assert!(!self.hc);
-        let addr = self.lhc_addr_at(j);
-        let slot = if self.lhc_is_sub(j) {
-            let sr = j - self.lhc_post_rank(j);
-            SlotRef::Sub(&self.subs[sr])
-        } else {
-            let pr = self.lhc_post_rank(j);
-            SlotRef::Post {
-                pf_off: self.lhc_pf_base(self.n_children()) + pr * self.post_bits(),
-                value: &self.values[pr],
-            }
-        };
-        (addr, slot)
+        let pr = self.lhc_post_rank(j);
+        self.lhc_at_ranked(j, pr, self.lhc_pf_base(self.local_children()))
     }
 
     // ------------------------------------------------------------------
@@ -590,7 +860,8 @@ impl<V, const K: usize> Node<V, K> {
     }
 
     /// Reads the postfix record at bit offset `off` into the low bits of
-    /// `key` (replacing them) in one gather pass.
+    /// `key` (replacing them) in one gather pass. `self` must be the
+    /// node whose bit string holds the record ([`SlotRef::Post::seg`]).
     pub fn read_postfix_into(&self, off: usize, key: &mut [u64; K]) {
         let pl = self.post_len as u32;
         if pl == 0 {
@@ -601,6 +872,7 @@ impl<V, const K: usize> Node<V, K> {
 
     /// Whether the postfix record at `off` equals the low bits of `key`:
     /// word-wise compare of the packed run against the packed key.
+    /// `self` must be the node whose bit string holds the record.
     pub fn postfix_matches(&self, off: usize, key: &[u64; K]) -> bool {
         // Fused per-dimension compare: point queries are 50 % misses, so
         // the first-mismatch early exit matters more than bulk compare.
@@ -614,12 +886,13 @@ impl<V, const K: usize> Node<V, K> {
     /// Looks up the slot for address `h`.
     #[inline]
     pub fn get_slot(&self, h: u64) -> Option<SlotRef<'_, V, K>> {
-        if self.hc {
-            match self.hc_kind(h) {
+        match self.repr {
+            Repr::Hc => match self.hc_kind(h) {
                 KIND_EMPTY => None,
                 KIND_POST => {
                     let (pr, _) = self.hc_ranks(h);
                     Some(SlotRef::Post {
+                        seg: self,
                         pf_off: self.hc_pf_base() + h as usize * self.post_bits(),
                         value: &self.values[pr],
                     })
@@ -628,80 +901,305 @@ impl<V, const K: usize> Node<V, K> {
                     let (_, sr) = self.hc_ranks(h);
                     Some(SlotRef::Sub(&self.subs[sr]))
                 }
-            }
-        } else {
-            match self.lhc_search(h) {
+            },
+            Repr::Lhc => match self.lhc_search(h) {
                 Ok(j) => Some(self.lhc_at(j).1),
                 Err(_) => None,
-            }
+            },
+            Repr::Paged => self.subs[self.seg_index(h)].get_slot(h),
         }
     }
 
-    /// Lightweight slot probe carrying only `Copy` data, for use where a
-    /// [`SlotRef`] borrow would conflict with subsequent mutation.
+    /// Probes the slot at `h = addr(key)` for `key`, comparing (and on a
+    /// mismatch, reading back) the stored postfix. The result borrows
+    /// nothing, for use where a [`SlotRef`] borrow would conflict with
+    /// subsequent mutation.
     #[inline]
-    pub fn probe(&self, h: u64) -> Probe {
-        if self.hc {
-            match self.hc_kind(h) {
-                KIND_EMPTY => Probe::Empty,
-                KIND_POST => Probe::Post {
-                    pf_off: self.hc_pf_base() + h as usize * self.post_bits(),
-                },
-                _ => Probe::Sub,
-            }
-        } else {
-            match self.lhc_search(h) {
-                Ok(j) => {
-                    if self.lhc_is_sub(j) {
-                        Probe::Sub
-                    } else {
-                        let pr = self.lhc_post_rank(j);
-                        Probe::Post {
-                            pf_off: self.lhc_pf_base(self.n_children()) + pr * self.post_bits(),
-                        }
-                    }
+    pub fn probe(&self, h: u64, key: &[u64; K]) -> Probe<K> {
+        match self.get_slot(h) {
+            None => Probe::Empty,
+            Some(SlotRef::Sub(_)) => Probe::Sub,
+            Some(SlotRef::Post { seg, pf_off, .. }) => {
+                if seg.postfix_matches(pf_off, key) {
+                    Probe::Same
+                } else {
+                    // Both keys agree on all bits at and above the
+                    // node's split (same path, same address), so the
+                    // stored postfix fully determines the other key.
+                    let mut other = *key;
+                    seg.read_postfix_into(pf_off, &mut other);
+                    Probe::Other(other)
                 }
-                Err(_) => Probe::Empty,
             }
         }
     }
 
     /// Index into `values` of the postfix entry at `h`, if any.
     fn post_rank_of(&self, h: u64) -> Option<usize> {
-        if self.hc {
-            if self.hc_kind(h) == KIND_POST {
-                Some(self.hc_ranks(h).0)
-            } else {
-                None
-            }
-        } else {
-            match self.lhc_search(h) {
+        match self.repr {
+            Repr::Hc => (self.hc_kind(h) == KIND_POST).then(|| self.hc_ranks(h).0),
+            Repr::Lhc => match self.lhc_search(h) {
                 Ok(j) if !self.lhc_is_sub(j) => Some(self.lhc_post_rank(j)),
                 _ => None,
-            }
+            },
+            Repr::Paged => unreachable!("ranks are per segment"),
         }
     }
 
     /// Index into `subs` of the sub-node at `h`, if any.
     fn sub_rank_of(&self, h: u64) -> Option<usize> {
-        if self.hc {
-            if self.hc_kind(h) == KIND_SUB {
-                Some(self.hc_ranks(h).1)
-            } else {
-                None
-            }
-        } else {
-            match self.lhc_search(h) {
+        match self.repr {
+            Repr::Hc => (self.hc_kind(h) == KIND_SUB).then(|| self.hc_ranks(h).1),
+            Repr::Lhc => match self.lhc_search(h) {
                 Ok(j) if self.lhc_is_sub(j) => Some(j - self.lhc_post_rank(j)),
                 _ => None,
-            }
+            },
+            Repr::Paged => unreachable!("ranks are per segment"),
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Paging: segments ⇄ one logical LHC bit string
+    // ------------------------------------------------------------------
+
+    /// The node's logical bit string: `bits` itself for an LHC or HC
+    /// node; for a paged node the one LHC bit string
+    /// `[infix | addresses | kinds | postfixes]` its segments
+    /// concatenate to, which is what a plain LHC node with the same
+    /// children would hold.
+    pub fn logical_bits(&self) -> Cow<'_, BitBuf> {
+        match self.repr {
+            Repr::Paged => {
+                let segs: Vec<&Node<V, K>> = self.subs.iter().map(|s| &**s).collect();
+                Cow::Owned(Self::lhc_concat(&self.bits, self.infix_bits(), &segs))
+            }
+            _ => Cow::Borrowed(&self.bits),
+        }
+    }
+
+    /// Concatenates infix-less LHC child tables (`segs`, in address
+    /// order) into one, behind the first `head_bits` bits of `head`.
+    fn lhc_concat(head: &BitBuf, head_bits: usize, segs: &[&Node<V, K>]) -> BitBuf {
+        let n: usize = segs.iter().map(|s| s.local_children()).sum();
+        let total: usize = segs.iter().map(|s| s.bits.len()).sum();
+        let mut bits = BitBuf::zeroed(head_bits + total);
+        bits.copy_bits_from(head, 0, 0, head_bits);
+        // One cursor per region of the result.
+        let (mut addr, mut kind, mut pf) = (head_bits, head_bits + n * K, head_bits + n * (K + 1));
+        for s in segs {
+            debug_assert!(s.repr == Repr::Lhc && s.infix_len == 0);
+            let sn = s.local_children();
+            let pf_len = s.bits.len() - sn * (K + 1);
+            bits.copy_bits_from(&s.bits, 0, addr, sn * K);
+            bits.copy_bits_from(&s.bits, sn * K, kind, sn);
+            bits.copy_bits_from(&s.bits, sn * (K + 1), pf, pf_len);
+            addr += sn * K;
+            kind += sn;
+            pf += pf_len;
+        }
+        bits
+    }
+
+    /// LHC: bits of the child table taken by children `0..j`.
+    fn lhc_table_bits(&self, j: usize) -> usize {
+        j * (K + 1) + self.lhc_post_rank(j) * self.post_bits()
+    }
+
+    /// Cuts this plain LHC node's child table into `count` infix-less
+    /// segments of (to within one child) equal bit size, each allocated
+    /// at exact size. The node's infix is dropped.
+    fn lhc_chunks(self, count: usize) -> Vec<Node<V, K>> {
+        debug_assert_eq!(self.repr, Repr::Lhc);
+        let (n, ib, pb) = (self.local_children(), self.infix_bits(), self.post_bits());
+        debug_assert!(count >= 1 && count <= n);
+        let total = self.bits.len() - ib;
+        // Child index where chunk `c` ends: the first at which the
+        // table reaches c/count of its length, leaving every chunk at
+        // least one child.
+        let mut cuts = Vec::with_capacity(count);
+        let mut prev = 0;
+        for c in 1..count {
+            let target = total * c / count;
+            let (mut lo, mut hi) = (prev + 1, n - (count - c));
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if self.lhc_table_bits(mid) < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            cuts.push((lo, self.lhc_post_rank(lo)));
+            prev = lo;
+        }
+        cuts.push((n, self.values.len()));
+        let (src, post_len) = (self.bits, self.post_len);
+        let mut values = self.values.into_iter();
+        let mut subs = self.subs.into_iter();
+        let (mut j0, mut pr0) = (0, 0);
+        cuts.into_iter()
+            .map(|(j1, pr1)| {
+                let (cn, cp) = (j1 - j0, pr1 - pr0);
+                let mut bits = BitBuf::zeroed(cn * (K + 1) + cp * pb);
+                bits.copy_bits_from(&src, ib + j0 * K, 0, cn * K);
+                bits.copy_bits_from(&src, ib + n * K + j0, cn * K, cn);
+                bits.copy_bits_from(&src, ib + n * (K + 1) + pr0 * pb, cn * (K + 1), cp * pb);
+                let mut seg_values = Vec::with_capacity(cp);
+                seg_values.extend(values.by_ref().take(cp));
+                let mut seg_subs = Vec::with_capacity(cn - cp);
+                seg_subs.extend(subs.by_ref().take(cn - cp));
+                (j0, pr0) = (j1, pr1);
+                Node {
+                    post_len,
+                    infix_len: 0,
+                    repr: Repr::Lhc,
+                    bits,
+                    subs: seg_subs,
+                    values: seg_values,
+                }
+            })
+            .collect()
+    }
+
+    /// Turns this node — `bits` holding just its infix — into the outer
+    /// node over `segs`, which hold `n` children, `posts` of them
+    /// postfix entries.
+    fn install_segments(&mut self, segs: Vec<Node<V, K>>, n: usize, posts: usize) {
+        debug_assert!(segs.len() >= 2 && self.bits.len() == self.infix_bits());
+        self.repr = Repr::Paged;
+        self.bits.grow(2 * COUNT_BITS + segs.len() * K);
+        self.set_counts(n, posts);
+        for (i, seg) in segs.iter().enumerate() {
+            self.bits
+                .write_bits(self.fence_off(i), seg.lhc_addr_at(0), K as u32);
+        }
+        self.values = Vec::new();
+        self.subs = segs.into_iter().map(Arc::new).collect();
+    }
+
+    /// Paged: stores the child and postfix-entry totals.
+    fn set_counts(&mut self, n: usize, posts: usize) {
+        let ib = self.infix_bits();
+        self.bits.write_bits(ib, n as u64, COUNT_BITS as u32);
+        self.bits
+            .write_bits(ib + COUNT_BITS, posts as u64, COUNT_BITS as u32);
+    }
+
+    /// Pages a plain LHC node whose child table has outgrown one page:
+    /// the table is cut into the fewest segments that fit a page each.
+    fn page_if_oversized(&mut self) {
+        let ib = self.infix_bits();
+        if self.repr != Repr::Lhc || self.bits.len() - ib <= PAGE_BITS {
+            return;
+        }
+        let pages = (self.bits.len() - ib).div_ceil(PAGE_BITS);
+        let (n, posts) = (self.local_children(), self.values.len());
+        let mut outer_bits = BitBuf::zeroed(ib);
+        outer_bits.copy_bits_from(&self.bits, 0, 0, ib);
+        let outer = Node {
+            post_len: self.post_len,
+            infix_len: self.infix_len,
+            repr: Repr::Lhc,
+            bits: outer_bits,
+            subs: Vec::new(),
+            values: Vec::new(),
+        };
+        let flat = std::mem::replace(self, outer);
+        self.install_segments(flat.lhc_chunks(pages), n, posts);
+    }
+
+    // ------------------------------------------------------------------
+    // Iteration support (used by queries, stats and merging)
+    // ------------------------------------------------------------------
+
+    /// Iterates all occupied slots in address order.
+    pub fn iter_slots(&self) -> SlotIter<'_, V, K> {
+        let (node, rest) = match self.repr {
+            Repr::Paged => {
+                let mut segs = self.subs.iter();
+                let first = segs.next().expect("a paged node has segments");
+                (&**first, segs)
+            }
+            _ => (self, [].iter()),
+        };
+        let mut it = SlotIter {
+            node,
+            rest,
+            pf_base: 0,
+            pb: self.post_bits(),
+            pos: 0,
+            pr: 0,
+            sr: 0,
+        };
+        it.enter(node);
+        it
+    }
+
+    // ------------------------------------------------------------------
+    // Invariant checking (tests)
+    // ------------------------------------------------------------------
+
+    /// Validates all structural invariants of this subtree; panics on
+    /// violation. Used by tests and debug assertions — decode paths use
+    /// the fallible [`Node::validate_local`] instead.
+    pub fn check_invariants(&self, is_root: bool) {
+        if let Err(what) = self.validate_local() {
+            panic!("node invariant violated: {what}");
+        }
+        if !is_root {
+            assert!(self.n_children() >= 2, "non-root node with < 2 children");
+        } else {
+            assert_eq!(self.post_len as u32, W - 1, "root split bit");
+            assert_eq!(self.infix_len, 0, "root infix");
+        }
+        for sub in self.child_nodes() {
+            sub.check_invariants(false);
+        }
+    }
+}
+
+/// Structural updates and mutating accessors. These need `V: Clone`
+/// because they descend into `Arc`-shared nodes — the segments of a
+/// paged node, or sub-node children — through [`Arc::make_mut`], which
+/// deep-copies a node that is still referenced by another tree version
+/// (a snapshot); when the node is uniquely owned — the steady state
+/// with no snapshots alive — they mutate in place with only a refcount
+/// check.
+impl<V: Clone, const K: usize> Node<V, K> {
+    /// Rewrites the infix to `new_len` bits per dimension taken from
+    /// `key` (used when an infix is split or extended by node
+    /// restructuring).
+    pub fn reset_infix(&mut self, new_len: u8, key: &[u64; K], mode: ReprMode) {
+        let old = self.infix_bits();
+        self.infix_len = new_len;
+        let new = self.infix_bits();
+        if new < old {
+            self.bits.remove_range(new, old - new);
+        } else if new > old {
+            self.bits.insert_gap(old, new - old);
+        }
+        self.write_infix(key);
+        // The infix length feeds the HC/LHC size comparison only through
+        // rounding, but keep the representation a pure function of the
+        // node's final state.
+        self.maybe_switch_repr(mode);
     }
 
     /// Mutable access to the value of the postfix entry at `h`.
     pub fn post_value_mut(&mut self, h: u64) -> Option<&mut V> {
+        if self.repr == Repr::Paged {
+            return self.seg_mut(h).post_value_mut(h);
+        }
         let pr = self.post_rank_of(h)?;
         Some(&mut self.values[pr])
+    }
+
+    /// Paged: the segment covering `h`, copy-on-write. For edits that
+    /// keep the segment's children and size as they are; structural
+    /// ones go through [`Node::edit_segment`].
+    fn seg_mut(&mut self, h: u64) -> &mut Node<V, K> {
+        let si = self.seg_index(h);
+        Arc::make_mut(&mut self.subs[si])
     }
 
     // ------------------------------------------------------------------
@@ -711,36 +1209,25 @@ impl<V, const K: usize> Node<V, K> {
     /// Inserts a new postfix entry at (empty) address `h`.
     pub fn insert_post(&mut self, h: u64, key: &[u64; K], value: V, mode: ReprMode) {
         let pb = self.post_bits();
-        if self.hc {
-            debug_assert_eq!(
-                self.hc_kind(h),
-                KIND_EMPTY,
-                "insert_post into occupied slot"
-            );
-            let (pr, _) = self.hc_ranks(h);
-            let off = self.hc_kind_off(h);
-            self.bits.write_bits(off, KIND_POST, 2);
-            let pf = self.hc_pf_base() + h as usize * pb;
-            self.write_postfix_at(pf, key);
-            self.values.insert(pr, value);
-        } else {
-            let j = match self.lhc_search(h) {
-                Err(j) => j,
-                Ok(_) => panic!("insert_post into occupied slot"),
-            };
-            let n = self.n_children();
-            let pr = self.lhc_post_rank(j);
-            // One splice opens the address, kind and postfix gaps.
-            self.bits.insert_gaps(&[
-                (self.lhc_addr_off(j), K),
-                (self.lhc_kind_off(n, j), 1), // zero = post
-                (self.lhc_pf_base(n) + pr * pb, pb),
-            ]);
-            let n = n + 1;
-            self.bits.write_bits(self.lhc_addr_off(j), h, K as u32);
-            let pf = self.lhc_pf_base(n) + pr * pb;
-            self.write_postfix_at(pf, key);
-            self.values.insert(pr, value);
+        match self.repr {
+            Repr::Hc => {
+                debug_assert_eq!(
+                    self.hc_kind(h),
+                    KIND_EMPTY,
+                    "insert_post into occupied slot"
+                );
+                let (pr, _) = self.hc_ranks(h);
+                let off = self.hc_kind_off(h);
+                self.bits.write_bits(off, KIND_POST, 2);
+                let pf = self.hc_pf_base() + h as usize * pb;
+                self.write_postfix_at(pf, key);
+                self.values.insert(pr, value);
+            }
+            Repr::Lhc => self.lhc_insert_post(h, key, value),
+            Repr::Paged => self.edit_segment(h, |seg| {
+                seg.reserve_growth(true);
+                seg.lhc_insert_post(h, key, value)
+            }),
         }
         self.maybe_switch_repr(mode);
     }
@@ -750,25 +1237,19 @@ impl<V, const K: usize> Node<V, K> {
     /// shared subtrees between nodes without deep-copying them).
     pub fn insert_sub(&mut self, h: u64, sub: impl Into<Arc<Node<V, K>>>, mode: ReprMode) {
         let sub = sub.into();
-        if self.hc {
-            debug_assert_eq!(self.hc_kind(h), KIND_EMPTY, "insert_sub into occupied slot");
-            let (_, sr) = self.hc_ranks(h);
-            let off = self.hc_kind_off(h);
-            self.bits.write_bits(off, KIND_SUB, 2);
-            self.subs.insert(sr, sub);
-        } else {
-            let j = match self.lhc_search(h) {
-                Err(j) => j,
-                Ok(_) => panic!("insert_sub into occupied slot"),
-            };
-            let n = self.n_children();
-            let sr = j - self.lhc_post_rank(j);
-            self.bits
-                .insert_gaps(&[(self.lhc_addr_off(j), K), (self.lhc_kind_off(n, j), 1)]);
-            let n = n + 1;
-            self.bits.write_bits(self.lhc_addr_off(j), h, K as u32);
-            self.bits.set(self.lhc_kind_off(n, j), true); // kind 1 = sub
-            self.subs.insert(sr, sub);
+        match self.repr {
+            Repr::Hc => {
+                debug_assert_eq!(self.hc_kind(h), KIND_EMPTY, "insert_sub into occupied slot");
+                let (_, sr) = self.hc_ranks(h);
+                let off = self.hc_kind_off(h);
+                self.bits.write_bits(off, KIND_SUB, 2);
+                self.subs.insert(sr, sub);
+            }
+            Repr::Lhc => self.lhc_insert_sub(h, sub),
+            Repr::Paged => self.edit_segment(h, |seg| {
+                seg.reserve_growth(false);
+                seg.lhc_insert_sub(h, sub)
+            }),
         }
         self.maybe_switch_repr(mode);
     }
@@ -776,27 +1257,20 @@ impl<V, const K: usize> Node<V, K> {
     /// Removes the postfix entry at `h`, returning its value.
     pub fn remove_post(&mut self, h: u64, mode: ReprMode) -> V {
         let pb = self.post_bits();
-        let v = if self.hc {
-            assert_eq!(self.hc_kind(h), KIND_POST, "remove_post on non-post slot");
-            let (pr, _) = self.hc_ranks(h);
-            let off = self.hc_kind_off(h);
-            self.bits.write_bits(off, KIND_EMPTY, 2);
-            // Clear the stale postfix slot for determinism.
-            let pf = self.hc_pf_base() + h as usize * pb;
-            let zero: [u64; K] = [0; K];
-            self.write_postfix_at(pf, &zero);
-            self.values.remove(pr)
-        } else {
-            let j = self.lhc_search(h).expect("remove_post: empty slot");
-            assert!(!self.lhc_is_sub(j), "remove_post on sub slot");
-            let n = self.n_children();
-            let pr = self.lhc_post_rank(j);
-            self.bits.remove_ranges(&[
-                (self.lhc_addr_off(j), K),
-                (self.lhc_kind_off(n, j), 1),
-                (self.lhc_pf_base(n) + pr * pb, pb),
-            ]);
-            self.values.remove(pr)
+        let v = match self.repr {
+            Repr::Hc => {
+                assert_eq!(self.hc_kind(h), KIND_POST, "remove_post on non-post slot");
+                let (pr, _) = self.hc_ranks(h);
+                let off = self.hc_kind_off(h);
+                self.bits.write_bits(off, KIND_EMPTY, 2);
+                // Clear the stale postfix slot for determinism.
+                let pf = self.hc_pf_base() + h as usize * pb;
+                let zero: [u64; K] = [0; K];
+                self.write_postfix_at(pf, &zero);
+                self.values.remove(pr)
+            }
+            Repr::Lhc => self.lhc_remove_post(h),
+            Repr::Paged => self.edit_segment(h, |seg| seg.lhc_remove_post(h)),
         };
         self.maybe_switch_repr(mode);
         v
@@ -816,34 +1290,35 @@ impl<V, const K: usize> Node<V, K> {
     /// displaced value. The caller re-inserts the displaced entry into
     /// the sub-node (the paper's "at most one entry is moved between the
     /// two nodes").
-    pub fn swap_post_for_sub(&mut self, h: u64, sub: Node<V, K>, mode: ReprMode) -> V {
-        let sub = Arc::new(sub);
+    pub fn swap_post_for_sub(
+        &mut self,
+        h: u64,
+        sub: impl Into<Arc<Node<V, K>>>,
+        mode: ReprMode,
+    ) -> V {
+        let sub = sub.into();
         let pb = self.post_bits();
-        let v = if self.hc {
-            assert_eq!(
-                self.hc_kind(h),
-                KIND_POST,
-                "swap_post_for_sub on non-post slot"
-            );
-            let (pr, sr) = self.hc_ranks(h);
-            let off = self.hc_kind_off(h);
-            self.bits.write_bits(off, KIND_SUB, 2);
-            let pf = self.hc_pf_base() + h as usize * pb;
-            let zero: [u64; K] = [0; K];
-            self.write_postfix_at(pf, &zero);
-            self.subs.insert(sr, sub);
-            self.values.remove(pr)
-        } else {
-            let j = self.lhc_search(h).expect("swap_post_for_sub: empty slot");
-            assert!(!self.lhc_is_sub(j), "swap_post_for_sub on sub slot");
-            let n = self.n_children();
-            let pr = self.lhc_post_rank(j);
-            let sr = j - pr;
-            let pf = self.lhc_pf_base(n) + pr * pb;
-            self.bits.remove_range(pf, pb);
-            self.bits.set(self.lhc_kind_off(n, j), true);
-            self.subs.insert(sr, sub);
-            self.values.remove(pr)
+        let v = match self.repr {
+            Repr::Hc => {
+                assert_eq!(
+                    self.hc_kind(h),
+                    KIND_POST,
+                    "swap_post_for_sub on non-post slot"
+                );
+                let (pr, sr) = self.hc_ranks(h);
+                let off = self.hc_kind_off(h);
+                self.bits.write_bits(off, KIND_SUB, 2);
+                let pf = self.hc_pf_base() + h as usize * pb;
+                let zero: [u64; K] = [0; K];
+                self.write_postfix_at(pf, &zero);
+                self.subs.insert(sr, sub);
+                self.values.remove(pr)
+            }
+            Repr::Lhc => self.lhc_swap_post_for_sub(h, sub),
+            Repr::Paged => self.edit_segment(h, |seg| {
+                seg.reserve_growth(false);
+                seg.lhc_swap_post_for_sub(h, sub)
+            }),
         };
         // The post count feeds the size comparison; keep the
         // representation a pure function of the node's final state.
@@ -855,33 +1330,26 @@ impl<V, const K: usize> Node<V, K> {
     /// a deletion left the sub-node with a single local entry).
     pub fn replace_sub_with_post(&mut self, h: u64, key: &[u64; K], value: V, mode: ReprMode) {
         let pb = self.post_bits();
-        if self.hc {
-            assert_eq!(
-                self.hc_kind(h),
-                KIND_SUB,
-                "replace_sub_with_post on non-sub slot"
-            );
-            let (pr, sr) = self.hc_ranks(h);
-            let off = self.hc_kind_off(h);
-            self.bits.write_bits(off, KIND_POST, 2);
-            let pf = self.hc_pf_base() + h as usize * pb;
-            self.write_postfix_at(pf, key);
-            self.subs.remove(sr);
-            self.values.insert(pr, value);
-        } else {
-            let j = self
-                .lhc_search(h)
-                .expect("replace_sub_with_post: empty slot");
-            assert!(self.lhc_is_sub(j), "replace_sub_with_post on post slot");
-            let n = self.n_children();
-            let pr = self.lhc_post_rank(j);
-            let sr = j - pr;
-            self.bits.set(self.lhc_kind_off(n, j), false);
-            let pf = self.lhc_pf_base(n) + pr * pb;
-            self.bits.insert_gap(pf, pb);
-            self.write_postfix_at(pf, key);
-            self.subs.remove(sr);
-            self.values.insert(pr, value);
+        match self.repr {
+            Repr::Hc => {
+                assert_eq!(
+                    self.hc_kind(h),
+                    KIND_SUB,
+                    "replace_sub_with_post on non-sub slot"
+                );
+                let (pr, sr) = self.hc_ranks(h);
+                let off = self.hc_kind_off(h);
+                self.bits.write_bits(off, KIND_POST, 2);
+                let pf = self.hc_pf_base() + h as usize * pb;
+                self.write_postfix_at(pf, key);
+                self.subs.remove(sr);
+                self.values.insert(pr, value);
+            }
+            Repr::Lhc => self.lhc_replace_sub_with_post(h, key, value),
+            Repr::Paged => self.edit_segment(h, |seg| {
+                seg.reserve_growth(true);
+                seg.lhc_replace_sub_with_post(h, key, value)
+            }),
         }
         self.maybe_switch_repr(mode);
     }
@@ -891,41 +1359,239 @@ impl<V, const K: usize> Node<V, K> {
     /// re-attaches it elsewhere via [`Node::insert_sub`] or drops it;
     /// neither needs the deep copy an unwrap would cost).
     pub fn swap_sub(&mut self, h: u64, sub: impl Into<Arc<Node<V, K>>>) -> Arc<Node<V, K>> {
+        if self.repr == Repr::Paged {
+            return self.seg_mut(h).swap_sub(h, sub);
+        }
         let sr = self.sub_rank_of(h).expect("swap_sub: not a sub slot");
         std::mem::replace(&mut self.subs[sr], sub.into())
+    }
+
+    // ------------------------------------------------------------------
+    // LHC edits: the bit-string splices, on a plain LHC node or a segment
+    // ------------------------------------------------------------------
+
+    fn lhc_insert_post(&mut self, h: u64, key: &[u64; K], value: V) {
+        let pb = self.post_bits();
+        let j = match self.lhc_search(h) {
+            Err(j) => j,
+            Ok(_) => panic!("insert_post into occupied slot"),
+        };
+        let n = self.local_children();
+        let pr = self.lhc_post_rank(j);
+        // One splice opens the address, kind and postfix gaps.
+        self.bits.insert_gaps(&[
+            (self.lhc_addr_off(j), K),
+            (self.lhc_kind_off(n, j), 1), // zero = post
+            (self.lhc_pf_base(n) + pr * pb, pb),
+        ]);
+        let n = n + 1;
+        self.bits.write_bits(self.lhc_addr_off(j), h, K as u32);
+        let pf = self.lhc_pf_base(n) + pr * pb;
+        self.write_postfix_at(pf, key);
+        self.values.insert(pr, value);
+    }
+
+    fn lhc_insert_sub(&mut self, h: u64, sub: Arc<Node<V, K>>) {
+        let j = match self.lhc_search(h) {
+            Err(j) => j,
+            Ok(_) => panic!("insert_sub into occupied slot"),
+        };
+        let n = self.local_children();
+        let sr = j - self.lhc_post_rank(j);
+        self.bits
+            .insert_gaps(&[(self.lhc_addr_off(j), K), (self.lhc_kind_off(n, j), 1)]);
+        let n = n + 1;
+        self.bits.write_bits(self.lhc_addr_off(j), h, K as u32);
+        self.bits.set(self.lhc_kind_off(n, j), true); // kind 1 = sub
+        self.subs.insert(sr, sub);
+    }
+
+    fn lhc_remove_post(&mut self, h: u64) -> V {
+        let pb = self.post_bits();
+        let j = self.lhc_search(h).expect("remove_post: empty slot");
+        assert!(!self.lhc_is_sub(j), "remove_post on sub slot");
+        let n = self.local_children();
+        let pr = self.lhc_post_rank(j);
+        self.bits.remove_ranges(&[
+            (self.lhc_addr_off(j), K),
+            (self.lhc_kind_off(n, j), 1),
+            (self.lhc_pf_base(n) + pr * pb, pb),
+        ]);
+        self.values.remove(pr)
+    }
+
+    fn lhc_swap_post_for_sub(&mut self, h: u64, sub: Arc<Node<V, K>>) -> V {
+        let pb = self.post_bits();
+        let j = self.lhc_search(h).expect("swap_post_for_sub: empty slot");
+        assert!(!self.lhc_is_sub(j), "swap_post_for_sub on sub slot");
+        let n = self.local_children();
+        let pr = self.lhc_post_rank(j);
+        let sr = j - pr;
+        let pf = self.lhc_pf_base(n) + pr * pb;
+        self.bits.remove_range(pf, pb);
+        self.bits.set(self.lhc_kind_off(n, j), true);
+        self.subs.insert(sr, sub);
+        self.values.remove(pr)
+    }
+
+    fn lhc_replace_sub_with_post(&mut self, h: u64, key: &[u64; K], value: V) {
+        let pb = self.post_bits();
+        let j = self
+            .lhc_search(h)
+            .expect("replace_sub_with_post: empty slot");
+        assert!(self.lhc_is_sub(j), "replace_sub_with_post on post slot");
+        let n = self.local_children();
+        let pr = self.lhc_post_rank(j);
+        let sr = j - pr;
+        self.bits.set(self.lhc_kind_off(n, j), false);
+        let pf = self.lhc_pf_base(n) + pr * pb;
+        self.bits.insert_gap(pf, pb);
+        self.write_postfix_at(pf, key);
+        self.subs.remove(sr);
+        self.values.insert(pr, value);
+    }
+
+    // ------------------------------------------------------------------
+    // Paged: segment edits and rebalancing
+    // ------------------------------------------------------------------
+
+    /// Paged: applies the structural edit `f` to the segment covering
+    /// `h` (copy-on-write), then restores the outer node's invariants:
+    /// counters, the segment's fence, and the segment size rules
+    /// (split / merge / unpage, see the module docs).
+    ///
+    /// `f` is one of the `lhc_*` splices: a segment never switches
+    /// representation on its own.
+    fn edit_segment<R>(&mut self, h: u64, f: impl FnOnce(&mut Node<V, K>) -> R) -> R {
+        let si = self.seg_index(h);
+        let seg = Arc::make_mut(&mut self.subs[si]);
+        let (n0, posts0) = (seg.local_children(), seg.values.len());
+        let r = f(seg);
+        debug_assert_eq!(seg.repr, Repr::Lhc);
+        let (n1, posts1, len) = (seg.local_children(), seg.values.len(), seg.bits.len());
+        self.set_counts(
+            self.n_children() + n1 - n0,
+            self.n_posts() + posts1 - posts0,
+        );
+        if len > PAGE_BITS {
+            self.split_segment(si);
+        } else if len < PAGE_BITS / 4 {
+            self.merge_segment(si);
+        } else {
+            self.refresh_fence(si);
+        }
+        r
+    }
+
+    /// Paged: rewrites fence `si` from its segment's first address.
+    fn refresh_fence(&mut self, si: usize) {
+        let first = self.subs[si].lhc_addr_at(0);
+        self.bits.write_bits(self.fence_off(si), first, K as u32);
+    }
+
+    /// Paged: cuts segment `si` into two halves of equal bit size.
+    fn split_segment(&mut self, si: usize) {
+        let seg = Arc::unwrap_or_clone(self.subs.remove(si));
+        self.subs
+            .splice(si..si, seg.lhc_chunks(2).into_iter().map(Arc::new));
+        self.bits.insert_gap(self.fence_off(si + 1), K);
+        self.refresh_fence(si);
+        self.refresh_fence(si + 1);
+    }
+
+    /// Paged: merges the undersized segment `si` with its smaller
+    /// neighbour; splits the result again if it overflows the page, and
+    /// unpages the node if it is the only segment left.
+    fn merge_segment(&mut self, si: usize) {
+        let len_of = |i: usize| self.subs.get(i).map_or(usize::MAX, |s| s.bits.len());
+        // Left index of the pair to merge.
+        let a = if si > 0 && len_of(si - 1) <= len_of(si + 1) {
+            si - 1
+        } else {
+            si
+        };
+        let right = Arc::unwrap_or_clone(self.subs.remove(a + 1));
+        self.bits.remove_range(self.fence_off(a + 1), K);
+        let left = Arc::make_mut(&mut self.subs[a]);
+        left.bits = Self::lhc_concat(&left.bits, 0, &[&*left, &right]);
+        left.values.extend(right.values);
+        left.subs.extend(right.subs);
+        if left.bits.len() > PAGE_BITS {
+            self.split_segment(a);
+        } else if self.subs.len() == 1 {
+            self.unpage();
+        } else {
+            self.refresh_fence(a);
+        }
+    }
+
+    /// Paged → plain LHC: the segments' tables are concatenated behind
+    /// the infix, their values and sub-nodes gathered in order.
+    fn unpage(&mut self) {
+        let bits = self.logical_bits().into_owned();
+        self.take_segments();
+        self.bits = bits;
+    }
+
+    /// Paged: moves the segments' values and sub-nodes, in order, into
+    /// this node's own vectors, leaving it marked LHC with `bits` still
+    /// to be replaced by the caller.
+    fn take_segments(&mut self) {
+        debug_assert_eq!(self.repr, Repr::Paged);
+        let (n, posts) = (self.n_children(), self.n_posts());
+        self.values = Vec::with_capacity(posts);
+        let segs = std::mem::replace(&mut self.subs, Vec::with_capacity(n - posts));
+        for seg in segs {
+            let seg = Arc::unwrap_or_clone(seg);
+            self.values.extend(seg.values);
+            self.subs.extend(seg.subs);
+        }
+        self.repr = Repr::Lhc;
+    }
+
+    /// Segment growth policy: makes room for one more child (a postfix
+    /// entry if `post`) in steps of an eighth, not by doubling. A
+    /// segment never outgrows a page, so the finer steps cost a few
+    /// page-sized copies over its life and keep the capacity slack of a
+    /// paged node near 6 % where one doubling buffer averages 40 %.
+    fn reserve_growth(&mut self, post: bool) {
+        fn reserve<T>(v: &mut Vec<T>) {
+            if v.len() == v.capacity() {
+                v.reserve_exact((v.len() / 8).max(2));
+            }
+        }
+        let need = self.bits.len() + K + 1 + if post { self.post_bits() } else { 0 };
+        if need > self.bits.heap_bytes() * 8 {
+            self.bits.reserve_exact(need + need / 8);
+        }
+        if post {
+            reserve(&mut self.values);
+        } else {
+            reserve(&mut self.subs);
+        }
     }
 
     // ------------------------------------------------------------------
     // HC ⇄ LHC switching (Sect. 3.2)
     // ------------------------------------------------------------------
 
-    /// Bit cost of the child table in LHC form (excl. infix, subs and
-    /// values, which are identical in both forms).
-    #[inline]
-    fn lhc_cost_bits(&self, n: usize, posts: usize) -> usize {
-        n * (K + 1) + posts * self.post_bits()
-    }
-
-    /// Bit cost of the child table in HC form, or `usize::MAX` when a
-    /// `2^K` table may not be materialised.
-    #[inline]
-    fn hc_cost_bits(&self) -> usize {
-        if K > MAX_HC_K {
-            return usize::MAX;
-        }
-        (1usize << K) * (2 + self.post_bits())
-    }
-
-    /// Converts to the smaller representation if the current one is not.
+    /// Converts to the smaller of HC and LHC if the current one is not,
+    /// and pages an LHC node that has outgrown a page.
     pub fn maybe_switch_repr(&mut self, mode: ReprMode) {
         let want_hc = match mode {
             ReprMode::ForceLhc => false,
             ReprMode::ForceHc => K <= MAX_HC_K,
             ReprMode::Adaptive => {
-                self.hc_cost_bits() < self.lhc_cost_bits(self.n_children(), self.n_posts())
+                // Bit cost of the child table in either form (excl.
+                // infix, subs and values, which are identical in both);
+                // a `2^K` table may not be materialised beyond
+                // `MAX_HC_K`.
+                K <= MAX_HC_K
+                    && (1usize << K) * (2 + self.post_bits())
+                        < self.n_children() * (K + 1) + self.n_posts() * self.post_bits()
             }
         };
-        if want_hc != self.hc {
+        if want_hc != self.is_hc() {
             crate::telemetry::record_repr_switch(want_hc);
             if want_hc {
                 self.convert_to_hc();
@@ -933,46 +1599,42 @@ impl<V, const K: usize> Node<V, K> {
                 self.convert_to_lhc();
             }
         }
+        self.page_if_oversized();
     }
 
+    /// LHC or paged → HC.
     fn convert_to_hc(&mut self) {
-        debug_assert!(!self.hc);
+        debug_assert_ne!(self.repr, Repr::Hc);
         let ib = self.infix_bits();
         let pb = self.post_bits();
-        let n = self.n_children();
         let slots = 1usize << K;
-        let mut bits = BitBuf::with_capacity(ib + slots * (2 + pb));
-        bits.grow(ib + slots * (2 + pb));
+        let mut bits = BitBuf::zeroed(ib + slots * (2 + pb));
         bits.copy_bits_from(&self.bits, 0, 0, ib);
         let pf_base_new = ib + 2 * slots;
-        let mut pr = 0usize;
-        for j in 0..n {
-            let h = self.lhc_addr_at(j) as usize;
-            if self.lhc_is_sub(j) {
-                bits.write_bits(ib + 2 * h, KIND_SUB, 2);
-            } else {
-                bits.write_bits(ib + 2 * h, KIND_POST, 2);
-                bits.copy_bits_from(
-                    &self.bits,
-                    self.lhc_pf_base(n) + pr * pb,
-                    pf_base_new + h * pb,
-                    pb,
-                );
-                pr += 1;
+        for (h, slot) in self.iter_slots() {
+            let h = h as usize;
+            match slot {
+                SlotRef::Sub(_) => bits.write_bits(ib + 2 * h, KIND_SUB, 2),
+                SlotRef::Post { seg, pf_off, .. } => {
+                    bits.write_bits(ib + 2 * h, KIND_POST, 2);
+                    bits.copy_bits_from(&seg.bits, pf_off, pf_base_new + h * pb, pb);
+                }
             }
         }
+        if self.repr == Repr::Paged {
+            self.take_segments();
+        }
         self.bits = bits;
-        self.hc = true;
+        self.repr = Repr::Hc;
     }
 
     fn convert_to_lhc(&mut self) {
-        debug_assert!(self.hc);
+        debug_assert_eq!(self.repr, Repr::Hc);
         let ib = self.infix_bits();
         let pb = self.post_bits();
-        let n = self.n_children();
-        let posts = self.n_posts();
-        let mut bits = BitBuf::with_capacity(ib + n * (K + 1) + posts * pb);
-        bits.grow(ib + n * (K + 1) + posts * pb);
+        let n = self.local_children();
+        let posts = self.values.len();
+        let mut bits = BitBuf::zeroed(ib + n * (K + 1) + posts * pb);
         bits.copy_bits_from(&self.bits, 0, 0, ib);
         let pf_base_new = ib + n * (K + 1);
         let mut j = 0usize;
@@ -1000,79 +1662,32 @@ impl<V, const K: usize> Node<V, K> {
         }
         debug_assert_eq!(j, n);
         self.bits = bits;
-        self.hc = false;
+        self.repr = Repr::Lhc;
     }
 
     // ------------------------------------------------------------------
-    // Iteration support (used by queries, stats and merging)
+    // Descending into children
     // ------------------------------------------------------------------
 
-    /// Iterates all occupied slots in address order.
-    pub fn iter_slots(&self) -> SlotIter<'_, V, K> {
-        // The postfix base and stride are loop-invariant; computing them
-        // here keeps the per-item cost to one address/kind read.
-        let pf_base = if self.hc {
-            self.hc_pf_base()
-        } else {
-            self.lhc_pf_base(self.n_children())
-        };
-        SlotIter {
-            node: self,
-            pf_base,
-            pb: self.post_bits(),
-            pos: 0,
-            pr: 0,
-            sr: 0,
-        }
-    }
-
-    /// Releases surplus capacity in the bit string and both child
-    /// vectors, so the space accounting sees zero slack afterwards.
-    pub fn shrink_repr(&mut self) {
-        self.bits.shrink_to_fit();
-        self.subs.shrink_to_fit();
-        self.values.shrink_to_fit();
-    }
-
-    // ------------------------------------------------------------------
-    // Invariant checking (tests)
-    // ------------------------------------------------------------------
-
-    /// Validates all structural invariants of this subtree; panics on
-    /// violation. Used by tests and debug assertions — decode paths use
-    /// the fallible [`Node::validate_local`] instead.
-    pub fn check_invariants(&self, is_root: bool) {
-        if let Err(what) = self.validate_local() {
-            panic!("node invariant violated: {what}");
-        }
-        if !is_root {
-            assert!(self.n_children() >= 2, "non-root node with < 2 children");
-        } else {
-            assert_eq!(self.post_len as u32, W - 1, "root split bit");
-            assert_eq!(self.infix_len, 0, "root infix");
-        }
-        for sub in self.subs.iter() {
-            sub.check_invariants(false);
-        }
-    }
-}
-
-/// Mutating accessors that descend into `Arc`-shared children. These
-/// need `V: Clone` because [`Arc::make_mut`] deep-copies a node that is
-/// still referenced by another tree version (a snapshot); when the
-/// child is uniquely owned — the steady state with no snapshots alive —
-/// they mutate in place with only a refcount check.
-impl<V: Clone, const K: usize> Node<V, K> {
     /// Mutable access to the sub-node at `h`, copy-on-write.
     pub fn sub_mut(&mut self, h: u64) -> Option<&mut Node<V, K>> {
+        if self.repr == Repr::Paged {
+            return self.seg_mut(h).sub_mut(h);
+        }
         let sr = self.sub_rank_of(h)?;
         Some(Arc::make_mut(&mut self.subs[sr]))
     }
 
-    /// Applies `f` to every sub-node child, copy-on-write.
-    pub fn for_each_sub_mut(&mut self, f: &mut dyn FnMut(&mut Node<V, K>)) {
+    /// Releases surplus capacity in the bit string and both child
+    /// vectors, so the space accounting sees zero slack afterwards,
+    /// then does the same for every node below (copy-on-write) — a
+    /// paged node's segments, and through them its sub-node children.
+    pub fn shrink_subtree(&mut self) {
+        self.bits.shrink_to_fit();
+        self.subs.shrink_to_fit();
+        self.values.shrink_to_fit();
         for s in self.subs.iter_mut() {
-            f(Arc::make_mut(s));
+            Arc::make_mut(s).shrink_subtree();
         }
     }
 
@@ -1083,7 +1698,9 @@ impl<V: Clone, const K: usize> Node<V, K> {
         if self.n_children() != 1 {
             return None;
         }
-        let (h, is_sub) = if self.hc {
+        // A paged node has two non-empty segments.
+        debug_assert_ne!(self.repr, Repr::Paged);
+        let (h, is_sub) = if self.repr == Repr::Hc {
             let mut found = None;
             for h in 0..(1u64 << K) {
                 match self.hc_kind(h) {
@@ -1100,7 +1717,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
         };
         // Reset the bit string to "empty node" form (infix only).
         self.bits.truncate(self.infix_bits());
-        self.hc = false;
+        self.repr = Repr::Lhc;
         let child = if is_sub {
             Child::Sub(Arc::unwrap_or_clone(self.subs.remove(0)))
         } else {
@@ -1112,10 +1729,14 @@ impl<V: Clone, const K: usize> Node<V, K> {
 
 /// Iterator over occupied slots in address order, tracking dense ranks
 /// incrementally so each step is O(1) (plus empty-slot skipping in HC
-/// form).
+/// form). Walks a paged node segment by segment.
 pub(crate) struct SlotIter<'a, V, const K: usize> {
+    /// The LHC/HC node being walked: the node itself, or its current
+    /// segment.
     node: &'a Node<V, K>,
-    /// Bit offset of the postfix area (loop-invariant).
+    /// Paged: the segments still to walk.
+    rest: std::slice::Iter<'a, Arc<Node<V, K>>>,
+    /// Bit offset of the postfix area in `node` (loop-invariant).
     pf_base: usize,
     /// Postfix stride in bits (loop-invariant).
     pb: usize,
@@ -1125,12 +1746,26 @@ pub(crate) struct SlotIter<'a, V, const K: usize> {
     sr: usize,
 }
 
+impl<'a, V, const K: usize> SlotIter<'a, V, K> {
+    /// Starts walking `node` from its first slot. The postfix base is
+    /// computed here so the per-item cost stays one address/kind read.
+    fn enter(&mut self, node: &'a Node<V, K>) {
+        self.node = node;
+        self.pf_base = if node.repr == Repr::Hc {
+            node.hc_pf_base()
+        } else {
+            node.lhc_pf_base(node.local_children())
+        };
+        (self.pos, self.pr, self.sr) = (0, 0, 0);
+    }
+}
+
 impl<'a, V, const K: usize> Iterator for SlotIter<'a, V, K> {
     type Item = (u64, SlotRef<'a, V, K>);
 
     fn next(&mut self) -> Option<Self::Item> {
         let node = self.node;
-        if node.hc {
+        if node.repr == Repr::Hc {
             while self.pos < (1usize << K) {
                 let h = self.pos as u64;
                 self.pos += 1;
@@ -1138,6 +1773,7 @@ impl<'a, V, const K: usize> Iterator for SlotIter<'a, V, K> {
                     KIND_EMPTY => {}
                     KIND_POST => {
                         let r = SlotRef::Post {
+                            seg: node,
                             pf_off: self.pf_base + h as usize * self.pb,
                             value: &node.values[self.pr],
                         };
@@ -1153,8 +1789,10 @@ impl<'a, V, const K: usize> Iterator for SlotIter<'a, V, K> {
             }
             None
         } else {
-            if self.pos >= node.n_children() {
-                return None;
+            if self.pos >= node.local_children() {
+                let seg = self.rest.next()?;
+                self.enter(seg);
+                return self.next();
             }
             let j = self.pos;
             self.pos += 1;
@@ -1165,6 +1803,7 @@ impl<'a, V, const K: usize> Iterator for SlotIter<'a, V, K> {
                 Some((h, r))
             } else {
                 let r = SlotRef::Post {
+                    seg: node,
                     pf_off: self.pf_base + self.pr * self.pb,
                     value: &node.values[self.pr],
                 };
@@ -1216,10 +1855,10 @@ mod tests {
         assert_eq!(n.n_children(), 3);
         assert_eq!(n.n_posts(), 3);
         assert!(!n.is_hc());
-        assert!(matches!(n.probe(0b00), Probe::Empty));
+        assert!(n.get_slot(0b00).is_none());
         for h in [0b01u64, 0b10, 0b11] {
             match n.get_slot(h) {
-                Some(SlotRef::Post { pf_off, value }) => {
+                Some(SlotRef::Post { pf_off, value, .. }) => {
                     assert_eq!(*value, h as u32);
                     // The postfix must reproduce the low bits we stored.
                     let mut k = key2(0, 0);
@@ -1238,9 +1877,9 @@ mod tests {
         // Remove the middle entry; ranks must stay consistent.
         assert_eq!(n.remove_post(0b10, mode), 0b10);
         n.check_invariants(false);
-        assert!(matches!(n.probe(0b10), Probe::Empty));
-        assert!(matches!(n.probe(0b01), Probe::Post { .. }));
-        assert!(matches!(n.probe(0b11), Probe::Post { .. }));
+        assert!(n.get_slot(0b10).is_none());
+        assert!(matches!(n.get_slot(0b01), Some(SlotRef::Post { .. })));
+        assert!(matches!(n.get_slot(0b11), Some(SlotRef::Post { .. })));
     }
 
     #[test]
@@ -1258,7 +1897,7 @@ mod tests {
         assert!(n.is_hc(), "a full k=2 node must use the hypercube");
         n.check_invariants(false);
         for h in 0..4u64 {
-            let Some(SlotRef::Post { pf_off, value }) = n.get_slot(h) else {
+            let Some(SlotRef::Post { pf_off, value, .. }) = n.get_slot(h) else {
                 panic!("missing slot {h}");
             };
             assert_eq!(*value, h as u32);
@@ -1284,8 +1923,8 @@ mod tests {
         n.insert_post(0b010, &[0b00_0101, 0b01_0000, 0b00_1111], (), mode);
         assert!(n.is_hc());
         n.check_invariants(false);
-        assert!(matches!(n.probe(0b101), Probe::Post { .. }));
-        assert!(matches!(n.probe(0b000), Probe::Empty));
+        assert!(matches!(n.get_slot(0b101), Some(SlotRef::Post { .. })));
+        assert!(n.get_slot(0b000).is_none());
         assert_eq!(n.remove_post(0b101, mode), ());
         assert!(n.is_hc(), "forced mode must not fall back");
     }
@@ -1304,7 +1943,7 @@ mod tests {
         assert_eq!(n.n_children(), 3);
         assert_eq!(n.n_posts(), 2);
         assert_eq!(n.n_subs(), 1);
-        assert!(matches!(n.probe(0b10), Probe::Sub));
+        assert!(matches!(n.get_slot(0b10), Some(SlotRef::Sub(_))));
         assert!(n.sub_mut(0b10).is_some());
         assert!(n.sub_mut(0b11).is_none());
         // Swap the sub for another; the old one comes back out.
@@ -1405,7 +2044,7 @@ mod tests {
         }
         n.check_invariants(false);
         for h in [0u64, 3, 5, 7] {
-            let Some(SlotRef::Post { pf_off, value }) = n.get_slot(h) else {
+            let Some(SlotRef::Post { pf_off, value, .. }) = n.get_slot(h) else {
                 panic!("missing {h}");
             };
             assert_eq!(*value, h as u8);
@@ -1415,6 +2054,223 @@ mod tests {
             );
         }
         assert_eq!(n.remove_post(5, mode), 5);
-        assert!(matches!(n.probe(5), Probe::Empty));
+        assert!(n.get_slot(5).is_none());
+    }
+    // ------------------------------------------------------------------
+    // Paged LHC
+    // ------------------------------------------------------------------
+
+    /// `size_of::<Node>()` as it was before the representation flag
+    /// became a three-way enum: every node pays this once, so the
+    /// bytes/entry figures of the small-node (K = 3) workloads hang
+    /// on it.
+    #[test]
+    fn node_struct_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Repr>(), 1);
+        assert_eq!(std::mem::size_of::<Node<u64, 3>>(), 88);
+        assert_eq!(std::mem::size_of::<Node<(), 20>>(), 88);
+    }
+
+    fn splitmix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// The key at address `h` of a `K`-dimensional node splitting at
+    /// the top bit, with arbitrary low bits.
+    fn cube_key<const K: usize>(h: u64) -> [u64; K] {
+        let mut key: [u64; K] = std::array::from_fn(|d| splitmix(h << 8 | d as u64) >> 1);
+        phbits::hc::apply_addr(&mut key, h, 63);
+        key
+    }
+
+    /// A root-shaped node holding postfix entries at `addrs`.
+    fn wide_node<const K: usize>(addrs: impl Iterator<Item = u64>) -> Node<u64, K> {
+        let mut n = Node::new(63, 0, &[0; K]);
+        for h in addrs {
+            n.insert_post(h, &cube_key(h), h, ReprMode::Adaptive);
+        }
+        n
+    }
+
+    fn slots<const K: usize>(n: &Node<u64, K>) -> Vec<(u64, [u64; K], u64)> {
+        n.iter_slots()
+            .map(|(h, slot)| match slot {
+                SlotRef::Post { seg, pf_off, value } => {
+                    let mut key = [0u64; K];
+                    phbits::hc::apply_addr(&mut key, h, 63);
+                    seg.read_postfix_into(pf_off, &mut key);
+                    (h, key, *value)
+                }
+                SlotRef::Sub(_) => panic!("these nodes hold no sub-nodes"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn k8_node_goes_lhc_paged_hc_and_back() {
+        let mode = ReprMode::Adaptive;
+        let mut n: Node<u64, 8> = Node::new(63, 0, &[0; 8]);
+        let mut seen = vec![n.repr];
+        // Scattered insertion order, so splits happen all over.
+        let order: Vec<u64> = (0..256u64).map(|i| i * 37 % 256).collect();
+        for &h in &order {
+            n.insert_post(h, &cube_key(h), h, mode);
+            n.validate_local().unwrap();
+            if *seen.last().unwrap() != n.repr {
+                seen.push(n.repr);
+            }
+        }
+        assert_eq!(n.n_children(), 256);
+        for &h in &order {
+            assert_eq!(n.remove_post(h, mode), h);
+            n.validate_local().unwrap();
+            let want: Vec<u64> = order
+                .iter()
+                .copied()
+                .filter(|x| n.get_slot(*x).is_some())
+                .collect();
+            assert_eq!(want.len(), n.n_children());
+            if *seen.last().unwrap() != n.repr {
+                seen.push(n.repr);
+            }
+        }
+        assert_eq!(
+            seen,
+            [Repr::Lhc, Repr::Paged, Repr::Hc, Repr::Paged, Repr::Lhc]
+        );
+        assert_eq!(n.n_children(), 0);
+    }
+
+    #[test]
+    fn paged_node_matches_its_flat_form() {
+        // Same children built by sequential insertion (paged on the
+        // way), by the bulk constructor, and decoded from logical parts.
+        let addrs = || (0..(1u64 << 20)).step_by(2099);
+        let seq: Node<u64, 20> = wide_node(addrs());
+        assert_eq!(seq.repr, Repr::Paged);
+        seq.validate_local().unwrap();
+        assert!(seq.segments().len() >= 10);
+        for seg in seq.segments() {
+            assert!(seg.bits.len() <= PAGE_BITS && seg.bits.len() >= PAGE_BITS / 4);
+        }
+        let bulk = Node::from_children(
+            63,
+            0,
+            &[0; 20],
+            addrs()
+                .map(|h| {
+                    (
+                        h,
+                        BulkChild::Post {
+                            key: cube_key(h),
+                            value: h,
+                        },
+                    )
+                })
+                .collect(),
+            ReprMode::Adaptive,
+        );
+        assert_eq!(bulk.repr, Repr::Paged);
+        bulk.validate_local().unwrap();
+        assert_eq!(seq.logical_bits(), bulk.logical_bits());
+        assert_eq!(slots(&seq), slots(&bulk));
+        let decoded = Node::from_parts(
+            63,
+            0,
+            false,
+            seq.logical_bits().into_owned(),
+            Vec::new(),
+            seq.post_values().copied().collect(),
+        )
+        .unwrap();
+        assert_eq!(decoded.repr, Repr::Paged);
+        decoded.validate_local().unwrap();
+        assert_eq!(slots(&decoded), slots(&seq));
+        // Lookups resolve through the fences.
+        for h in addrs() {
+            assert!(matches!(seq.get_slot(h), Some(SlotRef::Post { value, .. }) if *value == h));
+            assert!(seq.get_slot(h + 1).is_none());
+        }
+    }
+
+    #[test]
+    fn corrupt_paged_nodes_are_rejected_not_panicked_on() {
+        let good: Node<u64, 20> = wide_node((0..(1u64 << 20)).step_by(6007));
+        assert_eq!(good.repr, Repr::Paged);
+        good.validate_local().unwrap();
+        let segs = good.subs.len();
+        let ib = good.infix_bits();
+        let corrupt = |f: &dyn Fn(&mut Node<u64, 20>)| {
+            let mut bad = good.clone();
+            f(&mut bad);
+            bad.validate_local()
+                .expect_err("corruption must be detected")
+        };
+        // A fence that is not its segment's first address.
+        for i in 0..segs {
+            let off = good.fence_off(i);
+            assert!(corrupt(&|n| n.bits.write_bits(off, good.fence(i) ^ 1, 20)).contains("fence"));
+        }
+        // Fences exchanged, all ones, all zero.
+        corrupt(&|n| {
+            let (a, b) = (n.fence(1), n.fence(2));
+            n.bits.write_bits(n.fence_off(1), b, 20);
+            n.bits.write_bits(n.fence_off(2), a, 20);
+        });
+        corrupt(&|n| n.bits.write_bits(n.fence_off(segs - 1), (1 << 20) - 1, 20));
+        corrupt(&|n| n.bits.write_bits(n.fence_off(1), 0, 20));
+        // A fence too few, a fence too many.
+        corrupt(&|n| n.bits.truncate(n.bits.len() - 20));
+        corrupt(&|n| n.bits.grow(20));
+        // Counters off.
+        corrupt(&|n| n.bits.write_bits(ib, 1, 32));
+        corrupt(&|n| n.bits.write_bits(ib + 32, 0, 32));
+        // Segments out of order, missing, duplicated, or not segments.
+        corrupt(&|n| n.subs.swap(0, 1));
+        corrupt(&|n| {
+            n.subs.pop();
+        });
+        corrupt(&|n| n.subs[1] = n.subs[0].clone());
+        corrupt(&|n| Arc::make_mut(&mut n.subs[0]).infix_len = 1);
+        corrupt(&|n| Arc::make_mut(&mut n.subs[0]).post_len = 62);
+        corrupt(&|n| n.subs[0] = Arc::new(good.clone()));
+        corrupt(&|n| n.subs.truncate(1));
+        corrupt(&|n| n.values.push(7));
+    }
+
+    #[test]
+    fn an_edit_copies_one_segment_of_a_shared_node() {
+        let mode = ReprMode::Adaptive;
+        let mut n: Node<u64, 20> = wide_node((0..(1u64 << 20)).step_by(1013));
+        assert_eq!(n.repr, Repr::Paged);
+        let shared = |a: &Node<u64, 20>, b: &Node<u64, 20>| {
+            a.subs
+                .iter()
+                .filter(|s| b.subs.iter().any(|t| Arc::ptr_eq(s, t)))
+                .count()
+        };
+        let first = n.clone();
+        let before = slots(&first);
+        for i in 0..1000u64 {
+            let snapshot = n.clone();
+            let h = splitmix(i) % (1 << 20);
+            match n.get_slot(h) {
+                None => n.insert_post(h, &cube_key(h), h, mode),
+                Some(_) if i % 2 == 0 => assert_eq!(n.remove_post(h, mode), h),
+                Some(_) => assert_eq!(n.replace_post_value(h, h), h),
+            }
+            n.validate_local().unwrap();
+            // Every segment of the snapshot but the edited one (and, on
+            // a merge, its neighbour) is still the very same allocation.
+            assert!(
+                shared(&snapshot, &n) >= snapshot.subs.len() - 2,
+                "write {i}"
+            );
+        }
+        assert_eq!(slots(&first), before);
+        first.validate_local().unwrap();
     }
 }

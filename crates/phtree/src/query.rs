@@ -11,6 +11,7 @@ use crate::node::{Node, SlotRef};
 use crate::telemetry::Visits;
 use crate::tree::PhTree;
 use phbits::{hc, num};
+use std::sync::Arc;
 
 /// Iterator over all entries within a query rectangle, returned by
 /// [`PhTree::query`].
@@ -59,7 +60,11 @@ impl Cursor {
 }
 
 struct Frame<'t, V, const K: usize> {
+    /// The HC or LHC node being scanned: the pushed node itself, or the
+    /// current segment of a paged one.
     node: &'t Node<V, K>,
+    /// Paged: the segments to continue with after `node`.
+    rest: std::slice::Iter<'t, Arc<Node<V, K>>>,
     /// The node's prefix: bits above `post_len` are the path/infix bits,
     /// bits at and below `post_len` are cleared. This is also the
     /// node region's minimum corner.
@@ -125,14 +130,30 @@ impl<'t, V, const K: usize> Query<'t, V, K> {
         if m_l & !m_u != 0 {
             return; // contradictory: no slot can match
         }
+        self.push_frame(node, prefix, m_l, m_u, inside);
+    }
+
+    /// Pushes the frame scanning `node`'s slots under masks
+    /// `(m_l, m_u)`. An LHC scan starts at the first child at or above
+    /// `m_l` — for a paged node, in the segment covering `m_l`.
+    fn push_frame(
+        &mut self,
+        node: &'t Node<V, K>,
+        prefix: [u64; K],
+        m_l: u64,
+        m_u: u64,
+        inside: bool,
+    ) {
         self.vis.bump();
-        let cursor = if node.is_hc() {
-            Cursor::Hc(Some(hc::first_addr(m_l, m_u)))
+        let (node, rest, cursor) = if node.is_hc() {
+            (node, [].iter(), Cursor::Hc(Some(hc::first_addr(m_l, m_u))))
         } else {
-            Cursor::lhc(node, node.lhc_lower_bound(m_l))
+            let (scan, rest) = node.lhc_scan_from(m_l);
+            (scan, rest, Cursor::lhc(scan, scan.lhc_lower_bound(m_l)))
         };
         self.stack.push(Frame {
             node,
+            rest,
             prefix,
             m_l,
             m_u,
@@ -143,20 +164,7 @@ impl<'t, V, const K: usize> Query<'t, V, K> {
 
     /// Pushes a frame for a node known to lie entirely inside the query.
     fn push_node_inside(&mut self, node: &'t Node<V, K>, prefix: [u64; K]) {
-        self.vis.bump();
-        let cursor = if node.is_hc() {
-            Cursor::Hc(Some(0))
-        } else {
-            Cursor::lhc(node, 0)
-        };
-        self.stack.push(Frame {
-            node,
-            prefix,
-            m_l: 0,
-            m_u: num::low_mask(K as u32),
-            inside: true,
-            cursor,
-        });
+        self.push_frame(node, prefix, 0, num::low_mask(K as u32), true);
     }
 
     /// Advances the top frame to its next candidate slot.
@@ -172,12 +180,17 @@ impl<'t, V, const K: usize> Query<'t, V, K> {
                         *pr += 1;
                     }
                     if h > frame.m_u {
-                        break; // beyond the largest possible match
+                        return None; // beyond the largest possible match
                     }
                     if hc::addr_valid(h, frame.m_l, frame.m_u) {
                         return Some((h, slot));
                     }
                 }
+                // A paged node's scan carries on in its next segment.
+                let seg = frame.rest.next()?;
+                frame.node = seg;
+                frame.cursor = Cursor::lhc(seg, 0);
+                return self.next_candidate();
             }
             Cursor::Hc(next) => {
                 while let Some(h) = *next {
@@ -198,16 +211,15 @@ impl<'t, V, const K: usize> Iterator for Query<'t, V, K> {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             let frame = self.stack.last()?;
-            let (node, prefix, post_len, inside) =
-                (frame.node, frame.prefix, frame.node.post_len, frame.inside);
+            let (prefix, post_len, inside) = (frame.prefix, frame.node.post_len, frame.inside);
             match self.next_candidate() {
                 None => {
                     self.stack.pop();
                 }
-                Some((h, SlotRef::Post { pf_off, value })) => {
+                Some((h, SlotRef::Post { seg, pf_off, value })) => {
                     let mut key = prefix;
                     hc::apply_addr(&mut key, h, post_len as u32);
-                    node.read_postfix_into(pf_off, &mut key);
+                    seg.read_postfix_into(pf_off, &mut key);
                     if inside || (0..K).all(|d| self.min[d] <= key[d] && key[d] <= self.max[d]) {
                         return Some((key, value));
                     }

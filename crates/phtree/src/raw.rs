@@ -7,6 +7,15 @@
 //! packed bit string that can be written to disk pages, and any update
 //! affects at most two nodes, i.e. at most two page neighbourhoods.
 //!
+//! What is canonical is a node's *logical* form: HC, or LHC with one
+//! bit string. In memory a long LHC bit string is cut into segments
+//! (paged LHC), and where the cuts fall depends on the order of
+//! updates; this module never shows them. [`NodeRef`] presents a paged
+//! node as the one LHC bit string its segments concatenate to, and
+//! [`build_node`] pages a long LHC bit string again, so the bytes a
+//! storage layer writes are the same for equal contents however the
+//! tree was built.
+//!
 //! [`NodeRef`] exposes a node's serialisable parts; rebuilding goes
 //! through [`PhTree::from_raw_parts`]/[`NodeRef`]-shaped data via
 //! [`build_node`], which re-validates all structural invariants so that
@@ -15,13 +24,27 @@
 use crate::node::Node;
 use crate::tree::PhTree;
 use phbits::BitBuf;
+use std::borrow::Cow;
 
-/// Read-only view of a node's serialisable parts.
+/// Read-only view of a node's serialisable parts: its *logical* form.
+/// A node stored as paged LHC (see the node module docs) is shown as
+/// the one LHC node its segments add up to, so what storage layers
+/// write never depends on how a node happens to be paged.
 pub struct NodeRef<'t, V, const K: usize> {
-    pub(crate) node: &'t Node<V, K>,
+    node: &'t Node<V, K>,
+    /// Borrowed from the node, or for a paged node the segments' bit
+    /// strings concatenated.
+    bits: Cow<'t, BitBuf>,
 }
 
 impl<'t, V, const K: usize> NodeRef<'t, V, K> {
+    pub(crate) fn new(node: &'t Node<V, K>) -> Self {
+        NodeRef {
+            node,
+            bits: node.logical_bits(),
+        }
+    }
+
     /// Bits per dimension below this node's split.
     pub fn post_len(&self) -> u8 {
         self.node.post_len
@@ -34,27 +57,37 @@ impl<'t, V, const K: usize> NodeRef<'t, V, K> {
 
     /// Whether the node is in HC (full hypercube) representation.
     pub fn is_hc(&self) -> bool {
-        self.node.hc_flag()
+        self.node.is_hc()
     }
 
     /// Length of the packed bit string, in bits.
     pub fn bits_len(&self) -> usize {
-        self.node.bits.len()
+        self.bits.len()
     }
 
     /// Backing words of the packed bit string.
     pub fn bits_words(&self) -> &[u64] {
-        self.node.bits.words()
+        self.bits.words()
+    }
+
+    /// Number of postfix entries.
+    pub fn n_values(&self) -> usize {
+        self.node.n_posts()
     }
 
     /// Values of the node's postfix entries, in hypercube-address order.
-    pub fn values(&self) -> &[V] {
-        &self.node.values
+    pub fn values(&self) -> impl Iterator<Item = &'t V> {
+        self.node.post_values()
+    }
+
+    /// Number of sub-node children.
+    pub fn n_subs(&self) -> usize {
+        self.node.n_subs()
     }
 
     /// Sub-node children, in hypercube-address order.
-    pub fn subs(&self) -> impl ExactSizeIterator<Item = NodeRef<'_, V, K>> {
-        self.node.subs.iter().map(|n| NodeRef { node: n.as_ref() })
+    pub fn subs(&self) -> impl Iterator<Item = NodeRef<'t, V, K>> {
+        self.node.child_nodes().map(|n| NodeRef::new(n))
     }
 }
 
@@ -129,7 +162,7 @@ impl<V, const K: usize> PhTree<V, K> {
     /// Read-only view of the root node, if any (serialisation entry
     /// point).
     pub fn root_raw(&self) -> Option<NodeRef<'_, V, K>> {
-        self.root.as_deref().map(|node| NodeRef { node })
+        self.root.as_deref().map(NodeRef::new)
     }
 
     /// Rebuilds a tree from a reassembled root node.
@@ -189,7 +222,7 @@ mod tests {
                 n.bits_words().to_vec().into_boxed_slice(),
                 n.bits_len(),
                 subs,
-                n.values().to_vec(),
+                n.values().cloned().collect(),
             )
         }
         let root = match t.root_raw() {
@@ -217,6 +250,61 @@ mod tests {
         assert_eq!(sa.total_bytes, sb.total_bytes);
     }
 
+    /// Everything the raw API exposes of a tree, as bytes.
+    fn raw_bytes<const K: usize>(t: &PhTree<u32, K>) -> Vec<u8> {
+        fn walk<const K: usize>(n: &NodeRef<'_, u32, K>, out: &mut Vec<u8>) {
+            out.extend([n.post_len(), n.infix_len(), n.is_hc() as u8]);
+            for len in [n.bits_len(), n.n_values(), n.n_subs()] {
+                out.extend((len as u64).to_le_bytes());
+            }
+            out.extend(n.bits_words().iter().flat_map(|w| w.to_le_bytes()));
+            out.extend(n.values().flat_map(|v| v.to_le_bytes()));
+            for sub in n.subs() {
+                walk(&sub, out);
+            }
+        }
+        let mut out = Vec::new();
+        if let Some(root) = t.root_raw() {
+            walk(&root, &mut out);
+        }
+        out
+    }
+
+    /// At K = 20 a page holds 25 root entries, so these trees are full
+    /// of paged nodes — paged differently by each way of building them.
+    #[test]
+    fn paged_trees_have_one_raw_form() {
+        let key = |i: u64| -> [u64; 20] {
+            std::array::from_fn(|d| (i * 20 + d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        };
+        let items: Vec<_> = (0..3000u64).map(|i| (key(i), i as u32)).collect();
+        let mut seq: PhTree<u32, 20> = PhTree::new();
+        for (k, v) in items.iter().rev() {
+            seq.insert(*k, *v);
+        }
+        // Detour through a larger tree, so merges have happened too.
+        let mut detour = seq.clone();
+        for i in 3000..6000 {
+            detour.insert(key(i), 0);
+        }
+        for i in 3000..6000 {
+            detour.remove(&key(i));
+        }
+        let bulk = PhTree::bulk_load(items);
+        let decoded = roundtrip(&seq).expect("roundtrip");
+        decoded.check_invariants();
+        let want = raw_bytes(&bulk);
+        assert!(want.len() > 3000 * 150);
+        assert!(raw_bytes(&seq) == want, "sequential ≠ bulk");
+        assert!(raw_bytes(&detour) == want, "grown and shrunk ≠ bulk");
+        assert!(raw_bytes(&decoded) == want, "decoded ≠ bulk");
+        assert_eq!(seq, decoded);
+        // The decoder re-pages: decoded and bulk-loaded trees cost the
+        // same, and less than one grown by sequential insertion.
+        assert_eq!(decoded.stats(), bulk.stats());
+        assert!(bulk.stats().total_bytes <= seq.stats().total_bytes);
+    }
+
     #[test]
     fn empty_tree_roundtrip() {
         let t: PhTree<u32, 3> = PhTree::new();
@@ -236,7 +324,7 @@ mod tests {
             r.bits_words().to_vec().into_boxed_slice(),
             r.bits_len().saturating_sub(1),
             Vec::new(),
-            r.values().to_vec(),
+            r.values().cloned().collect(),
         );
         assert!(bad.is_err());
     }
@@ -251,13 +339,13 @@ mod tests {
         }
         // Find an HC node (root or first HC descendant).
         fn find_hc<V, const K: usize>(n: &Node<V, K>) -> Option<&Node<V, K>> {
-            if n.hc_flag() {
+            if n.is_hc() {
                 return Some(n);
             }
             n.subs.iter().find_map(|s| find_hc(s))
         }
         let hc = match t.root.as_deref().and_then(find_hc) {
-            Some(n) => NodeRef { node: n },
+            Some(n) => NodeRef::new(n),
             None => return, // representation thresholds changed; nothing to corrupt
         };
         let mut words = hc.bits_words().to_vec();
@@ -271,7 +359,7 @@ mod tests {
             words.into_boxed_slice(),
             hc.bits_len(),
             Vec::new(),
-            hc.values().to_vec(),
+            hc.values().cloned().collect(),
         );
         let err = match bad {
             Err(e) => e,
@@ -301,7 +389,7 @@ mod tests {
                     n.bits_words().to_vec().into_boxed_slice(),
                     n.bits_len(),
                     subs,
-                    n.values().to_vec(),
+                    n.values().cloned().collect(),
                 )
                 .unwrap()
             }

@@ -64,15 +64,9 @@ impl TreeStats {
     }
 }
 
-fn node_stats<V, const K: usize>(n: &Node<V, K>, depth: usize, s: &mut TreeStats) {
-    s.nodes += 1;
-    s.max_depth = s.max_depth.max(depth);
-    s.entries += n.n_posts();
-    if n.is_hc() {
-        s.hc_nodes += 1;
-    } else {
-        s.lhc_nodes += 1;
-    }
+/// Charges the heap blocks of one node struct — a node, or one segment
+/// of a paged node — to `s`.
+fn charge_allocs<V, const K: usize>(n: &Node<V, K>, s: &mut TreeStats) {
     // The node's own allocation: `Arc<Node>` puts the refcount control
     // block and the node struct in one heap block.
     s.allocations += 1;
@@ -85,8 +79,8 @@ fn node_stats<V, const K: usize>(n: &Node<V, K>, depth: usize, s: &mut TreeStats
         s.bit_bytes += bb;
     }
     // Sub-node vector: one pointer per child (the child structs are
-    // separate `Arc` allocations, charged above when visited). Charged
-    // at *capacity*, not length — amortised growth leaves slack that is
+    // separate `Arc` allocations, charged when visited). Charged at
+    // *capacity*, not length — amortised growth leaves slack that is
     // real heap usage until a shrink pass releases it.
     if n.subs.capacity() > 0 {
         s.allocations += 1;
@@ -99,7 +93,23 @@ fn node_stats<V, const K: usize>(n: &Node<V, K>, depth: usize, s: &mut TreeStats
         s.allocations += 1;
         s.total_bytes += n.values.capacity() * std::mem::size_of::<V>() + ALLOC_OVERHEAD;
     }
-    for sub in n.subs.iter() {
+}
+
+fn node_stats<V, const K: usize>(n: &Node<V, K>, depth: usize, s: &mut TreeStats) {
+    // A paged node is one (LHC) node; its segments only cost bytes.
+    s.nodes += 1;
+    s.max_depth = s.max_depth.max(depth);
+    s.entries += n.n_posts();
+    if n.is_hc() {
+        s.hc_nodes += 1;
+    } else {
+        s.lhc_nodes += 1;
+    }
+    charge_allocs(n, s);
+    for seg in n.segments() {
+        charge_allocs(seg, s);
+    }
+    for sub in n.child_nodes() {
         node_stats(sub, depth + 1, s);
     }
 }

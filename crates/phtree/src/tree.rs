@@ -285,21 +285,15 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
     ) -> Option<V> {
         vis.bump();
         let h = hc::addr(key, node.post_len as u32);
-        match node.probe(h) {
+        match node.probe(h, key) {
             Probe::Empty => {
                 node.insert_post(h, key, value, mode);
                 None
             }
-            Probe::Post { pf_off } => {
-                if node.postfix_matches(pf_off, key) {
-                    return Some(node.replace_post_value(h, value));
-                }
+            Probe::Same => Some(node.replace_post_value(h, value)),
+            Probe::Other(old_key) => {
                 // Collision: split the postfix at the highest diverging
-                // bit. Both keys agree on all bits at and above the
-                // node's split (same path, same address), so the stored
-                // postfix fully determines the old key.
-                let mut old_key = *key;
-                node.read_postfix_into(pf_off, &mut old_key);
+                // bit.
                 let dmax =
                     num::max_diverging_bit(key, &old_key).expect("distinct keys must diverge");
                 debug_assert!((dmax as u8) < node.post_len);
@@ -360,8 +354,8 @@ impl<V, const K: usize> PhTree<V, K> {
             let h = hc::addr(key, node.post_len as u32);
             match node.get_slot(h) {
                 None => break None,
-                Some(SlotRef::Post { pf_off, value }) => {
-                    break node.postfix_matches(pf_off, key).then_some(value);
+                Some(SlotRef::Post { seg, pf_off, value }) => {
+                    break seg.postfix_matches(pf_off, key).then_some(value);
                 }
                 Some(SlotRef::Sub(sub)) => node = sub,
             }
@@ -387,14 +381,9 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
                 return None;
             }
             let h = hc::addr(key, node.post_len as u32);
-            match node.probe(h) {
-                Probe::Empty => return None,
-                Probe::Post { pf_off } => {
-                    if !node.postfix_matches(pf_off, key) {
-                        return None;
-                    }
-                    return node.post_value_mut(h);
-                }
+            match node.probe(h, key) {
+                Probe::Empty | Probe::Other(_) => return None,
+                Probe::Same => return node.post_value_mut(h),
                 Probe::Sub => node = node.sub_mut(h).expect("probe said sub"),
             }
         }
@@ -436,12 +425,9 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
             return (None, false);
         }
         let h = hc::addr(key, node.post_len as u32);
-        match node.probe(h) {
-            Probe::Empty => (None, false),
-            Probe::Post { pf_off } => {
-                if !node.postfix_matches(pf_off, key) {
-                    return (None, false);
-                }
+        match node.probe(h, key) {
+            Probe::Empty | Probe::Other(_) => (None, false),
+            Probe::Same => {
                 let v = node.remove_post(h, mode);
                 (Some(v), !is_root && node.n_children() == 1)
             }
@@ -470,7 +456,7 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
         let (ch_addr, slot) = sub.iter_slots().next().expect("one child");
         hc::apply_addr(&mut rem_key, ch_addr, sub.post_len as u32);
         match slot {
-            SlotRef::Post { pf_off, .. } => sub.read_postfix_into(pf_off, &mut rem_key),
+            SlotRef::Post { seg, pf_off, .. } => seg.read_postfix_into(pf_off, &mut rem_key),
             // A grandchild keeps its own infix bits; collect them so the
             // extended infix below can be written from `rem_key` alone.
             SlotRef::Sub(g) => g.read_infix_into(&mut rem_key),
@@ -494,14 +480,8 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
     /// Releases surplus capacity in every node (the analogue of the
     /// paper's post-load `System.gc()` before space measurements).
     pub fn shrink_to_fit(&mut self) {
-        fn walk<V: Clone, const K: usize>(n: &mut Node<V, K>) {
-            n.bits.shrink_to_fit();
-            n.shrink_repr();
-            // Collect mutable child pointers via the repr directly.
-            n.for_each_sub_mut(&mut |sub| walk(sub));
-        }
         if let Some(r) = self.root.as_mut() {
-            walk(Arc::make_mut(r));
+            Arc::make_mut(r).shrink_subtree();
         }
     }
 }
@@ -520,13 +500,7 @@ impl<V, const K: usize> PhTree<V, K> {
 
     fn count_entries(&self) -> usize {
         fn walk<V, const K: usize>(n: &Node<V, K>) -> usize {
-            let mut c = n.n_posts();
-            for (_, s) in n.iter_slots() {
-                if let SlotRef::Sub(sub) = s {
-                    c += walk(sub);
-                }
-            }
-            c
+            n.n_posts() + n.child_nodes().map(|sub| walk(sub)).sum::<usize>()
         }
         self.root.as_deref().map_or(0, |r| walk(r))
     }

@@ -4,7 +4,7 @@
 # (K=8 only — the packed-artifact reference point), and writes one flat
 # JSON of µs metrics ({"fig8_point_query_cube_k8": 1.23, ...}).
 # fig_load and fig_pack also hard-assert their own acceptance floors
-# (bulk ≥2× faster than sequential at K=8, O(1) allocations per
+# (bulk ≥1.5× faster than sequential at K=8, O(1) allocations per
 # bulk-loaded entry; packed open ≥10× faster than WAL replay, packed
 # bytes/entry ≤ live heap bytes/entry, zero allocs per packed read).
 #
