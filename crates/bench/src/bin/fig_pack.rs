@@ -16,8 +16,10 @@
 //!   `stats().total_bytes` heap bytes/entry.
 //! * **Allocations** — warmed packed `get`/`query`/`knn_into` batches,
 //!   pinned at zero by the counting global allocator.
-//! * **Page locality** — data-page extents touched per window query on
-//!   the descent-ordered layout.
+//! * **Page locality** — data-page extents touched per window query
+//!   and per kNN(10) on the descent-ordered layout.
+//! * **kNN** — µs per kNN(10), packed (resident) against the live tree:
+//!   the same search over two node representations.
 //!
 //! Acceptance checks are hard-asserted at the reference point
 //! (n ≥ 20 000, K = 8): packed open ≥ 10× faster than WAL replay,
@@ -64,8 +66,9 @@ fn apply_history(store: &mut Durable<u64, K>, items: &[([u64; K], u64)]) {
     }
 }
 
-/// Best-of-`repeats` wall-clock milliseconds for one cold open.
-fn best_open_ms(repeats: usize, mut open: impl FnMut() -> usize) -> f64 {
+/// Best-of-`repeats` wall-clock milliseconds for one run of `open` (a
+/// cold open, or a batch of reads).
+fn best_ms(repeats: usize, mut open: impl FnMut() -> usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let (len, us) = measure::time_us(&mut open);
@@ -115,17 +118,17 @@ fn main() {
     drop(store);
 
     // --- Cold-start latency, best of `repeats` per format. ---
-    let wal_ms = best_open_ms(repeats, || {
+    let wal_ms = best_ms(repeats, || {
         Durable::<u64, K>::open_with(Arc::new(StdVfs), &wal_dir, wal_only())
             .expect("reopen wal")
             .len()
     });
-    let snap_ms = best_open_ms(repeats, || {
+    let snap_ms = best_ms(repeats, || {
         Durable::<u64, K>::open_with(Arc::new(StdVfs), &snap_dir, wal_only())
             .expect("reopen snap")
             .len()
     });
-    let packed_ms = best_open_ms(repeats, || {
+    let packed_ms = best_ms(repeats, || {
         PackedTree::<u64, K>::open(&pack_path, CacheMode::Resident)
             .expect("reopen packed")
             .len()
@@ -209,11 +212,38 @@ fn main() {
     black_box(hits);
     let touches_per_query = (fresh.cache_stats().touches - t0) as f64 / windows.len() as f64;
 
+    // --- kNN: pages touched (an exact count) and time per search, the
+    // packed artifact against the live tree it was packed from. ---
+    let centres = &probes[..64];
+    let t0 = fresh.cache_stats().touches;
+    for c in centres {
+        fresh
+            .knn_into(c, 10, &IntEuclidean, &mut scratch, &mut out)
+            .expect("knn");
+    }
+    let touches_per_knn = (fresh.cache_stats().touches - t0) as f64 / centres.len() as f64;
+    let live = packed.to_tree().expect("unpack");
+    let per_knn_us = 1000.0 / centres.len() as f64;
+    let knn_packed_us = per_knn_us
+        * best_ms(repeats, || {
+            for c in centres {
+                packed
+                    .knn_into(c, 10, &IntEuclidean, &mut scratch, &mut out)
+                    .expect("knn");
+            }
+            out.len()
+        });
+    let knn_live_us = per_knn_us
+        * best_ms(repeats, || {
+            centres.iter().map(|c| live.knn(c, 10).len()).sum()
+        });
+
     println!(
         "fig_pack k={K}: n={entries} open wal {wal_ms:.3} ms, snapshot {snap_ms:.3} ms, \
          packed {packed_ms:.3} ms ({:.1}x vs wal); bytes/e packed {packed_bpe:.1} vs live \
          {live_bpe:.1}; {allocs} allocs / {ops:.0} warmed ops; {touches_per_query:.1} \
-         page-touches/query ({} data pages)",
+         page-touches/query, {touches_per_knn:.1} /kNN ({} data pages); kNN(10) packed \
+         {knn_packed_us:.1} us vs live {knn_live_us:.1} us",
         wal_ms / packed_ms,
         packed.data_pages()
     );
@@ -241,6 +271,9 @@ fn main() {
             ("fig_pack_packed_bytes_per_entry", packed_bpe),
             ("fig_pack_live_bytes_per_entry", live_bpe),
             ("fig_pack_page_touches_per_query", touches_per_query),
+            ("fig_pack_page_touches_per_knn", touches_per_knn),
+            ("fig_pack_knn_packed_us", knn_packed_us),
+            ("fig_pack_knn_live_us", knn_live_us),
             ("host_cores", ph_bench::host_cores() as f64),
         ] {
             match ph_bench::perfjson::record(path, name, v) {

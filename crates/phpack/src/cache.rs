@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 /// Verified bytes of a page extent, either borrowed from a resident
 /// buffer or shared out of a cache entry. Derefs to `[u8]` of exactly
 /// `count * PAGE_SIZE` bytes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PageBytes<'c> {
     /// Subslice of a resident buffer.
     Borrowed(&'c [u8]),

@@ -54,5 +54,5 @@ pub mod writer;
 
 pub use cache::{CacheMode, CacheStats, LruCache, PageBytes, PageCache, SliceCache};
 pub use format::{Meta, PackedRef};
-pub use tree::{KnnScratch, PackedNeighbor, PackedQuery, PackedTree};
+pub use tree::{KnnScratch, PackedNeighbor, PackedNode, PackedQuery, PackedTree};
 pub use writer::{pack_tree, pack_tree_in, PackStats, Packable};

@@ -10,13 +10,16 @@
 //!   64-bit key width, so 64 frames always suffice) — constructing and
 //!   draining a query performs **zero** heap allocations for
 //!   fixed-width value types.
-//! * [`PackedTree::knn_into`] is the live best-first search with its
-//!   heap and item arena hoisted into a caller-owned [`KnnScratch`];
-//!   after warm-up, repeated searches allocate nothing.
+//! * [`PackedTree::knn_into`] is not a replay at all: it hands
+//!   [`PackedNode`]s to the one best-first search in `phtree::knn`,
+//!   whose state lives in a caller-owned [`KnnScratch`]; after
+//!   warm-up, repeated searches allocate nothing. A sub-node's page is
+//!   fetched only when the search reaches it, and a value is decoded
+//!   only once its entry is a result.
 //!
 //! Result *order* is identical to the live tree's, not merely the
-//! result set: the walkers visit slots in the same sequence and the
-//! kNN heap breaks distance ties the same way, which is what lets the
+//! result set: the window walker visits slots in the same sequence and
+//! kNN results are sorted by `(distance, key)`, which is what lets the
 //! differential test suite compare outputs element by element.
 
 use crate::cache::{CacheMode, CacheStats, LruCache, PageCache, SliceCache};
@@ -25,10 +28,9 @@ use crate::view::{NodeView, PSlot};
 use phbits::{hc, num};
 use phstore::vfs::{StdVfs, Vfs};
 use phstore::{fnv1a, superblock, Corruption, StoreError, ValueCodec};
+use phtree::knn::{self, Expanded, Hit, KnnNode, Slot};
 use phtree::raw::{build_node, RawNode};
 use phtree::{Distance, IntEuclidean, PhTree};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::Arc;
@@ -237,8 +239,9 @@ impl<V: ValueCodec, const K: usize> PackedTree<V, K> {
         Ok(n)
     }
 
-    /// `n` nearest entries under integer Euclidean distance
-    /// (convenience wrapper allocating a fresh scratch).
+    /// `n` nearest entries under integer Euclidean distance, sorted by
+    /// `(distance, key)` like [`PhTree::knn`] (convenience wrapper
+    /// allocating a fresh scratch).
     pub fn knn(
         &self,
         center: &[u64; K],
@@ -259,71 +262,45 @@ impl<V: ValueCodec, const K: usize> PackedTree<V, K> {
         center: &[u64; K],
         n: usize,
         metric: &M,
-        scratch: &mut KnnScratch<'t, V, K>,
+        scratch: &mut KnnScratch<'t, K>,
         out: &mut Vec<PackedNeighbor<V, K>>,
     ) -> Result<(), StoreError> {
+        Self::knn_forest([(0.0, self)], center, n, metric, scratch, out).map(drop)
+    }
+
+    /// One search over several packed trees (the shards of a packed
+    /// checkpoint). Each tree comes with a lower bound on the distance
+    /// from `center` to any key it can hold; a tree farther than the
+    /// results found is never opened, not even its root page.
+    pub fn knn_forest<'t, M: Distance<K>>(
+        trees: impl IntoIterator<Item = (f64, &'t PackedTree<V, K>)>,
+        center: &[u64; K],
+        n: usize,
+        metric: &M,
+        scratch: &mut KnnScratch<'t, K>,
+        out: &mut Vec<PackedNeighbor<V, K>>,
+    ) -> Result<Expanded, StoreError>
+    where
+        V: 't,
+    {
         out.clear();
-        scratch.heap.clear();
-        scratch.items.clear();
-        if n == 0 {
-            return Ok(());
+        let roots = trees.into_iter().filter_map(|(dist, tree)| {
+            let child = PackedChild {
+                cache: &*tree.cache,
+                r: tree.root?,
+                parent: None,
+            };
+            Some((dist, child))
+        });
+        let seen = scratch.search(roots, center, n, f64::INFINITY, metric)?;
+        for hit in scratch.drain_hits() {
+            out.push(Hit {
+                key: hit.key,
+                value: hit.value.0.value_at::<V>(hit.value.1)?,
+                dist: hit.dist,
+            });
         }
-        let Some(r) = self.root else {
-            return Ok(());
-        };
-        let root = NodeView::<K>::fetch(&*self.cache, r, None)?;
-        scratch.push(0.0, PItem::Node(root, [0u64; K]));
-        while let Some((Reverse(D(dist)), idx)) = scratch.heap.pop() {
-            match std::mem::replace(&mut scratch.items[idx], PItem::Taken) {
-                PItem::Taken => {
-                    return Err(Corruption::new("knn arena slot reused").into());
-                }
-                PItem::Entry(key, value) => {
-                    out.push(PackedNeighbor { key, value, dist });
-                    if out.len() == n {
-                        break;
-                    }
-                }
-                PItem::Node(node, prefix) => {
-                    let cache = &*self.cache;
-                    let mut res: Result<(), StoreError> = Ok(());
-                    node.visit_slots(|h, slot| {
-                        let mut p = prefix;
-                        hc::apply_addr(&mut p, h, node.post_len as u32);
-                        match slot {
-                            PSlot::Post { pf_off, pr } => {
-                                let mut key = p;
-                                node.read_postfix_into(pf_off, &mut key);
-                                let d = metric.point(center, &key);
-                                let v = node.value_at::<V>(pr)?;
-                                scratch.push(d, PItem::Entry(key, v));
-                            }
-                            PSlot::Sub { sr } => {
-                                let sub = NodeView::<K>::fetch(
-                                    cache,
-                                    node.child_ref(sr)?,
-                                    Some(node.post_len),
-                                )?;
-                                sub.read_infix_into(&mut p);
-                                let span = num::low_mask(sub.post_len as u32 + 1);
-                                let mut lo = p;
-                                let mut hi = p;
-                                for d in 0..K {
-                                    lo[d] &= !span;
-                                    hi[d] |= span;
-                                }
-                                let d = metric.to_box(center, &lo, &hi);
-                                scratch.push(d, PItem::Node(sub, lo));
-                            }
-                        }
-                        Ok(())
-                    })
-                    .unwrap_or_else(|e| res = Err(e));
-                    res?;
-                }
-            }
-        }
-        Ok(())
+        Ok(seen)
     }
 
     /// Rebuilds a live [`PhTree`] from the artifact (full structural
@@ -590,64 +567,81 @@ impl<'t, V: ValueCodec, const K: usize> Iterator for PackedQuery<'t, V, K> {
 // ------------------------------------------------------------------ kNN
 
 /// One kNN result from a packed tree (owns its decoded value).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedNeighbor<V, const K: usize> {
-    /// The stored key.
-    pub key: [u64; K],
-    /// The stored value, decoded.
-    pub value: V,
-    /// Distance from the query point.
-    pub dist: f64,
+pub type PackedNeighbor<V, const K: usize> = Hit<V, K>;
+
+/// Reusable state for [`PackedTree::knn_into`]; see
+/// [`phtree::knn::KnnScratch`].
+pub type KnnScratch<'c, const K: usize> = knn::KnnScratch<PackedNode<'c, K>, K>;
+
+/// A packed node record as the shared kNN search sees it.
+pub struct PackedNode<'c, const K: usize> {
+    view: NodeView<'c, K>,
+    cache: &'c dyn PageCache,
 }
 
-/// Total-order f64 for the priority queue (mirrors the live search's
-/// tie-breaking exactly).
-#[derive(PartialEq)]
-struct D(f64);
-impl Eq for D {}
-impl PartialOrd for D {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for D {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
+/// Where a packed sub-node lives; nothing is read until the search
+/// resolves it.
+pub struct PackedChild<'c> {
+    cache: &'c dyn PageCache,
+    r: PackedRef,
+    /// `post_len` of the parent, `None` for a root (see
+    /// [`NodeView::fetch`]).
+    parent: Option<u8>,
 }
 
-enum PItem<'c, V, const K: usize> {
-    Node(NodeView<'c, K>, [u64; K]),
-    Entry([u64; K], V),
-    /// Arena slot already consumed by a pop.
-    Taken,
-}
+/// A value still in its page: the record view pinning the bytes and
+/// the value's dense post rank.
+pub struct PackedValue<'c, const K: usize>(NodeView<'c, K>, usize);
 
-/// Reusable state for [`PackedTree::knn_into`]: the best-first heap and
-/// its item arena. Keep one per worker and searches stop allocating
-/// once the capacity high-water mark is reached.
-pub struct KnnScratch<'c, V, const K: usize> {
-    heap: BinaryHeap<(Reverse<D>, usize)>,
-    items: Vec<PItem<'c, V, K>>,
-}
+impl<'c, const K: usize> KnnNode<K> for PackedNode<'c, K> {
+    type Child = PackedChild<'c>;
+    type Post = usize;
+    type Value = PackedValue<'c, K>;
+    type Error = StoreError;
 
-impl<'c, V, const K: usize> KnnScratch<'c, V, K> {
-    /// An empty scratch.
-    pub fn new() -> KnnScratch<'c, V, K> {
-        KnnScratch {
-            heap: BinaryHeap::new(),
-            items: Vec::new(),
-        }
+    fn resolve(child: &PackedChild<'c>) -> Result<Self, StoreError> {
+        Ok(PackedNode {
+            view: NodeView::fetch(child.cache, child.r, child.parent)?,
+            cache: child.cache,
+        })
     }
 
-    fn push(&mut self, dist: f64, item: PItem<'c, V, K>) {
-        self.items.push(item);
-        self.heap.push((Reverse(D(dist)), self.items.len() - 1));
+    fn post_len(&self) -> u32 {
+        self.view.post_len as u32
     }
-}
 
-impl<V, const K: usize> Default for KnnScratch<'_, V, K> {
-    fn default() -> Self {
-        Self::new()
+    fn read_infix_into(&self, key: &mut [u64; K]) {
+        self.view.read_infix_into(key)
+    }
+
+    fn visit_slots(
+        &self,
+        corner: &[u64; K],
+        mut f: impl FnMut([u64; K], Slot<PackedChild<'c>, usize>),
+    ) -> Result<(), StoreError> {
+        let view = &self.view;
+        view.visit_slots(|h, slot| {
+            let mut key = *corner;
+            hc::apply_addr(&mut key, h, view.post_len as u32);
+            match slot {
+                PSlot::Post { pf_off, pr } => {
+                    view.read_postfix_into(pf_off, &mut key);
+                    f(key, Slot::Post(pr));
+                }
+                PSlot::Sub { sr } => {
+                    let child = PackedChild {
+                        cache: self.cache,
+                        r: view.child_ref(sr)?,
+                        parent: Some(view.post_len),
+                    };
+                    f(key, Slot::Sub(child));
+                }
+            }
+            Ok(())
+        })
+    }
+
+    fn value(&self, pr: usize) -> PackedValue<'c, K> {
+        PackedValue(self.view.clone(), pr)
     }
 }

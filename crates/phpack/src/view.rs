@@ -37,6 +37,7 @@ pub(crate) enum PSlot {
 }
 
 /// A parsed, validated node record over borrowed page bytes.
+#[derive(Clone)]
 pub(crate) struct NodeView<'c, const K: usize> {
     bytes: PageBytes<'c>,
     /// Record start within `bytes`.

@@ -24,9 +24,13 @@ const K: usize = 3;
 type V = String;
 
 fn build(vfs: &MemVfs, path: &Path) -> u64 {
+    build_n(vfs, path, 300)
+}
+
+fn build_n(vfs: &MemVfs, path: &Path, n: u64) -> u64 {
     let mut live: PhTree<V, K> = PhTree::new();
     let mut x = 9u64;
-    for i in 0..300u64 {
+    for i in 0..n {
         x = x
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -126,4 +130,52 @@ fn corruption_reports_page_context() {
         Err(e) => panic!("expected corruption, got {e:?}"),
         Ok(_) => panic!("expected corruption, open succeeded"),
     }
+}
+
+/// kNN fetches a sub-node's page only when the search reaches it, so a
+/// damaged page is met in the middle of a search, below a child that
+/// was queued unread. That must end the search with a typed error
+/// naming the page; a search that never needs the page must still
+/// answer, and answer right.
+#[test]
+fn knn_meets_a_corrupt_page_under_a_deferred_child() {
+    use phpack::format::PAGE_SIZE;
+    let vfs = MemVfs::new();
+    let path = Path::new("/m/deferred.phk");
+    build_n(&vfs, path, 4_000);
+    let open = || PackedTree::<V, K>::open_in(&vfs, path, CacheMode::Lru { pages: 2 }).unwrap();
+    let clean = open();
+    let centre = [17u64, 400, 250];
+    let near = clean.knn(&centre, 5).unwrap();
+    let (pages, len) = (clean.data_pages() as u64, clean.len());
+    assert!(
+        pages >= 8,
+        "artifact too small to defer anything: {pages} pages"
+    );
+
+    let mut never_needed = 0;
+    for page in 1..=pages {
+        let off = page * PAGE_SIZE as u64 + 77;
+        assert!(vfs.corrupt(path, off, 0x10));
+        let p = open();
+        match p.knn(&centre, 5) {
+            Ok(got) => {
+                assert_eq!(got, near, "page {page} damaged, never read, answer changed");
+                never_needed += 1;
+            }
+            Err(StoreError::Corrupt(c)) => assert_eq!(c.page, Some(page)),
+            Err(e) => panic!("page {page}: near kNN returned {e:?}"),
+        }
+        // Asked for every entry, the search resolves every child.
+        match p.knn(&centre, len) {
+            Err(StoreError::Corrupt(c)) => assert_eq!(c.page, Some(page)),
+            Err(e) => panic!("page {page}: full kNN returned {e:?}"),
+            Ok(_) => panic!("page {page}: full kNN never read the damaged page"),
+        }
+        assert!(vfs.corrupt(path, off, 0x10));
+    }
+    assert!(
+        never_needed > 0,
+        "the near kNN read every page: nothing was deferred"
+    );
 }

@@ -703,11 +703,14 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
             }
         }
         // Sustained write pressure: freeze the cut under every live
-        // cell's state lock (slot order — same order as bulk_load's
-        // multi-acquisition, so no deadlock).
+        // cell's state lock, in ascending slot order — the order of
+        // bulk_load's multi-acquisition, so no deadlock. (`live_slots`
+        // is in Z-order, which stops being slot order at the first
+        // split.)
         'retry: loop {
             let inner = self.load_state();
-            let live = inner.map.live_slots();
+            let mut live = inner.map.live_slots();
+            live.sort_unstable();
             let mut guards = Vec::with_capacity(live.len());
             for &s in &live {
                 let cell = inner.cells[s].as_ref().expect("live slot without a cell");
@@ -735,9 +738,8 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     }
 
     /// The `n` entries nearest to `center` under integer Euclidean
-    /// distance, nearest first, as `(key, value, distance)`: per-shard
-    /// kNN over one consistent [`Snapshot`]'s pinned versions, merged
-    /// with the same bounded k-way merge the in-memory layer uses.
+    /// distance, as `(key, value, distance)`: [`Snapshot::knn`] on a
+    /// fresh snapshot.
     pub fn knn(&self, center: &[u64; K], n: usize) -> Vec<([u64; K], V, f64)> {
         self.snapshot().knn(center, n)
     }

@@ -164,23 +164,34 @@ impl<const K: usize> ShardMap<K> {
     /// # Panics
     /// If `slot` is not a live leaf.
     pub fn shard_box(&self, slot: usize) -> ([u64; K], [u64; K]) {
-        fn find<const K: usize>(
+        self.shard_boxes()
+            .into_iter()
+            .find_map(|(s, min, max)| (s == slot).then_some((min, max)))
+            .unwrap_or_else(|| panic!("slot {slot} is not a live shard"))
+    }
+
+    /// Every live slot with its [`ShardMap::shard_box`], in Z-order of
+    /// the regions, from one walk of the trie.
+    pub fn shard_boxes(&self) -> Vec<(usize, [u64; K], [u64; K])> {
+        fn walk<const K: usize>(
             n: &Node,
             t: u32,
             min: [u64; K],
             max: [u64; K],
-            slot: u32,
-        ) -> Option<([u64; K], [u64; K])> {
+            out: &mut Vec<(usize, [u64; K], [u64; K])>,
+        ) {
             match n {
-                Node::Leaf(s) => (*s == slot).then_some((min, max)),
+                Node::Leaf(s) => out.push((*s as usize, min, max)),
                 Node::Split(z, o) => {
                     let (zr, or) = child_regions(&min, &max, t);
-                    find(z, t + 1, zr.0, zr.1, slot).or_else(|| find(o, t + 1, or.0, or.1, slot))
+                    walk(z, t + 1, zr.0, zr.1, out);
+                    walk(o, t + 1, or.0, or.1, out);
                 }
             }
         }
-        find::<K>(&self.root, 0, [0u64; K], [u64::MAX; K], slot as u32)
-            .unwrap_or_else(|| panic!("slot {slot} is not a live shard"))
+        let mut out = Vec::with_capacity(self.leaves);
+        walk::<K>(&self.root, 0, [0u64; K], [u64::MAX; K], &mut out);
+        out
     }
 
     /// Depth (Z-bits consumed) of the leaf holding `slot`, or `None`

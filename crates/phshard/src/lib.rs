@@ -17,9 +17,10 @@
 //!   `get`/`query`/`knn` serve from published versions without
 //!   acquiring any lock (pinned by a debug-mode lock counter,
 //!   [`data_lock_acquisitions`]). Writes lock one shard; window
-//!   queries / kNN / bulk loads fan out across a std-only
-//!   [`WorkerPool`] (no rayon — the workspace builds offline) and
-//!   merge results (kNN via a bounded k-way heap merge).
+//!   queries / bulk loads fan out across a std-only [`WorkerPool`]
+//!   (no rayon — the workspace builds offline) and merge results;
+//!   kNN is one best-first search over all shard roots
+//!   ([`phtree::knn`]).
 //! * [`ShardedTree::snapshot`] / [`DurableSharded::snapshot`] pin a
 //!   [`Snapshot`]: a consistent cut across all shards, so cross-shard
 //!   scans are snapshot reads instead of read-committed.
@@ -60,7 +61,6 @@ mod durable;
 mod epoch;
 mod error;
 mod lockstat;
-mod merge;
 mod metrics;
 mod packed;
 mod pool;

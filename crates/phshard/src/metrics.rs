@@ -16,10 +16,9 @@
 //! * `phshard_shard_ops_total{shard=N}` — keys routed to shard `N`
 //!   (single-key ops count 1, `bulk_load` counts its partition size);
 //!   the live counterpart of [`crate::ShardStats::skew`].
-//! * `phshard_query_fanout` — histogram of surviving shards per window
-//!   query after prefix-mask pruning.
-//! * `phshard_knn_merge_candidates` — histogram of total per-shard
-//!   candidates entering the bounded k-way kNN merge.
+//! * `phshard_query_fanout` — histogram of shards a read touched: per
+//!   window query the shards surviving prefix-mask pruning, per kNN
+//!   the shards whose root the search entered.
 //! * `phshard_pool_queue_depth` (+`_peak`) — fan-out pool queue depth.
 //! * `phshard_pool_tasks_total` — jobs submitted to the pool.
 //! * `phshard_pool_task_panics_total` — jobs that panicked (caught;
@@ -137,7 +136,6 @@ pub(crate) struct ShardMetrics {
     pub(crate) knn: OpInstruments,
     pub(crate) bulk_load: OpInstruments,
     pub(crate) fanout: Histogram,
-    pub(crate) merge_candidates: Histogram,
     per_shard_ops: Vec<Counter>,
 }
 
@@ -152,7 +150,6 @@ impl ShardMetrics {
             knn: OpInstruments::noop(),
             bulk_load: OpInstruments::noop(),
             fanout: Histogram::noop(),
-            merge_candidates: Histogram::noop(),
             per_shard_ops: Vec::new(),
         }
     }
@@ -167,7 +164,6 @@ impl ShardMetrics {
             knn: OpInstruments::new(reg, "knn"),
             bulk_load: OpInstruments::new(reg, "bulk_load"),
             fanout: reg.histogram("phshard_query_fanout"),
-            merge_candidates: reg.histogram("phshard_knn_merge_candidates"),
             per_shard_ops: (0..shards)
                 .map(|s| reg.counter(&format!("phshard_shard_ops_total{{shard=\"{s}\"}}")))
                 .collect(),

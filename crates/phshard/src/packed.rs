@@ -16,18 +16,18 @@
 //! each shard artifact (superblock + checksum-table reads — no WAL
 //! replay, no tree rebuild), and route reads exactly like a live
 //! snapshot: point gets by trie routing, window queries over
-//! prefix-pruned shards concatenated in Z-order, kNN as the same
-//! bounded k-way merge of per-shard lists.
+//! prefix-pruned shards concatenated in Z-order, kNN as one search
+//! over all shard roots.
 
 use crate::epoch::ShardMap;
 use crate::error::ShardError;
-use crate::merge::merge_nearest;
 use crate::sharded::ShardStats;
 use crate::snapshot::Snapshot;
 use crate::DurableSharded;
-use phpack::{pack_tree_in, CacheMode, PackedTree};
+use phpack::{pack_tree_in, CacheMode, KnnScratch, PackedTree};
 use phstore::vfs::{StdVfs, Vfs};
 use phstore::{superblock, Corruption, StoreError, ValueCodec};
+use phtree::{Distance, IntEuclidean};
 use std::path::Path;
 
 /// Manifest file name inside a packed-checkpoint directory.
@@ -239,22 +239,30 @@ impl<V: ValueCodec, const K: usize> PackedShards<V, K> {
         Ok(n)
     }
 
-    /// The `n` nearest entries to `center`, nearest first — the same
-    /// bounded k-way merge of per-shard kNN lists as the live layers.
+    /// The `n` nearest entries to `center`, sorted by `(distance,
+    /// key)` — the same list, found by the same search, as
+    /// [`Snapshot::knn`]: a shard beyond the results found is never
+    /// opened, a page below a pruned sub-tree never read.
     pub fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], V, f64)>, StoreError> {
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let mut lists = Vec::with_capacity(self.map.shards());
-        for s in self.map.live_slots() {
-            let nbs = self.tree(s).knn(center, n)?;
-            lists.push(
-                nbs.into_iter()
-                    .map(|nb| (nb.key, nb.value, nb.dist))
-                    .collect(),
-            );
-        }
-        Ok(merge_nearest(lists, n, |e| e.2))
+        let _d = phtrace::span(phtrace::Phase::Descent);
+        let trees = self.map.shard_boxes().into_iter().map(|(s, lo, hi)| {
+            let dist = Distance::<K>::to_box(&IntEuclidean, center, &lo, &hi);
+            (dist, self.tree(s))
+        });
+        let mut out = Vec::new();
+        let seen = PackedTree::knn_forest(
+            trees,
+            center,
+            n,
+            &IntEuclidean,
+            &mut KnnScratch::new(),
+            &mut out,
+        )?;
+        phtrace::add(phtrace::PayloadCounter::Fanout, seen.roots as u64);
+        Ok(out
+            .into_iter()
+            .map(|nb| (nb.key, nb.value, nb.dist))
+            .collect())
     }
 
     /// Per-shard statistics shaped like [`ShardStats`] (pool and

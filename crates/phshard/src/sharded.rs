@@ -3,7 +3,6 @@
 use crate::epoch::ShardMap;
 use crate::error::ShardError;
 use crate::lockstat::DataMutex;
-use crate::merge::merge_nearest;
 use crate::metrics::{PoolMetrics, RebalanceMetrics, ShardMetrics, SwapMetrics};
 use crate::pool::WorkerPool;
 use crate::snapshot::{Published, Snapshot, WriteClock, SNAPSHOT_SPIN};
@@ -17,8 +16,6 @@ use std::sync::{Arc, Mutex};
 type Task<R> = Box<dyn FnOnce() -> R + Send>;
 /// A window-query hit: key plus cloned value.
 type Entry<V, const K: usize> = ([u64; K], V);
-/// A kNN hit: key, cloned value, distance.
-type Scored<V, const K: usize> = ([u64; K], V, f64);
 
 /// Per-instance statistics (see [`ShardedTree::stats`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -208,7 +205,7 @@ impl<V: Clone, const K: usize> ShardedTree<V, K> {
 
     /// A sharded tree whose operations record into `registry`: per-op
     /// counters and latency histograms, per-shard routing counters,
-    /// query fan-out / kNN merge widths, rebalance transitions
+    /// query / kNN fan-out widths, rebalance transitions
     /// (`phshard_rebalance_*`, `phshard_routing_epoch`), root
     /// publications and snapshot lifecycle (`phshard_root_swaps_total`,
     /// `phshard_snapshot_live`, `phshard_root_age_ns`), and the
@@ -519,45 +516,13 @@ impl<V: Clone + Send + Sync + 'static, const K: usize> ShardedTree<V, K> {
     }
 
     /// The `n` entries nearest to `center` under integer Euclidean
-    /// distance, nearest first, as `(key, value, distance)`.
-    ///
-    /// Every shard's pinned version answers its local kNN in parallel
-    /// against one consistent [`Snapshot`] (no locks); the global
-    /// result is a bounded k-way heap merge of the per-shard lists
-    /// (each already sorted), stopping after `n` results.
+    /// distance as `(key, value, distance)`, sorted by `(distance,
+    /// key)`: [`Snapshot::knn`] on a fresh snapshot, on the calling
+    /// thread (one search over all shard roots has nothing to scatter).
     pub fn knn(&self, center: &[u64; K], n: usize) -> Vec<([u64; K], V, f64)> {
-        if n == 0 {
-            return Vec::new();
-        }
         let t = self.metrics.knn.start();
-        let snap = self.snapshot();
-        let center = *center;
-        let slots = snap.router().live_slots();
-        let ctx = phtrace::current();
-        let fan = phtrace::span(phtrace::Phase::FanOut);
-        phtrace::add(phtrace::PayloadCounter::Fanout, slots.len() as u64);
-        let tasks: Vec<(String, Task<Vec<Scored<V, K>>>)> = slots
-            .into_iter()
-            .map(|s| {
-                let root = Arc::clone(snap.root(s));
-                let task = Box::new(move || {
-                    let _g = ctx.attach();
-                    let _d = phtrace::span(phtrace::Phase::Descent).with_shard(s);
-                    root.tree
-                        .knn(&center, n)
-                        .into_iter()
-                        .map(|nb| (nb.key, nb.value.clone(), nb.dist))
-                        .collect()
-                }) as Task<Vec<Scored<V, K>>>;
-                (format!("knn:shard-{s}"), task)
-            })
-            .collect();
-        let lists = self.pool.scatter_labeled(tasks);
-        self.metrics
-            .merge_candidates
-            .record(lists.iter().map(Vec::len).sum::<usize>() as u64);
-        let out = merge_nearest(lists, n, |e| e.2);
-        drop(fan);
+        let (out, entered) = self.snapshot().knn_counted(center, n);
+        self.metrics.fanout.record(entered as u64);
         self.metrics.knn.finish(t);
         out
     }

@@ -39,10 +39,9 @@
 //! its published root.
 
 use crate::epoch::ShardMap;
-use crate::merge::merge_nearest;
 use crate::metrics::SwapMetrics;
 use crate::ShardStats;
-use phtree::PhTree;
+use phtree::{knn, Distance, IntEuclidean, PhTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -251,31 +250,32 @@ impl<V: Clone, const K: usize> Snapshot<V, K> {
     }
 
     /// The `n` entries nearest to `center` under integer Euclidean
-    /// distance, nearest first, as `(key, value, distance)` — the same
-    /// bounded k-way merge of per-shard kNN lists the live layers use,
-    /// answered entirely from the pinned versions.
+    /// distance as `(key, value, distance)`, sorted by `(distance,
+    /// key)` — the same list whatever the shard layout. One best-first
+    /// search over all pinned shard roots ([`phtree::knn`]): a shard
+    /// whose region lies beyond the results found is never entered.
     pub fn knn(&self, center: &[u64; K], n: usize) -> Vec<([u64; K], V, f64)> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let slots = self.map.live_slots();
-        let fan = phtrace::span(phtrace::Phase::FanOut);
-        phtrace::add(phtrace::PayloadCounter::Fanout, slots.len() as u64);
-        let lists: Vec<Vec<([u64; K], V, f64)>> = slots
+        self.knn_counted(center, n).0
+    }
+
+    /// [`Snapshot::knn`] plus the number of shards the search entered.
+    pub(crate) fn knn_counted(
+        &self,
+        center: &[u64; K],
+        n: usize,
+    ) -> (Vec<([u64; K], V, f64)>, usize) {
+        let _d = phtrace::span(phtrace::Phase::Descent);
+        let trees = self.map.shard_boxes().into_iter().map(|(s, lo, hi)| {
+            let dist = Distance::<K>::to_box(&IntEuclidean, center, &lo, &hi);
+            (dist, &self.root(s).tree)
+        });
+        let (hits, seen) = knn::forest(trees, center, n, f64::INFINITY, &IntEuclidean);
+        phtrace::add(phtrace::PayloadCounter::Fanout, seen.roots as u64);
+        let out = hits
             .into_iter()
-            .map(|s| {
-                let _d = phtrace::span(phtrace::Phase::Descent).with_shard(s);
-                self.root(s)
-                    .tree
-                    .knn(center, n)
-                    .into_iter()
-                    .map(|nb| (nb.key, nb.value.clone(), nb.dist))
-                    .collect()
-            })
+            .map(|nb| (nb.key, nb.value.clone(), nb.dist))
             .collect();
-        let out = merge_nearest(lists, n, |e| e.2);
-        drop(fan);
-        out
+        (out, seen.roots)
     }
 }
 

@@ -96,9 +96,19 @@ fn in_memory_split_preserves_contents_and_queries() {
         t.insert(k, v);
         model.insert(k, v);
     }
+    // A ring of equidistant keys around [1000, 1000]: which of them a
+    // kNN returns must not depend on the shard layout either.
+    for (i, k) in [[997u64, 1000], [1003, 1000], [1000, 997], [1000, 1003]]
+        .into_iter()
+        .enumerate()
+    {
+        t.insert(k, 1_000 + i as u32);
+        model.insert(k, 1_000 + i as u32);
+    }
     assert!(t.stats().skew() > 1.9, "clustered keys must skew");
     let (hot, _) = t.stats().hottest().unwrap();
 
+    let before = t.snapshot();
     let report = t.split_shard(hot, 1).unwrap();
     assert_eq!(report.src, hot);
     assert_eq!(report.children.len(), 2);
@@ -120,8 +130,18 @@ fn in_memory_split_preserves_contents_and_queries() {
     let mut want: Vec<_> = model.iter().map(|(&k, &v)| (k, v)).collect();
     want.sort();
     assert_eq!(got, want);
-    let nn = t.knn(&[0, 0], 5);
-    assert_eq!(nn.len(), 5);
+    // kNN lists are a function of the contents, not of the topology: a
+    // snapshot pinned before the split and one taken after it agree
+    // element for element.
+    let after = t.snapshot();
+    assert_eq!((before.shards(), after.shards()), (2, 3));
+    for c in [[0u64, 0], [1000, 1000], [1 << 28, 1 << 31], [u64::MAX; 2]] {
+        for n in [1usize, 2, 5, 40] {
+            let nn = after.knn(&c, n);
+            assert_eq!(nn.len(), n);
+            assert_eq!(before.knn(&c, n), nn, "centre {c:?} n {n}");
+        }
+    }
 
     // A second split of one child deepens further.
     let (hot2, _) = t.stats().hottest().unwrap();

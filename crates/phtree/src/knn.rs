@@ -2,12 +2,30 @@
 //!
 //! The paper lists nearest-neighbour queries as a desirable extension
 //! ("an early prototype implementation indicates that such searches can
-//! be efficiently performed", Sect. 5). This module implements them with
-//! a classic best-first traversal: a priority queue ordered by minimum
-//! possible distance holds both unexpanded nodes (keyed by the distance
-//! from the query point to the node's region) and concrete entries; when
-//! an entry reaches the front of the queue it is provably the next
-//! nearest result.
+//! be efficiently performed", Sect. 5). This module holds the one
+//! best-first search of the workspace, written over a small node-access
+//! seam ([`KnnNode`]) so the live tree and the packed reader (`phpack`)
+//! run the same loop, and over a *forest*: the queue is seeded with any
+//! number of roots, so a sharded kNN is one search, not one per shard.
+//!
+//! A priority queue ordered by minimum possible distance holds
+//! unresolved sub-nodes, resolved nodes and entries. Two rules keep it
+//! small:
+//!
+//! * **Pruning bound.** The `n`-th smallest entry distance seen so far
+//!   (initially the caller's `max_dist`) bounds everything still worth
+//!   looking at: nothing farther is queued, and the loop ends when the
+//!   queue's front exceeds it.
+//! * **Deferred children.** A sub-node is queued as an unresolved handle
+//!   keyed by the distance to its *quadrant* of the parent — computable
+//!   from the parent alone. Only when it reaches the front is it
+//!   resolved (for a packed tree: its page fetched), its infix read and
+//!   its own, tighter box measured; it is then expanded or re-queued.
+//!   Sub-trees and pages the bound cuts off are never touched.
+//!
+//! Results are sorted by `(distance, key)`, so which of several
+//! equidistant keys is returned does not depend on tree shape, shard
+//! layout or storage.
 
 use crate::key::key_to_f64;
 use crate::node::{Node, SlotRef};
@@ -15,6 +33,7 @@ use crate::tree::PhTree;
 use phbits::{hc, num};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 
 /// A distance metric over PH-tree keys.
 ///
@@ -73,49 +92,301 @@ impl<const K: usize> Distance<K> for F64Euclidean {
     }
 }
 
-/// One k-nearest-neighbour result.
+/// One k-nearest-neighbour result; `value` is whatever the searched
+/// store hands out for a stored value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor<'t, V, const K: usize> {
+pub struct Hit<V, const K: usize> {
     /// The stored key.
     pub key: [u64; K],
     /// The stored value.
-    pub value: &'t V,
+    pub value: V,
     /// Distance from the query point under the metric used.
     pub dist: f64,
 }
 
-/// An f64 wrapper giving total order for the priority queue.
-#[derive(PartialEq)]
+/// A result of a search on a live tree: the value is borrowed from it.
+pub type Neighbor<'t, V, const K: usize> = Hit<&'t V, K>;
+
+/// An occupied slot as [`KnnNode::visit_slots`] reports it.
+pub enum Slot<C, P> {
+    /// A postfix entry.
+    Post(P),
+    /// A sub-node, not yet resolved.
+    Sub(C),
+}
+
+/// Read access to one PH-tree node: everything the search needs from a
+/// tree representation. Implemented by the live node and by `phpack`'s
+/// record view.
+pub trait KnnNode<const K: usize>: Sized {
+    /// Unresolved handle to a sub-node or root (a pointer in memory, a
+    /// page reference on disk).
+    type Child;
+    /// Token for a postfix entry's value, valid while its node is.
+    type Post;
+    /// What a queued entry keeps to reach its value after its node is
+    /// gone — for a packed tree still undecoded.
+    type Value;
+    /// Failure of resolving a child or reading a slot.
+    type Error;
+
+    /// Fetches the node behind a handle.
+    fn resolve(child: &Self::Child) -> Result<Self, Self::Error>;
+
+    /// Key bits per dimension below this node's split bit.
+    fn post_len(&self) -> u32;
+
+    /// Writes the node's infix into its bit range of `key`.
+    fn read_infix_into(&self, key: &mut [u64; K]);
+
+    /// Calls `f` for every occupied slot with the key the slot spells
+    /// below `corner` (the node's region's low corner): the full key of
+    /// an entry, the low corner of a sub-node's quadrant.
+    fn visit_slots(
+        &self,
+        corner: &[u64; K],
+        f: impl FnMut([u64; K], Slot<Self::Child, Self::Post>),
+    ) -> Result<(), Self::Error>;
+
+    /// Turns an entry's token into the handle a queued entry keeps.
+    fn value(&self, post: Self::Post) -> Self::Value;
+}
+
+/// How much of the forest a search opened.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Expanded {
+    /// Roots resolved (of those handed in).
+    pub roots: usize,
+    /// Nodes whose slots were visited, roots included.
+    pub nodes: usize,
+}
+
+/// An f64 wrapper giving total order for the priority queues
+/// (distances are never NaN, where the derived order would differ).
+#[derive(PartialEq, PartialOrd)]
 struct D(f64);
 impl Eq for D {}
-impl PartialOrd for D {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+#[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for D {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 
-enum Item<'t, V, const K: usize> {
-    Node(&'t Node<V, K>, [u64; K]),
-    Entry([u64; K], &'t V),
+enum Item<N: KnnNode<K>, const K: usize> {
+    /// An unresolved node and the low corner of the region known to
+    /// hold it (a quadrant of its parent; all zero for a root).
+    Child(N::Child, [u64; K]),
+    /// A resolved node and the low corner of its own region.
+    Node(N, [u64; K]),
+    Entry(Hit<N::Value, K>),
 }
 
-// Items hold only references and fixed-size arrays; copying them lets the
-// search pop by value while the arena vector stays borrow-free.
-impl<'t, V, const K: usize> Clone for Item<'t, V, K> {
-    fn clone(&self) -> Self {
-        *self
+/// Reusable state of the search: the queue, its item arena and the
+/// results. Keep one per worker and searches stop allocating once the
+/// capacity high-water mark is reached.
+pub struct KnnScratch<N: KnnNode<K>, const K: usize> {
+    heap: BinaryHeap<(Reverse<D>, u32)>,
+    /// Queue items by arena index; `None` once popped.
+    items: Vec<Option<Item<N, K>>>,
+    /// The `n` smallest entry distances seen, largest on top.
+    nearest: BinaryHeap<D>,
+    /// Nothing farther than this can be a result.
+    bound: f64,
+    hits: Vec<Hit<N::Value, K>>,
+}
+
+impl<N: KnnNode<K>, const K: usize> Default for KnnScratch<N, K> {
+    fn default() -> Self {
+        Self::new()
     }
 }
-impl<'t, V, const K: usize> Copy for Item<'t, V, K> {}
+
+impl<N: KnnNode<K>, const K: usize> KnnScratch<N, K> {
+    /// An empty scratch.
+    pub fn new() -> Self {
+        KnnScratch {
+            heap: BinaryHeap::new(),
+            items: Vec::new(),
+            nearest: BinaryHeap::new(),
+            bound: f64::INFINITY,
+            hits: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, dist: f64, item: Item<N, K>) {
+        if dist <= self.bound {
+            self.heap.push((Reverse(D(dist)), self.items.len() as u32));
+            self.items.push(Some(item));
+        }
+    }
+
+    /// Searches the forest under `roots` for the `n` entries nearest to
+    /// `center` and no farther than `max_dist`. Each root comes with a
+    /// lower bound on the distance to anything below it (0 if nothing
+    /// is known); a root farther than the results found is never
+    /// resolved. The hits — sorted by `(distance, key)` — stay in the
+    /// scratch until [`KnnScratch::drain_hits`] or the next search.
+    pub fn search<M: Distance<K>>(
+        &mut self,
+        roots: impl IntoIterator<Item = (f64, N::Child)>,
+        center: &[u64; K],
+        n: usize,
+        max_dist: f64,
+        metric: &M,
+    ) -> Result<Expanded, N::Error> {
+        self.heap.clear();
+        self.items.clear();
+        self.nearest.clear();
+        self.hits.clear();
+        self.bound = max_dist;
+        let mut seen = Expanded::default();
+        if n == 0 {
+            return Ok(seen);
+        }
+        for (dist, root) in roots {
+            self.push(dist, Item::Child(root, [0; K]));
+        }
+        // Arena indices below this are roots.
+        let n_roots = self.items.len();
+        while let Some((Reverse(D(dist)), idx)) = self.heap.pop() {
+            if dist > self.bound {
+                break;
+            }
+            let item = self.items[idx as usize]
+                .take()
+                .expect("every arena slot is popped once");
+            let (node, corner) = match item {
+                Item::Entry(hit) => {
+                    self.hits.push(hit);
+                    continue;
+                }
+                Item::Node(node, corner) => (node, corner),
+                Item::Child(child, mut corner) => {
+                    let node = N::resolve(&child)?;
+                    seen.roots += ((idx as usize) < n_roots) as usize;
+                    node.read_infix_into(&mut corner);
+                    let span = num::low_mask(node.post_len() + 1);
+                    let tight = metric.to_box(center, &corner, &corner.map(|c| c | span));
+                    // Not the nearest thing any more: queue it again
+                    // (or, beyond the bound, drop it).
+                    let next = self.heap.peek().map_or(self.bound, |(Reverse(d), _)| d.0);
+                    if tight > next {
+                        self.push(tight, Item::Node(node, corner));
+                        continue;
+                    }
+                    (node, corner)
+                }
+            };
+            seen.nodes += 1;
+            let span = num::low_mask(node.post_len());
+            node.visit_slots(&corner, |key, slot| match slot {
+                Slot::Post(post) => {
+                    let dist = metric.point(center, &key);
+                    if dist <= self.bound {
+                        // Tighten the bound to the n-th smallest entry
+                        // distance seen (never below `dist` itself).
+                        self.nearest.push(D(dist));
+                        if self.nearest.len() > n {
+                            self.nearest.pop();
+                        }
+                        if let (true, Some(top)) = (self.nearest.len() == n, self.nearest.peek()) {
+                            self.bound = self.bound.min(top.0);
+                        }
+                        let value = node.value(post);
+                        self.push(dist, Item::Entry(Hit { key, value, dist }));
+                    }
+                }
+                Slot::Sub(child) => {
+                    let dist = metric.to_box(center, &key, &key.map(|c| c | span));
+                    self.push(dist, Item::Child(child, key));
+                }
+            })?;
+        }
+        // The bound admits every entry tied with the n-th: order the
+        // ties by key, then cut.
+        self.hits
+            .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then_with(|| a.key.cmp(&b.key)));
+        self.hits.truncate(n);
+        Ok(seen)
+    }
+
+    /// Takes the last search's hits, nearest first, keeping the buffer.
+    pub fn drain_hits(&mut self) -> std::vec::Drain<'_, Hit<N::Value, K>> {
+        self.hits.drain(..)
+    }
+}
+
+impl<'t, V, const K: usize> KnnNode<K> for &'t Node<V, K> {
+    type Child = &'t Node<V, K>;
+    type Post = &'t V;
+    type Value = &'t V;
+    type Error = Infallible;
+
+    fn resolve(child: &Self::Child) -> Result<Self, Infallible> {
+        Ok(child)
+    }
+
+    fn post_len(&self) -> u32 {
+        self.post_len as u32
+    }
+
+    fn read_infix_into(&self, key: &mut [u64; K]) {
+        Node::read_infix_into(self, key)
+    }
+
+    fn visit_slots(
+        &self,
+        corner: &[u64; K],
+        mut f: impl FnMut([u64; K], Slot<Self::Child, Self::Post>),
+    ) -> Result<(), Infallible> {
+        for (h, slot) in self.iter_slots() {
+            let mut key = *corner;
+            hc::apply_addr(&mut key, h, self.post_len as u32);
+            match slot {
+                SlotRef::Post { seg, pf_off, value } => {
+                    seg.read_postfix_into(pf_off, &mut key);
+                    f(key, Slot::Post(value));
+                }
+                SlotRef::Sub(sub) => f(key, Slot::Sub(sub)),
+            }
+        }
+        Ok(())
+    }
+
+    fn value(&self, post: &'t V) -> &'t V {
+        post
+    }
+}
+
+/// One search over several live trees (the shards of a snapshot): the
+/// `n` entries nearest to `center` within `max_dist`, sorted by
+/// `(distance, key)`. Each tree comes with a lower bound on the
+/// distance from `center` to any key it can hold (0 if unknown); trees
+/// farther than the results found are never entered.
+pub fn forest<'t, V, M: Distance<K>, const K: usize>(
+    trees: impl IntoIterator<Item = (f64, &'t PhTree<V, K>)>,
+    center: &[u64; K],
+    n: usize,
+    max_dist: f64,
+    metric: &M,
+) -> (Vec<Neighbor<'t, V, K>>, Expanded) {
+    let roots = trees
+        .into_iter()
+        .filter_map(|(dist, tree)| Some((dist, tree.root.as_deref()?)));
+    let mut scratch = KnnScratch::<&Node<V, K>, K>::new();
+    let seen = match scratch.search(roots, center, n, max_dist, metric) {
+        Ok(seen) => seen,
+        Err(never) => match never {},
+    };
+    (scratch.hits, seen)
+}
 
 impl<V, const K: usize> PhTree<V, K> {
     /// Returns the `n` entries nearest to `center` under integer
-    /// Euclidean distance, nearest first.
+    /// Euclidean distance, sorted by `(distance, key)`: of several
+    /// equidistant keys the smallest are returned, whatever the tree's
+    /// shape.
     ///
     /// ```
     /// let mut t: phtree::PhTree<&str, 2> = phtree::PhTree::new();
@@ -132,7 +403,8 @@ impl<V, const K: usize> PhTree<V, K> {
     }
 
     /// Like [`PhTree::knn`], but only returns neighbours with distance
-    /// `<= max_dist` (a range-limited nearest-neighbour search).
+    /// `<= max_dist` (a range-limited nearest-neighbour search, which
+    /// never looks at a node farther than `max_dist`).
     ///
     /// ```
     /// let mut t: phtree::PhTree<(), 1> = phtree::PhTree::new();
@@ -148,11 +420,7 @@ impl<V, const K: usize> PhTree<V, K> {
         n: usize,
         max_dist: f64,
     ) -> Vec<Neighbor<'_, V, K>> {
-        let mut out = self.knn_with(center, n, &IntEuclidean);
-        // Best-first yields sorted distances; cut at the bound.
-        let keep = out.partition_point(|nb| nb.dist <= max_dist);
-        out.truncate(keep);
-        out
+        forest([(0.0, self)], center, n, max_dist, &IntEuclidean).0
     }
 
     /// Like [`PhTree::knn`] with a caller-supplied [`Distance`] metric.
@@ -162,62 +430,7 @@ impl<V, const K: usize> PhTree<V, K> {
         n: usize,
         metric: &D2,
     ) -> Vec<Neighbor<'_, V, K>> {
-        let mut out = Vec::with_capacity(n.min(self.len()));
-        if n == 0 {
-            return out;
-        }
-        let Some(root) = self.root.as_deref() else {
-            return out;
-        };
-        fn push<'t, V, const K: usize>(
-            heap: &mut BinaryHeap<(Reverse<D>, usize)>,
-            items: &mut Vec<Item<'t, V, K>>,
-            dist: f64,
-            item: Item<'t, V, K>,
-        ) {
-            items.push(item);
-            heap.push((Reverse(D(dist)), items.len() - 1));
-        }
-        let mut heap: BinaryHeap<(Reverse<D>, usize)> = BinaryHeap::new();
-        let mut items: Vec<Item<'_, V, K>> = Vec::new();
-        push(&mut heap, &mut items, 0.0, Item::Node(root, [0u64; K]));
-        while let Some((Reverse(D(dist)), idx)) = heap.pop() {
-            match items[idx] {
-                Item::Entry(key, value) => {
-                    out.push(Neighbor { key, value, dist });
-                    if out.len() == n {
-                        break;
-                    }
-                }
-                Item::Node(node, prefix) => {
-                    for (h, slot) in node.iter_slots() {
-                        let mut p = prefix;
-                        hc::apply_addr(&mut p, h, node.post_len as u32);
-                        match slot {
-                            SlotRef::Post { seg, pf_off, value } => {
-                                let mut key = p;
-                                seg.read_postfix_into(pf_off, &mut key);
-                                let d = metric.point(center, &key);
-                                push(&mut heap, &mut items, d, Item::Entry(key, value));
-                            }
-                            SlotRef::Sub(sub) => {
-                                sub.read_infix_into(&mut p);
-                                let span = num::low_mask(sub.post_len as u32 + 1);
-                                let mut lo = p;
-                                let mut hi = p;
-                                for d in 0..K {
-                                    lo[d] &= !span;
-                                    hi[d] |= span;
-                                }
-                                let d = metric.to_box(center, &lo, &hi);
-                                push(&mut heap, &mut items, d, Item::Node(sub, lo));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+        forest([(0.0, self)], center, n, f64::INFINITY, metric).0
     }
 }
 
@@ -294,5 +507,84 @@ mod tests {
         let nn = t.knn(&[7, 7], 1);
         assert_eq!(nn[0].key, [7, 7]);
         assert_eq!(nn[0].dist, 0.0);
+    }
+
+    #[test]
+    fn ties_come_back_in_key_order_whatever_the_insert_order() {
+        // A ring of 8 keys at distance 5 around [10, 10] and one nearer.
+        let ring = [
+            [5u64, 10],
+            [15, 10],
+            [10, 5],
+            [10, 15],
+            [7, 6],
+            [13, 14],
+            [6, 13],
+            [14, 7],
+        ];
+        let mut want = ring;
+        want.sort();
+        for rot in 0..ring.len() {
+            let mut t: PhTree<usize, 2> = PhTree::new();
+            for i in 0..ring.len() {
+                t.insert(ring[(i + rot) % ring.len()], i);
+            }
+            t.insert([10, 11], 99);
+            let nn = t.knn(&[10, 10], 4);
+            assert_eq!(nn[0].key, [10, 11]);
+            let got: Vec<_> = nn[1..].iter().map(|nb| nb.key).collect();
+            assert_eq!(got, want[..3], "rotation {rot}");
+            assert!(nn[1..].iter().all(|nb| nb.dist == 5.0));
+        }
+    }
+
+    fn lcg_tree(n: usize) -> PhTree<usize, 3> {
+        let mut t = PhTree::new();
+        let mut x = 0x9e3779b97f4a7c15u64;
+        for i in 0..n {
+            let mut p = [0u64; 3];
+            for c in &mut p {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                *c = x >> 20;
+            }
+            t.insert(p, i);
+        }
+        t
+    }
+
+    #[test]
+    fn knn_within_a_tiny_radius_walks_one_path() {
+        let t = lcg_tree(100_000);
+        let (key, _) = t.iter().nth(12_345).unwrap();
+        let (hits, seen) = forest([(0.0, &t)], &key, 10, 0.5, &IntEuclidean);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].key, key);
+        // Only nodes whose box touches the ball are opened: the path to
+        // the key (at most one node per key bit).
+        assert!(seen.nodes <= 64, "expanded {} nodes", seen.nodes);
+        let (all, unbounded) = forest([(0.0, &t)], &key, 10, f64::INFINITY, &IntEuclidean);
+        assert_eq!(all.len(), 10);
+        assert!(seen.nodes < unbounded.nodes);
+    }
+
+    #[test]
+    fn forest_never_enters_a_tree_beyond_the_results() {
+        let near = lcg_tree(1_000);
+        let mut far: PhTree<usize, 3> = PhTree::new();
+        far.insert([u64::MAX; 3], 0);
+        let empty: PhTree<usize, 3> = PhTree::new();
+        let center = [1u64 << 40; 3];
+        let far_bound = IntEuclidean.point(&center, &[u64::MAX; 3]);
+        let trees = [(0.0, &near), (far_bound, &far), (0.0, &empty)];
+        let (hits, seen) = forest(trees, &center, 5, f64::INFINITY, &IntEuclidean);
+        assert_eq!(seen.roots, 1);
+        let want: Vec<_> = near.knn(&center, 5).iter().map(|nb| nb.key).collect();
+        assert_eq!(hits.iter().map(|nb| nb.key).collect::<Vec<_>>(), want);
+        // Asked for more than the near tree holds, the far one is entered.
+        let (hits, seen) = forest(trees, &center, 2_000, f64::INFINITY, &IntEuclidean);
+        assert_eq!((hits.len(), seen.roots), (1_001, 2));
+        assert_eq!(hits.last().unwrap().key, [u64::MAX; 3]);
     }
 }

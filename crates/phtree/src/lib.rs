@@ -57,7 +57,7 @@ mod float;
 mod impls;
 mod iter;
 pub mod key;
-mod knn;
+pub mod knn;
 mod node;
 mod ops;
 mod query;

@@ -2,8 +2,9 @@
 //!
 //! Scenario: a charging-station finder. Stations are indexed by
 //! position; the app answers "5 nearest stations to the user" queries.
-//! Cross-checks the PH-tree's best-first kNN against both kD-tree
-//! baselines and a brute-force scan.
+//! Cross-checks the PH-tree's best-first kNN (bounded by the n-th best
+//! distance found, results ordered by distance then key) against both
+//! kD-tree baselines and a brute-force scan.
 //!
 //! Run with: `cargo run --release -p ph-bench --example knn_search`
 
