@@ -14,13 +14,14 @@
 //! and never a silently short result.
 
 use phshard::{DurableSharded, PackedShards, ShardError, ShardStats, ShardedTree, Snapshot};
+use phtree::Op;
 use std::sync::Arc;
 
 /// A pinned, consistent read view: either a live cross-shard
 /// [`Snapshot`] or a packed checkpoint (which is *always* one
 /// consistent cut — it was frozen from a snapshot and never changes).
 ///
-/// The server answers a maximal run of pipelined reads from one
+/// A connection answers a maximal run of pipelined reads from one
 /// `ReadView`, so the whole run observes a single write-history cut
 /// and pays the cut protocol (or nothing, for packed) once.
 pub enum ReadView<const K: usize> {
@@ -74,27 +75,64 @@ impl<const K: usize> ReadView<K> {
 }
 
 /// Storage operations the server needs, `&self` and thread-safe —
-/// every connection worker calls straight into the same backend.
+/// every connection thread and queue worker calls straight into the
+/// same backend.
 pub trait Backend<const K: usize>: Send + Sync + 'static {
     /// Upserts `key` → `value`.
     fn insert(&self, key: [u64; K], value: u64) -> Result<(), ShardError>;
-    /// Point lookup.
-    fn get(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError>;
     /// Removes `key`, returning the removed value.
     fn remove(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError>;
+    /// Point lookup on a fresh [`Backend::read_view`] — like `query`
+    /// and `knn` a convenience for embedders: the server itself only
+    /// ever reads through a view it pinned for a whole run.
+    fn get(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError> {
+        self.read_view().get(key)
+    }
     /// Window query over `[min, max]`, inclusive, in global Z-order.
-    fn query(&self, min: &[u64; K], max: &[u64; K]) -> Result<Vec<([u64; K], u64)>, ShardError>;
+    fn query(&self, min: &[u64; K], max: &[u64; K]) -> Result<Vec<([u64; K], u64)>, ShardError> {
+        self.read_view().query(min, max)
+    }
     /// `n` nearest neighbours of `center`, nearest first.
-    fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], u64, f64)>, ShardError>;
+    fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], u64, f64)>, ShardError> {
+        self.read_view().knn(center, n)
+    }
     /// Batch upsert through the bulk-admission seam; returns the count
     /// of new keys. Must be all-or-nothing with respect to
     /// [`ShardError::Overloaded`]: a shed batch applies nothing.
     fn bulk_load(&self, items: Vec<([u64; K], u64)>) -> Result<usize, ShardError>;
+    /// Applies a run of inserts and removes, in order: what the server
+    /// makes of the consecutive writes it pops off its queue together.
+    /// Returns the previous value of each op that was applied, in run
+    /// order; a result shorter than the run comes with the error that
+    /// stopped it, and the server answers every op from there on with
+    /// that error.
+    ///
+    /// The default is the per-op loop, stopping at the first error (the
+    /// ops after it are not attempted). It is also what the in-memory
+    /// tree keeps: a batch fanned out over its worker pool costs more
+    /// than the single writes it replaces. A backend that pays per
+    /// call — [`DurableSharded`] syncs its WAL — overrides this to pay
+    /// per run; its error covers the whole run, whose ops are then
+    /// outcome-unknown one by one (except `Overloaded`: none applied).
+    fn write_run(&self, ops: Vec<Op<u64, K>>) -> (Vec<Option<u64>>, Result<(), ShardError>) {
+        let mut prevs = Vec::with_capacity(ops.len());
+        for op in ops {
+            let prev = match op {
+                Op::Insert { key, value } => self.insert(key, value).map(|()| None),
+                Op::Remove { key } => self.remove(&key),
+            };
+            match prev {
+                Ok(prev) => prevs.push(prev),
+                Err(e) => return (prevs, Err(e)),
+            }
+        }
+        (prevs, Ok(()))
+    }
     /// Per-shard statistics snapshot.
     fn stats(&self) -> ShardStats;
     /// Pins a consistent cross-shard view (see [`ReadView`]). The
-    /// server serves runs of read requests from one view, so a
-    /// pipelined read batch observes a single write-history cut and
+    /// server answers each run of read requests from one view, so a
+    /// pipelined read run observes a single write-history cut and
     /// pays the cut protocol once.
     fn read_view(&self) -> ReadView<K>;
     /// Stable backend-kind label for the readiness endpoint
@@ -115,20 +153,8 @@ impl<const K: usize> Backend<K> for ShardedTree<u64, K> {
         Ok(())
     }
 
-    fn get(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError> {
-        Ok(ShardedTree::get(self, key))
-    }
-
     fn remove(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError> {
         Ok(ShardedTree::remove(self, key))
-    }
-
-    fn query(&self, min: &[u64; K], max: &[u64; K]) -> Result<Vec<([u64; K], u64)>, ShardError> {
-        Ok(ShardedTree::query(self, min, max))
-    }
-
-    fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], u64, f64)>, ShardError> {
-        Ok(ShardedTree::knn(self, center, n))
     }
 
     fn bulk_load(&self, items: Vec<([u64; K], u64)>) -> Result<usize, ShardError> {
@@ -153,24 +179,21 @@ impl<const K: usize> Backend<K> for DurableSharded<u64, K> {
         DurableSharded::insert(self, key, value).map(|_| ())
     }
 
-    fn get(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError> {
-        Ok(self.get_with(key, |v| *v))
-    }
-
     fn remove(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError> {
         DurableSharded::remove(self, key)
     }
 
-    fn query(&self, min: &[u64; K], max: &[u64; K]) -> Result<Vec<([u64; K], u64)>, ShardError> {
-        Ok(DurableSharded::query(self, min, max))
-    }
-
-    fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], u64, f64)>, ShardError> {
-        Ok(DurableSharded::knn(self, center, n))
-    }
-
     fn bulk_load(&self, items: Vec<([u64; K], u64)>) -> Result<usize, ShardError> {
         DurableSharded::bulk_load(self, items)
+    }
+
+    /// One WAL write and one sync per involved shard for the whole run
+    /// ([`DurableSharded::apply_run`]).
+    fn write_run(&self, ops: Vec<Op<u64, K>>) -> (Vec<Option<u64>>, Result<(), ShardError>) {
+        match self.apply_run(ops) {
+            Ok(prevs) => (prevs, Ok(())),
+            Err(e) => (Vec::new(), Err(e)),
+        }
     }
 
     fn stats(&self) -> ShardStats {
@@ -198,20 +221,8 @@ impl<const K: usize> Backend<K> for PackedBackend<K> {
         Err(ShardError::ReadOnly)
     }
 
-    fn get(&self, key: &[u64; K]) -> Result<Option<u64>, ShardError> {
-        self.0.get(key).map_err(ShardError::from)
-    }
-
     fn remove(&self, _key: &[u64; K]) -> Result<Option<u64>, ShardError> {
         Err(ShardError::ReadOnly)
-    }
-
-    fn query(&self, min: &[u64; K], max: &[u64; K]) -> Result<Vec<([u64; K], u64)>, ShardError> {
-        self.0.query(min, max).map_err(ShardError::from)
-    }
-
-    fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], u64, f64)>, ShardError> {
-        self.0.knn(center, n).map_err(ShardError::from)
     }
 
     fn bulk_load(&self, _items: Vec<([u64; K], u64)>) -> Result<usize, ShardError> {

@@ -4,7 +4,8 @@
 //! waiting; [`Client::recv`] reads frames until the wanted id arrives,
 //! stashing any other replies for later `recv` calls — so a caller may
 //! keep dozens of requests in flight on one connection and the server
-//! batches them on the admission queue. [`Client::call`] is the
+//! serves them a run at a time (reads in place, writes group-committed
+//! off the admission queue). [`Client::call`] is the
 //! one-shot send + flush + receive convenience.
 
 use crate::proto::{self, ProtoError, Request, Response, StatsReply};

@@ -10,15 +10,18 @@
 //!   full op surface: insert, get, remove, window query, kNN,
 //!   bulk-ingest, stats, ping. Requests carry ids, so one connection
 //!   can pipeline arbitrarily many.
-//! * [`server`] — std-only connection-per-thread accept loop feeding a
-//!   **shared bounded admission queue**. Workers pop batches; runs of
-//!   pipelined inserts coalesce into one `bulk_load` through the
-//!   backend's batch-admission seam, reads fan out through the
-//!   existing shard scatter. At the queue's high-water mark admission
-//!   first *blocks* the reader (backpressure via TCP flow control),
-//!   then sheds with a typed `Overloaded` reply — the same
-//!   not-applied, safe-to-retry contract `phshard` uses for migration
-//!   backlog shedding. A Prometheus sidecar answers `GET /metrics`.
+//! * [`server`] — std-only, a thread per connection. A connection
+//!   decodes every buffered frame and serves the requests as runs: a
+//!   run of reads is answered on the connection thread itself from one
+//!   pinned read view (no queue, no hand-off); a run of writes enters a
+//!   **shared bounded admission queue** whose workers apply each run of
+//!   pipelined inserts/removes with one backend call — one WAL write
+//!   and one sync per shard on the durable backend — and only then
+//!   release its acks. At the queue's high-water mark admission first
+//!   *blocks* the connection (backpressure via TCP flow control), then
+//!   sheds with a typed `Overloaded` reply — the same not-applied,
+//!   safe-to-retry contract `phshard` uses for migration backlog
+//!   shedding. A Prometheus sidecar answers `GET /metrics`.
 //! * [`backend`] — one trait over [`phshard::ShardedTree`],
 //!   [`phshard::DurableSharded`] and the read-only
 //!   [`backend::PackedBackend`] (a `phpack` packed checkpoint),
@@ -43,6 +46,7 @@ pub mod load;
 mod metrics;
 pub mod proto;
 pub mod server;
+mod sidecar;
 pub mod trace;
 
 pub use backend::{Backend, PackedBackend, ReadView};

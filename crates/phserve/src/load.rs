@@ -34,8 +34,8 @@ pub enum Scenario {
     PointHeavy,
     /// 25% insert, 65% window query, 10% point lookup.
     WindowHeavy,
-    /// Long pipelined insert runs (exercises coalescing into
-    /// `bulk_load`) with periodic explicit bulk frames and stats.
+    /// Long pipelined insert runs (exercises coalescing into write
+    /// runs) with periodic explicit bulk frames and stats.
     IngestBurst,
     /// Clustered keys with one hot cluster — drives routing skew and,
     /// with the rebalancer on, hot-shard splits under traffic.

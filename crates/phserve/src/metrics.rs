@@ -11,18 +11,21 @@
 //! * `phserve_requests_total{op=...}` — replies sent per op type
 //!   (including typed error replies).
 //! * `phserve_request_latency_ns{op=...}` — log₂ latency histogram
-//!   from admission to reply encode.
-//! * `phserve_queue_depth` (+`_peak`) — admission queue depth; the
-//!   peak proves the queue stayed bounded under overload.
+//!   from decode to reply encode.
+//! * `phserve_queue_depth` (+`_peak`) — admission queue depth (writes
+//!   only: reads never queue); the peak proves the queue stayed
+//!   bounded under overload.
 //! * `phserve_shed_total` — requests refused at admission with a typed
 //!   `Overloaded` reply (queue past high water).
 //! * `phserve_backend_overloaded_total` — requests refused by the
 //!   backend's own shed path (`ShardError::Overloaded` from a
 //!   migrating shard's backlog).
-//! * `phserve_batches_total` / `phserve_batch_size` — admission-queue
-//!   batches popped by workers, and their size distribution.
+//! * `phserve_batches_total` / `phserve_batch_size` — runs served:
+//!   admission-queue batches popped by workers and read runs answered
+//!   on connection threads, and their size distribution.
 //! * `phserve_coalesced_inserts_total` — pipelined inserts that rode a
-//!   bulk load instead of the per-key path.
+//!   write run of two or more ops (one backend call, one group commit)
+//!   instead of a call of their own.
 //! * `phserve_protocol_errors_total` — malformed frames (each closes
 //!   exactly its own connection).
 //! * `phserve_bytes_read_total` / `phserve_bytes_written_total` —

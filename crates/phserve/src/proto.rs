@@ -161,8 +161,7 @@ impl ErrorCode {
 /// not payloads (the paper's PH-tree maps keys to references).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request<const K: usize> {
-    /// Upsert `key` → `value`. Acked without the previous value so the
-    /// server may coalesce pipelined insert runs into one bulk load.
+    /// Upsert `key` → `value`, acked without the previous value.
     Insert {
         /// Key to upsert.
         key: [u64; K],
@@ -205,6 +204,15 @@ pub enum Request<const K: usize> {
 }
 
 impl<const K: usize> Request<K> {
+    /// Whether the request mutates the store: the server queues
+    /// writes for its workers and answers everything else in place.
+    pub fn is_write(&self) -> bool {
+        matches!(
+            self,
+            Request::Insert { .. } | Request::Remove { .. } | Request::BulkLoad { .. }
+        )
+    }
+
     /// Short op label for metrics/latency series.
     pub fn label(&self) -> &'static str {
         match self {
@@ -323,6 +331,26 @@ pub fn encode_request<const K: usize>(req_id: u64, req: &Request<K>) -> Vec<u8> 
 /// Encodes a response body (no frame header).
 pub fn encode_response<const K: usize>(req_id: u64, resp: &Response<K>) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
+    put_response(&mut out, req_id, resp);
+    out
+}
+
+/// Appends one whole response frame — header and body — to `out`,
+/// encoding the body in place: a connection's replies accumulate in
+/// one reused buffer, without a `Vec` per body and per frame.
+pub fn frame_response<const K: usize>(out: &mut Vec<u8>, req_id: u64, resp: &Response<K>) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    put_response(out, req_id, resp);
+    let body = start + HEADER_LEN;
+    debug_assert!(out.len() - body <= MAX_FRAME);
+    let len = (out.len() - body) as u32;
+    let crc = fnv1a(&out[body..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn put_response<const K: usize>(out: &mut Vec<u8>, req_id: u64, resp: &Response<K>) {
     out.extend_from_slice(&req_id.to_le_bytes());
     match resp {
         Response::Ack => out.push(RP_ACK),
@@ -341,7 +369,7 @@ pub fn encode_response<const K: usize>(req_id: u64, resp: &Response<K>) -> Vec<u
             out.push(K as u8);
             out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
             for (k, v) in entries {
-                put_key(&mut out, k);
+                put_key(out, k);
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -350,7 +378,7 @@ pub fn encode_response<const K: usize>(req_id: u64, resp: &Response<K>) -> Vec<u
             out.push(K as u8);
             out.extend_from_slice(&(hits.len() as u32).to_le_bytes());
             for (k, v, d) in hits {
-                put_key(&mut out, k);
+                put_key(out, k);
                 out.extend_from_slice(&v.to_le_bytes());
                 out.extend_from_slice(&d.to_bits().to_le_bytes());
             }
@@ -376,7 +404,6 @@ pub fn encode_response<const K: usize>(req_id: u64, resp: &Response<K>) -> Vec<u
             out.extend_from_slice(&bytes[..n]);
         }
     }
-    out
 }
 
 /// Wraps a body in the length + checksum frame header.
@@ -579,6 +606,31 @@ pub fn decode_response<const K: usize>(body: &[u8]) -> Result<(u64, Response<K>)
 // Stream framing
 // ---------------------------------------------------------------------
 
+/// Parses a frame header into `(body length, checksum)`, enforcing
+/// the length bounds before anything is allocated or awaited.
+fn parse_header(header: &[u8]) -> Result<(usize, u64), ProtoError> {
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+    let crc = u64::from_le_bytes(header[4..12].try_into().unwrap());
+    if len == 0 {
+        return Err(ProtoError::Malformed("empty frame body"));
+    }
+    if len > MAX_FRAME {
+        return Err(ProtoError::Oversized {
+            len,
+            max: MAX_FRAME,
+        });
+    }
+    Ok((len, crc))
+}
+
+fn check_crc(body: &[u8], crc: u64) -> Result<(), ProtoError> {
+    let got = fnv1a(body);
+    if got != crc {
+        return Err(ProtoError::BadCrc { expect: crc, got });
+    }
+    Ok(())
+}
+
 /// Reads one frame from `r`, verifying length bound and checksum.
 /// Returns `Ok(None)` on a clean end-of-stream at a frame boundary
 /// (the peer closed between requests); EOF anywhere else is
@@ -595,17 +647,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let crc = u64::from_le_bytes(header[4..12].try_into().unwrap());
-    if len == 0 {
-        return Err(ProtoError::Malformed("empty frame body"));
-    }
-    if len > MAX_FRAME {
-        return Err(ProtoError::Oversized {
-            len,
-            max: MAX_FRAME,
-        });
-    }
+    let (len, crc) = parse_header(&header)?;
     let mut body = vec![0u8; len];
     if let Err(e) = r.read_exact(&mut body) {
         return Err(if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -614,11 +656,24 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
             ProtoError::Io(e)
         });
     }
-    let got = fnv1a(&body);
-    if got != crc {
-        return Err(ProtoError::BadCrc { expect: crc, got });
-    }
+    check_crc(&body, crc)?;
     Ok(Some(body))
+}
+
+/// Splits the first frame off `buf` — bytes already read from a
+/// stream — verifying length bound and checksum: `(body, bytes
+/// consumed)`, or `Ok(None)` while the frame is still incomplete. The
+/// server drains every buffered frame this way before it reads again.
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ProtoError> {
+    let Some(header) = buf.get(..HEADER_LEN) else {
+        return Ok(None);
+    };
+    let (len, crc) = parse_header(header)?;
+    let Some(body) = buf.get(HEADER_LEN..HEADER_LEN + len) else {
+        return Ok(None);
+    };
+    check_crc(body, crc)?;
+    Ok(Some((body, HEADER_LEN + len)))
 }
 
 /// Writes one framed body to `w`.
@@ -697,6 +752,39 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), a);
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn in_place_framing_matches_and_splits_back() {
+        let resps: [Response<3>; 3] = [
+            Response::Ack,
+            Response::Value(Some(7)),
+            Response::Entries(vec![([1, 2, 3], 4), ([5, 6, 7], 8)]),
+        ];
+        let (mut stream, mut expect) = (Vec::new(), Vec::new());
+        for (i, resp) in resps.iter().enumerate() {
+            frame_response(&mut stream, i as u64, resp);
+            expect.extend(frame(&encode_response(i as u64, resp)));
+        }
+        assert_eq!(stream, expect, "same bytes as encode + frame");
+        let mut rest = &stream[..];
+        for (i, resp) in resps.iter().enumerate() {
+            assert!(split_frame(&rest[..rest.len().min(HEADER_LEN + 3)])
+                .unwrap()
+                .is_none());
+            let (body, used) = split_frame(rest).unwrap().expect("a whole frame");
+            assert_eq!(
+                decode_response::<3>(body).unwrap(),
+                (i as u64, resp.clone())
+            );
+            rest = &rest[used..];
+        }
+        assert!(split_frame(rest).unwrap().is_none(), "drained");
+        stream[HEADER_LEN] ^= 1;
+        assert!(matches!(
+            split_frame(&stream),
+            Err(ProtoError::BadCrc { .. })
+        ));
     }
 
     #[test]

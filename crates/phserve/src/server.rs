@@ -1,47 +1,60 @@
-//! The TCP server: connection-per-thread readers feeding a shared
-//! bounded admission queue, batching workers, and load-shedding.
+//! The TCP server: a thread per connection that answers reads itself,
+//! and a shared bounded admission queue whose workers apply writes a
+//! run at a time.
 //!
 //! ## Data flow
 //!
 //! ```text
-//! accept loop ──▶ conn reader ──▶ admission queue ──▶ worker(s)
-//!                 (1 thread/conn)  (bounded, shared)   (batch pop)
-//!                      │                                   │
-//!                 conn writer ◀──── framed replies ◀───────┘
+//!                              ┌─ read run ──▶ answered here, from one
+//! accept loop ──▶ conn thread ─┤               pinned ReadView
+//!                 (1 per conn) └─ write run ─▶ admission queue ──▶ worker(s)
+//!                       ▼                      (bounded, shared)   (batch pop, one
+//!                 conn output ◀───── the run's replies ◀─────────── backend call
+//!                 (reused buffer + socket, mutex; one write per run)  per run)
 //! ```
 //!
-//! Each connection gets a reader thread (decodes frames, admits
-//! requests) and a writer thread (serialises framed replies from an
-//! mpsc channel). Workers pop up to [`ServerConfig::batch_max`]
-//! requests per lock acquisition — pipelined clients therefore batch
-//! naturally: the deeper the queue, the bigger the pop. A maximal run
-//! of consecutive `Insert` requests in a batch is coalesced into one
-//! [`Backend::bulk_load`] call (the phshard batch-admission seam); a
-//! maximal run of consecutive reads (`Get`/`Query`/`Knn`/`Stats`) is
-//! answered from **one** pinned [`Backend::read_view`] — a single
-//! consistent cross-shard cut per run, with zero lock acquisitions on
-//! the tree read path.
+//! A connection thread decodes every frame already buffered and serves
+//! the requests as maximal runs. A run of reads (`Get`/`Query`/`Knn`/
+//! `Stats`/`Ping`) never queues: the thread answers it from **one**
+//! pinned [`Backend::read_view`] — a single consistent cross-shard
+//! cut, zero locks on the tree read path, zero thread hand-offs —
+//! framing into the connection's reused output buffer and writing it
+//! once. A run of writes is admitted to the queue. Whoever drains the
+//! queue — a worker, or a connection that needs its own writes
+//! acknowledged before a read — pops up to [`ServerConfig::batch_max`]
+//! jobs (the deeper the queue, the bigger the pop, across connections)
+//! and applies each maximal run of consecutive `Insert`/`Remove` jobs
+//! with one [`Backend::write_run`] call — on the durable backend one
+//! WAL write and one sync per involved shard, however long the run —
+//! releasing the run's replies only after it returns: **acked ⇒
+//! synced**. An error reply to a run means *outcome unknown* for each
+//! of its ops (it may have committed on some shards), except
+//! `Overloaded`: none applied.
 //!
 //! ## Backpressure and shedding
 //!
-//! The admission queue is bounded by [`ServerConfig::queue_cap`] — the
-//! high-water mark. A reader that finds the queue at high water first
-//! *blocks* for up to [`ServerConfig::shed_wait`] (backpressure: the
-//! connection stops reading, TCP flow control pushes back on the
-//! client); if the queue is still at high water it replies with a
-//! typed `Overloaded` error — the same contract as
-//! `phshard::ShardError::Overloaded`: the op was not applied and is
-//! safe to retry. Queue depth is therefore *provably* bounded: depth
-//! never exceeds `queue_cap`, and the `phserve_queue_depth_peak` gauge
-//! exposes the observed maximum.
+//! The queue (writes only) is bounded by [`ServerConfig::queue_cap`],
+//! the high-water mark. A connection that finds it there first
+//! *blocks* for up to [`ServerConfig::shed_wait`] (it stops reading,
+//! TCP flow control pushes back on the client), then replies with a
+//! typed `Overloaded` error — the `phshard::ShardError::Overloaded`
+//! contract: not applied, safe to retry. Depth never exceeds
+//! `queue_cap`; `phserve_queue_depth_peak` exposes the observed
+//! maximum. A peer that stops reading its replies is closed once a
+//! reply write has taken [`WRITE_TIMEOUT`].
 //!
 //! ## Ordering
 //!
-//! With the default single worker, replies on one connection preserve
-//! request order. With `workers > 1`, batches may complete out of
-//! order across batch boundaries — every reply carries its request id,
-//! so pipelined clients match by id (per-key linearizability still
-//! comes from the backend's shard locks).
+//! A connection answers a read only once every earlier write of its
+//! own is acknowledged, and with the default single worker batches
+//! apply one at a time in queue order: replies on one connection come
+//! in request order, and a connection reads its own writes. Two
+//! exceptions, both visible by request id: a shed write's `Overloaded`
+//! reply is sent at once and may overtake earlier queued writes' acks,
+//! and with `workers > 1` batches may complete out of order (per-key
+//! linearizability still comes from the backend's shard locks). Reads
+//! do not wait for *other* connections' queued writes; they see every
+//! write acknowledged before they were sent.
 //!
 //! A malformed frame (bad checksum, oversized length, unknown opcode,
 //! torn body) yields a typed [`ProtoError`], a best-effort error
@@ -51,35 +64,46 @@
 use crate::backend::{Backend, ReadView};
 use crate::metrics::ServeMetrics;
 use crate::proto::{self, ErrorCode, ProtoError, Request, Response, StatsReply};
+use crate::sidecar;
 use phmetrics::{OpTimer, Registry};
-use phshard::{ShardError, ShardStats};
+use phshard::ShardError;
+use phtree::Op;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a reply write may block on a peer that is not reading
+/// before the server gives the connection up.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Reply bytes a connection lets a run buffer before writing mid-run.
+const FLUSH_AT: usize = 64 << 10;
 
 /// Server tuning. Defaults suit a small host; the load generator and
 /// tests shrink the queue to force the shed path deterministically.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Admission-queue high-water mark (hard depth bound). A reader
-    /// finding the queue here blocks for [`ServerConfig::shed_wait`],
-    /// then sheds with a typed `Overloaded` reply.
+    /// Admission-queue high-water mark (hard depth bound) for writes.
+    /// A connection finding the queue here blocks for
+    /// [`ServerConfig::shed_wait`], then sheds with a typed
+    /// `Overloaded` reply.
     pub queue_cap: usize,
-    /// Maximum requests a worker pops per lock acquisition.
+    /// Maximum writes a worker pops per lock acquisition — the bound on
+    /// a group-committed run.
     pub batch_max: usize,
     /// Worker threads draining the admission queue. 1 (the default)
     /// preserves per-connection reply order.
     pub workers: usize,
     /// How long an admission blocks on a full queue before shedding.
     pub shed_wait: Duration,
-    /// Artificial per-backend-call service delay — a load-testing aid
-    /// to emulate an expensive backend on fast loopback hardware (the
-    /// overload scenario and the shed tests use it). `None` in
-    /// production.
+    /// Artificial per-backend-call service delay (once per write run
+    /// and per read run) — a load-testing aid to emulate an expensive
+    /// backend on fast loopback hardware (the overload scenario and
+    /// the shed tests use it). `None` in production.
     pub op_delay: Option<Duration>,
 }
 
@@ -95,18 +119,74 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted request awaiting a worker.
-struct Job<const K: usize> {
+/// One connection's write side, shared by its own thread (read
+/// replies, sheds) and the workers (write acks).
+struct Conn {
+    sock: TcpStream,
+    out: Mutex<Out>,
+    /// Signalled when `unacked` reaches 0 (or the connection dies).
+    acked: Condvar,
+}
+
+#[derive(Default)]
+struct Out {
+    /// Framed replies not yet written; reused from run to run.
+    buf: Vec<u8>,
+    /// Writes of this connection admitted and not yet answered.
+    unacked: usize,
+    /// The peer is gone or stopped reading: replies are discarded.
+    dead: bool,
+}
+
+impl Conn {
+    fn out(&self) -> MutexGuard<'_, Out> {
+        self.out.lock().expect("connection output lock poisoned")
+    }
+
+    /// Writes the buffered replies (one `write`, unless the peer is
+    /// slow), then counts `acked` queued writes as answered. A write
+    /// that fails, or has not finished [`WRITE_TIMEOUT`] after it began,
+    /// closes the connection — the ops already happened; the client
+    /// just never hears.
+    fn flush(&self, out: &mut Out, acked: usize) {
+        let deadline = Instant::now() + WRITE_TIMEOUT;
+        let mut rest = &out.buf[..];
+        while !out.dead && !rest.is_empty() {
+            match (&self.sock).write(rest) {
+                Ok(n) if n > 0 && Instant::now() < deadline => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => {
+                    out.dead = true;
+                    let _ = self.sock.shutdown(Shutdown::Both);
+                }
+            }
+        }
+        out.buf.clear();
+        out.buf.shrink_to(FLUSH_AT);
+        out.unacked -= acked;
+        if out.unacked == 0 || out.dead {
+            self.acked.notify_all();
+        }
+    }
+}
+
+/// What a request carries from decode to reply besides its payload.
+struct Meta {
     req_id: u64,
-    req: Request<K>,
+    label: &'static str,
     timer: OpTimer,
-    reply: mpsc::Sender<Vec<u8>>,
-    /// Trace context created at the wire layer (ZST when the `trace`
-    /// feature is off).
+    /// Wire-layer trace context (a ZST with the `trace` feature off).
     ctx: phtrace::TraceCtx,
-    /// Admission timestamp on the trace clock (0 untraced) — the root
+    /// Decode timestamp on the trace clock (0 untraced) — the root
     /// span's start, and the queue-wait span's start.
     enq_ns: u64,
+}
+
+/// One admitted write awaiting a worker.
+struct Job<const K: usize> {
+    meta: Meta,
+    req: Request<K>,
+    conn: Arc<Conn>,
     /// Queue depth observed at admission, recorded on the queue span.
     depth: u32,
 }
@@ -119,86 +199,104 @@ struct Shared<B: Backend<K>, const K: usize> {
     queue: Mutex<VecDeque<Job<K>>>,
     /// Signals workers: the queue gained jobs (or stop flipped).
     work: Condvar,
-    /// Signals blocked readers: the queue drained below high water.
+    /// Signals blocked connections: the queue drained below high water.
     space: Condvar,
+    /// Held while a batch is popped and applied when one worker is
+    /// configured: batches then apply one at a time, in queue order,
+    /// whichever thread applies them.
+    turn: Mutex<()>,
     stop: AtomicBool,
-    /// Live connection sockets (by connection id) so shutdown can
-    /// unblock their reader threads.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
+    /// Live connections (by connection id) so shutdown can unblock
+    /// their threads.
+    conns: Mutex<HashMap<usize, Arc<Conn>>>,
+    /// Runs served, read and write; paces the slow-threshold retune.
+    runs: AtomicU64,
 }
 
 impl<B: Backend<K>, const K: usize> Shared<B, K> {
-    /// Admits `job` or sheds it with a typed `Overloaded` reply after
-    /// the bounded backpressure wait. Never blocks unboundedly.
-    fn admit(&self, mut job: Job<K>) {
+    fn stop(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Admits a connection's run of writes, in order. A job that finds
+    /// the queue at high water (or the server stopping) blocks for the
+    /// bounded backpressure wait, then is shed with a typed
+    /// `Overloaded` reply. Never blocks unboundedly. `wake` is false
+    /// when the connection goes on to a read run, which applies the
+    /// queue itself ([`Shared::answer`]) sooner than a woken worker.
+    fn admit(&self, conn: &Arc<Conn>, run: Vec<(Meta, Request<K>)>, wake: bool) {
+        conn.out().unacked += run.len();
+        let mut shed = Vec::new();
+        let cap = self.cfg.queue_cap;
         let mut q = self.queue.lock().unwrap();
-        if q.len() >= self.cfg.queue_cap {
-            let (guard, _) = self
-                .space
-                .wait_timeout_while(q, self.cfg.shed_wait, |q| {
-                    q.len() >= self.cfg.queue_cap && !self.stop.load(Ordering::Relaxed)
-                })
-                .unwrap();
-            q = guard;
-            if q.len() >= self.cfg.queue_cap {
-                drop(q);
-                self.metrics.shed.inc();
-                let cap = self.cfg.queue_cap;
-                phtrace::trigger_dump(&format!(
-                    "admission shed: op {} (req {}) with queue at high water ({cap})",
-                    job.req.label(),
-                    job.req_id,
-                ));
-                self.respond(
-                    job,
-                    &Response::Error {
-                        code: ErrorCode::Overloaded,
-                        detail: format!("admission queue at high water ({cap})"),
-                    },
-                );
-                return;
+        for (meta, req) in run {
+            if q.len() >= cap {
+                self.metrics.queue_depth.set(q.len() as i64);
+                self.work.notify_one();
+                q = self
+                    .space
+                    .wait_timeout_while(q, self.cfg.shed_wait, |q| q.len() >= cap && !self.stop())
+                    .unwrap()
+                    .0;
             }
+            // Workers leave once the queue is empty and `stop` is set,
+            // both observed under this lock: nothing may enter then.
+            if q.len() >= cap || self.stop() {
+                shed.push(meta);
+                continue;
+            }
+            let depth = q.len() as u32;
+            q.push_back(Job {
+                meta,
+                req,
+                conn: Arc::clone(conn),
+                depth,
+            });
         }
-        job.depth = q.len() as u32;
-        q.push_back(job);
         self.metrics.queue_depth.set(q.len() as i64);
         drop(q);
-        self.work.notify_one();
-    }
-
-    /// Encodes, frames and sends the reply, then closes out the op's
-    /// latency/counter instruments. Send failures (peer gone) are
-    /// ignored — the op already happened; the client just never hears.
-    ///
-    /// The reply encode/send rides a `Reply` trace span, and this is
-    /// where the request's root span closes: if admission→now crossed
-    /// the slow threshold, `finish_root` assembles the per-phase
-    /// breakdown into the slow-query log.
-    fn respond(&self, job: Job<K>, resp: &Response<K>) {
-        {
-            let _t = job.ctx.attach();
-            let reply_span = phtrace::span(phtrace::Phase::Reply);
-            let body = proto::encode_response(job.req_id, resp);
-            let framed = proto::frame(&body);
-            self.metrics.bytes_written.add(framed.len() as u64);
-            let _ = job.reply.send(framed);
-            drop(reply_span);
-            phtrace::finish_root(job.ctx, job.enq_ns);
+        if wake {
+            self.work.notify_one();
         }
-        let inst = self.metrics.op(job.req.label());
-        inst.total.inc();
-        inst.latency_ns.finish(job.timer);
+        if shed.is_empty() {
+            return;
+        }
+        let mut out = conn.out();
+        let n = shed.len();
+        for meta in shed {
+            self.metrics.shed.inc();
+            phtrace::trigger_dump(&format!(
+                "admission shed: op {} (req {}) with queue at high water ({cap})",
+                meta.label, meta.req_id,
+            ));
+            let resp = Response::Error {
+                code: ErrorCode::Overloaded,
+                detail: format!("admission queue at high water ({cap})"),
+            };
+            self.reply(&mut out, meta, &resp);
+        }
+        conn.flush(&mut out, n);
     }
 
-    /// Opens the executing side of a job's trace on the calling worker:
-    /// records the queue-wait span (admission → now — spanning
-    /// head-of-line wait, any configured op delay, and batch position)
-    /// and attaches the request context so spans opened below belong
-    /// to it. Keep the guard alive across the backend call.
-    fn begin_exec(job: &Job<K>) -> phtrace::CtxGuard {
-        phtrace::record_queue_wait(job.ctx, job.enq_ns, job.depth);
-        job.ctx.attach()
+    /// Frames the reply into the connection's output buffer (a `Reply`
+    /// trace span) and closes out the op's instruments and its root
+    /// span: if decode→now crossed the slow threshold, `finish_root`
+    /// assembles the per-phase breakdown into the slow-query log.
+    fn reply(&self, out: &mut Out, meta: Meta, resp: &Response<K>) {
+        if !out.dead {
+            let _t = meta.ctx.attach();
+            let reply_span = phtrace::span(phtrace::Phase::Reply);
+            let before = out.buf.len();
+            proto::frame_response(&mut out.buf, meta.req_id, resp);
+            self.metrics
+                .bytes_written
+                .add((out.buf.len() - before) as u64);
+            drop(reply_span);
+            phtrace::finish_root(meta.ctx, meta.enq_ns);
+        }
+        let inst = self.metrics.op(meta.label);
+        inst.total.inc();
+        inst.latency_ns.finish(meta.timer);
     }
 
     /// Maps a backend failure to its wire error, counting backend
@@ -220,325 +318,288 @@ impl<B: Backend<K>, const K: usize> Shared<B, K> {
         }
     }
 
-    fn stats_reply(s: &ShardStats) -> StatsReply {
-        StatsReply {
-            shards: s.shards as u32,
-            entries: s.entries as u64,
-            epoch: s.epoch,
-            skew: s.skew(),
+    /// Counts one `phserve_batches_total` batch and, every 64, retunes
+    /// the Auto slow-query threshold from live traffic: trailing merged
+    /// p99 × 4 (1ms floor so loopback latencies don't flag every op).
+    fn note_run(&self, len: usize) {
+        self.metrics.batches.inc();
+        self.metrics.batch_size.record(len as u64);
+        let done = self.runs.fetch_add(1, Ordering::Relaxed) + 1;
+        if done.is_multiple_of(64) && phtrace::slow_threshold_is_auto() {
+            let p99 = self.metrics.merged_latency_p99_ns();
+            if p99 > 0 {
+                phtrace::set_slow_threshold_ns(p99.saturating_mul(4).max(1_000_000));
+            }
         }
     }
 
-    /// Executes one non-coalesced request against the backend.
-    fn handle_one(&self, job: Job<K>) {
+    /// Answers a maximal run of reads on the calling connection thread
+    /// from **one** read view, pinned once the connection's own earlier
+    /// writes are all acknowledged: each read sees them, and every
+    /// write any connection had acknowledged before the read was sent.
+    fn answer(&self, conn: &Conn, run: impl Iterator<Item = (Meta, Request<K>)>) {
+        // Earlier writes first — applied here, with whatever else is
+        // queued, rather than slept on until a worker has: a mixed
+        // stream then costs no hand-off per write→read boundary. An
+        // empty queue means a worker holds them (with one worker, has
+        // already finished them: `drain` waited its turn).
+        let mut out = conn.out();
+        while out.unacked > 0 && !out.dead {
+            drop(out);
+            let applied = self.drain();
+            out = conn.out();
+            if !applied && out.unacked > 0 && !out.dead {
+                out = conn.acked.wait(out).unwrap();
+            }
+        }
+        // Nobody else touches this output while `unacked` is 0, so the
+        // lock is held (uncontended) for the rest of the run.
         if let Some(d) = self.cfg.op_delay {
             std::thread::sleep(d);
         }
-        let _t = Self::begin_exec(&job);
-        let resp = match &job.req {
-            Request::Insert { key, value } => match self.backend.insert(*key, *value) {
-                Ok(()) => Response::Ack,
-                Err(e) => self.err_response(&e),
-            },
-            Request::Get { key } => match self.backend.get(key) {
-                Ok(v) => Response::Value(v),
-                Err(e) => self.err_response(&e),
-            },
-            Request::Remove { key } => match self.backend.remove(key) {
-                Ok(prev) => Response::Value(prev),
-                Err(e) => self.err_response(&e),
-            },
-            Request::Query { min, max } => match self.backend.query(min, max) {
-                Ok(entries) => Response::Entries(entries),
-                Err(e) => self.err_response(&e),
-            },
-            Request::Knn { center, n } => match self.backend.knn(center, *n as usize) {
-                Ok(nbs) => Response::Neighbors(nbs),
-                Err(e) => self.err_response(&e),
-            },
-            Request::BulkLoad { items } => match self.backend.bulk_load(items.clone()) {
+        let mut view: Option<ReadView<K>> = None;
+        let mut served = 0;
+        for (meta, req) in run {
+            // Queue-wait span: decode → execution start (earlier
+            // writes, any configured op delay, position in the run).
+            phtrace::record_queue_wait(meta.ctx, meta.enq_ns, 0);
+            let resp = {
+                let _t = meta.ctx.attach();
+                let view = view.get_or_insert_with(|| self.backend.read_view());
+                match &req {
+                    Request::Get { key } => view.get(key).map(Response::Value),
+                    Request::Query { min, max } => view.query(min, max).map(Response::Entries),
+                    Request::Knn { center, n } => {
+                        view.knn(center, *n as usize).map(Response::Neighbors)
+                    }
+                    Request::Stats => {
+                        let s = view.stats();
+                        Ok(Response::Stats(StatsReply {
+                            shards: s.shards as u32,
+                            entries: s.entries as u64,
+                            epoch: s.epoch,
+                            skew: s.skew(),
+                        }))
+                    }
+                    Request::Ping => Ok(Response::Pong),
+                    _ => unreachable!("a read run holds no writes"),
+                }
+                .unwrap_or_else(|e| self.err_response(&e))
+            };
+            self.reply(&mut out, meta, &resp);
+            if out.buf.len() >= FLUSH_AT {
+                conn.flush(&mut out, 0);
+            }
+            served += 1;
+        }
+        conn.flush(&mut out, 0);
+        self.note_run(served);
+    }
+
+    /// Makes a write run's backend call. Every job gets its queue-wait
+    /// span (decode → now: head-of-line wait, any configured op delay,
+    /// batch position); the call executes once, so its fan-out, WAL
+    /// and descent spans go to the run's first sampled request (the
+    /// rest still carry queue + reply phases).
+    fn execute<R>(&self, run: &[Job<K>], call: impl FnOnce() -> R) -> R {
+        if let Some(d) = self.cfg.op_delay {
+            std::thread::sleep(d);
+        }
+        for job in run {
+            phtrace::record_queue_wait(job.meta.ctx, job.meta.enq_ns, job.depth);
+        }
+        let ctx = run
+            .iter()
+            .map(|j| j.meta.ctx)
+            .find(|c| c.sampled())
+            .unwrap_or_else(phtrace::TraceCtx::off);
+        let _t = ctx.attach();
+        call()
+    }
+
+    /// Releases a run's replies, in order, with one socket write per
+    /// connection in the run (a connection's later flushes find its
+    /// buffer empty).
+    fn finish(&self, run: Vec<Job<K>>, mut resp_of: impl FnMut(&Request<K>) -> Response<K>) {
+        let conns: Vec<Arc<Conn>> = run
+            .into_iter()
+            .map(|job| {
+                let resp = resp_of(&job.req);
+                self.reply(&mut job.conn.out(), job.meta, &resp);
+                job.conn
+            })
+            .collect();
+        for conn in conns {
+            conn.flush(&mut conn.out(), 1);
+        }
+    }
+
+    /// Applies a maximal run of consecutive inserts and removes (or one
+    /// bulk load) with one backend call and acknowledges it only
+    /// afterwards.
+    fn write_run(&self, mut run: Vec<Job<K>>) {
+        if let Request::BulkLoad { items } = &mut run[0].req {
+            let items = std::mem::take(items);
+            let resp = match self.execute(&run, || self.backend.bulk_load(items)) {
                 Ok(new) => Response::Loaded { new: new as u32 },
                 Err(e) => self.err_response(&e),
-            },
-            Request::Stats => Response::Stats(Self::stats_reply(&self.backend.stats())),
-            Request::Ping => Response::Pong,
-        };
-        self.respond(job, &resp);
-    }
-
-    /// Whether a request can be answered from a pinned [`ReadView`].
-    fn is_read(req: &Request<K>) -> bool {
-        matches!(
-            req,
-            Request::Get { .. } | Request::Query { .. } | Request::Knn { .. } | Request::Stats
-        )
-    }
-
-    /// Answers one read request from a pinned read view.
-    fn handle_read(&self, job: Job<K>, view: &ReadView<K>) {
-        let _t = Self::begin_exec(&job);
-        let resp = match &job.req {
-            Request::Get { key } => match view.get(key) {
-                Ok(v) => Response::Value(v),
-                Err(e) => self.err_response(&e),
-            },
-            Request::Query { min, max } => match view.query(min, max) {
-                Ok(entries) => Response::Entries(entries),
-                Err(e) => self.err_response(&e),
-            },
-            Request::Knn { center, n } => match view.knn(center, *n as usize) {
-                Ok(nbs) => Response::Neighbors(nbs),
-                Err(e) => self.err_response(&e),
-            },
-            Request::Stats => Response::Stats(Self::stats_reply(&view.stats())),
-            _ => unreachable!("read run contains only reads"),
-        };
-        self.respond(job, &resp);
-    }
-
-    /// Processes one popped batch: maximal runs of consecutive inserts
-    /// ride one bulk load (all acked, or all shed — the backend's bulk
-    /// admission is all-or-nothing for `Overloaded`); maximal runs of
-    /// consecutive reads are answered from **one** pinned backend
-    /// read view (a single consistent cut for the whole run, and one
-    /// cut-protocol round instead of one per request — the view is
-    /// pinned after every request in the run was admitted, so each get
-    /// still sees every write acknowledged before it was sent);
-    /// everything else executes in order.
-    fn process(&self, batch: Vec<Job<K>>) {
-        let mut rest: VecDeque<Job<K>> = batch.into();
-        while let Some(first) = rest.pop_front() {
-            if Self::is_read(&first.req) && rest.front().is_some_and(|j| Self::is_read(&j.req)) {
-                let mut run = vec![first];
-                while rest.front().is_some_and(|j| Self::is_read(&j.req)) {
-                    run.push(rest.pop_front().unwrap());
-                }
-                if let Some(d) = self.cfg.op_delay {
-                    std::thread::sleep(d);
-                }
-                let view = self.backend.read_view();
-                for job in run {
-                    self.handle_read(job, &view);
-                }
-                continue;
-            }
-            let run_starts = matches!(first.req, Request::Insert { .. })
-                && matches!(rest.front().map(|j| &j.req), Some(Request::Insert { .. }));
-            if !run_starts {
-                self.handle_one(first);
-                continue;
-            }
-            let mut run = vec![first];
-            while matches!(rest.front().map(|j| &j.req), Some(Request::Insert { .. })) {
-                run.push(rest.pop_front().unwrap());
-            }
-            let items: Vec<([u64; K], u64)> = run
-                .iter()
-                .map(|j| match &j.req {
-                    Request::Insert { key, value } => (*key, *value),
-                    _ => unreachable!("run contains only inserts"),
-                })
-                .collect();
-            self.metrics.coalesced_inserts.add(run.len() as u64);
-            if let Some(d) = self.cfg.op_delay {
-                std::thread::sleep(d);
-            }
-            // Every job in the run gets its queue-wait span; the
-            // coalesced bulk load executes once, so its fan-out and
-            // descent spans are attributed to the run's first sampled
-            // request (the rest still carry queue + reply phases).
-            for job in &run {
-                phtrace::record_queue_wait(job.ctx, job.enq_ns, job.depth);
-            }
-            let exec_ctx = run
-                .iter()
-                .map(|j| j.ctx)
-                .find(|c| c.sampled())
-                .unwrap_or_else(phtrace::TraceCtx::off);
-            let resp = {
-                let _t = exec_ctx.attach();
-                match self.backend.bulk_load(items) {
-                    Ok(_) => Response::Ack,
-                    Err(e) => self.err_response(&e),
-                }
             };
-            for job in run {
-                self.respond(job, &resp);
-            }
+            return self.finish(run, |_| resp.clone());
         }
-    }
-
-    fn worker_loop(&self) {
-        let mut batches_done: u64 = 0;
-        loop {
-            let batch: Vec<Job<K>> = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if !q.is_empty() {
-                        break;
-                    }
-                    if self.stop.load(Ordering::Relaxed) {
-                        return; // queue drained, shutting down
-                    }
-                    q = self
-                        .work
-                        .wait_timeout(q, Duration::from_millis(50))
-                        .unwrap()
-                        .0;
-                }
-                let take = q.len().min(self.cfg.batch_max);
-                let batch = q.drain(..take).collect();
-                self.metrics.queue_depth.set(q.len() as i64);
-                batch
-            };
-            self.space.notify_all();
-            self.metrics.batches.inc();
-            self.metrics.batch_size.record(batch.len() as u64);
-            self.process(batch);
-            batches_done += 1;
-            // Retune the Auto slow-query threshold from live traffic:
-            // trailing merged p99 × 4 (1ms floor so fast loopback
-            // latencies don't flag every request), every 64 batches.
-            if batches_done.is_multiple_of(64) && phtrace::slow_threshold_is_auto() {
-                let p99 = self.metrics.merged_latency_p99_ns();
-                if p99 > 0 {
-                    phtrace::set_slow_threshold_ns(p99.saturating_mul(4).max(1_000_000));
-                }
-            }
-        }
-    }
-
-    /// Reader half of one connection. Returns when the peer closes,
-    /// the frame stream turns malformed, or the server stops.
-    fn serve_conn(&self, stream: TcpStream, conn_id: u64) {
-        let _ = stream.set_nodelay(true);
-        let write_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let (tx, rx) = mpsc::channel::<Vec<u8>>();
-        let writer = std::thread::Builder::new()
-            .name(format!("phserve-wr-{conn_id}"))
-            .spawn(move || {
-                let mut w = BufWriter::new(write_half);
-                while let Ok(frame) = rx.recv() {
-                    if w.write_all(&frame).is_err() {
-                        break;
-                    }
-                    // Drain whatever else is ready before paying the
-                    // flush: pipelined replies coalesce into one write.
-                    let mut dead = false;
-                    while let Ok(frame) = rx.try_recv() {
-                        if w.write_all(&frame).is_err() {
-                            dead = true;
-                            break;
-                        }
-                    }
-                    if dead || w.flush().is_err() {
-                        break;
-                    }
-                }
+        let ops: Vec<Op<u64, K>> = run
+            .iter()
+            .map(|job| match job.req {
+                Request::Insert { key, value } => Op::Insert { key, value },
+                Request::Remove { key } => Op::Remove { key },
+                _ => unreachable!("a write run holds inserts and removes"),
             })
-            .expect("spawn connection writer");
-
-        let mut r = BufReader::new(stream);
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            match proto::read_frame(&mut r) {
-                Ok(None) => break, // clean close at a frame boundary
-                Ok(Some(body)) => {
-                    self.metrics
-                        .bytes_read
-                        .add((proto::HEADER_LEN + body.len()) as u64);
-                    match proto::decode_request::<K>(&body) {
-                        Ok((req_id, req)) => {
-                            let timer = self.metrics.op(req.label()).latency_ns.start();
-                            let ctx = phtrace::start_request(
-                                req_id,
-                                phtrace::TraceOp::from_label(req.label()),
-                            );
-                            self.admit(Job {
-                                req_id,
-                                req,
-                                timer,
-                                reply: tx.clone(),
-                                ctx,
-                                enq_ns: phtrace::now_ns(),
-                                depth: 0,
-                            });
-                        }
-                        Err(e) => {
-                            self.protocol_error(&tx, &e);
-                            break;
-                        }
-                    }
-                }
-                Err(ProtoError::Io(_)) => break, // reset / our own shutdown
-                Err(e) => {
-                    if !self.stop.load(Ordering::Relaxed) {
-                        self.protocol_error(&tx, &e);
-                    }
-                    break;
-                }
-            }
+            .collect();
+        if run.len() > 1 {
+            let inserts = ops.iter().filter(|op| matches!(op, Op::Insert { .. }));
+            self.metrics.coalesced_inserts.add(inserts.count() as u64);
         }
-        drop(tx);
-        let _ = writer.join();
-        self.conns.lock().unwrap().remove(&conn_id);
-        self.metrics.connections.add(-1);
+        let (prevs, status) = self.execute(&run, || self.backend.write_run(ops));
+        let failed = status.err().map(|e| self.err_response(&e));
+        let mut prevs = prevs.into_iter();
+        self.finish(run, |req| match (prevs.next(), req) {
+            (Some(_), Request::Insert { .. }) => Response::Ack,
+            (Some(prev), _) => Response::Value(prev),
+            (None, _) => failed.clone().expect("a run cut short carries its error"),
+        });
     }
 
-    /// The `/readyz` payload: what this process is actually serving —
-    /// backend kind and writability, the current shard topology, and
-    /// the rebalancer / in-flight-migration state read back from the
-    /// registry (those series exist only when the backend records
-    /// them, i.e. with `phshard/metrics`; absent series render `null`).
-    fn readiness_json(&self, registry: &Registry) -> String {
-        let stats = self.backend.stats();
-        let snap = registry.snapshot();
-        let opt = |v: Option<i64>| match v {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
+    /// Pops up to `batch_max` queued writes and applies them run by
+    /// run; false if the queue was empty. Called by the workers and by
+    /// connections that need their own writes acknowledged.
+    fn drain(&self) -> bool {
+        let _turn = (self.cfg.workers <= 1).then(|| self.turn.lock().unwrap());
+        let batch: Vec<Job<K>> = {
+            let mut q = self.queue.lock().unwrap();
+            let take = q.len().min(self.cfg.batch_max);
+            let batch = q.drain(..take).collect();
+            self.metrics.queue_depth.set(q.len() as i64);
+            if !q.is_empty() {
+                self.work.notify_one(); // more than one batch's worth
+            }
+            batch
         };
-        let skew = stats.skew();
-        let skew = if skew.is_finite() { skew } else { 0.0 };
-        format!(
-            concat!(
-                "{{\"ready\":{},\"backend\":{{\"kind\":\"{}\",\"writable\":{}}},",
-                "\"shards\":{},\"entries\":{},\"epoch\":{},\"skew\":{:.4},",
-                "\"queue_depth\":{},",
-                "\"rebalancer\":{{\"routing_epoch\":{},\"splits_total\":{},",
-                "\"migration_inflight\":{}}}}}",
-            ),
-            !self.stop.load(Ordering::Relaxed),
-            self.backend.kind(),
-            self.backend.writable(),
-            stats.shards,
-            stats.entries,
-            stats.epoch,
-            skew,
-            self.queue.lock().unwrap().len(),
-            opt(snap.gauge("phshard_routing_epoch").map(|g| g.value)),
-            opt(snap
-                .counter("phshard_rebalance_splits_total")
-                .map(|c| c as i64)),
-            opt(snap.gauge("phshard_migration_inflight").map(|g| g.value)),
-        )
+        if batch.is_empty() {
+            return false;
+        }
+        self.space.notify_all();
+        self.note_run(batch.len());
+        let bulk = |job: &Job<K>| matches!(job.req, Request::BulkLoad { .. });
+        let mut rest = batch.into_iter().peekable();
+        while let Some(first) = rest.next() {
+            let mut run = vec![first];
+            if !bulk(&run[0]) {
+                run.extend(std::iter::from_fn(|| rest.next_if(|job| !bulk(job))));
+            }
+            self.write_run(run);
+        }
+        true
     }
 
-    /// Counts a malformed frame and best-effort sends a typed error
-    /// reply (request id 0 — the frame's id is untrustworthy) before
-    /// the caller closes the connection.
-    fn protocol_error(&self, tx: &mpsc::Sender<Vec<u8>>, e: &ProtoError) {
-        self.metrics.protocol_errors.inc();
-        phtrace::trigger_dump(&format!("protocol error: {e}"));
-        let resp: Response<K> = Response::Error {
-            code: ErrorCode::BadRequest,
-            detail: e.to_string(),
+    /// Applies queued writes nobody is waiting on; leaves once the
+    /// queue is drained and the server is stopping.
+    fn worker_loop(&self) {
+        loop {
+            let idle = |q: &mut VecDeque<Job<K>>| q.is_empty() && !self.stop();
+            let q = self.queue.lock().unwrap();
+            let q = self
+                .work
+                .wait_timeout_while(q, Duration::from_millis(50), idle)
+                .unwrap()
+                .0;
+            if q.is_empty() && self.stop() {
+                return;
+            }
+            drop(q);
+            self.drain();
+        }
+    }
+
+    /// One connection's thread: decodes every frame already buffered,
+    /// serves the requests as maximal read and write runs, reads
+    /// again. Returns when the peer closes, the frame stream turns
+    /// malformed, or the server stops.
+    fn serve_conn(&self, mut stream: TcpStream, conn: &Arc<Conn>) {
+        let mut inbuf = vec![0u8; 16 << 10];
+        let (mut lo, mut hi) = (0usize, 0usize);
+        let mut reqs: Vec<(Meta, Request<K>)> = Vec::new();
+        let bad: Option<ProtoError> = loop {
+            let bad = loop {
+                let (body, used) = match proto::split_frame(&inbuf[lo..hi]) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
+                };
+                match proto::decode_request::<K>(body) {
+                    Ok((req_id, req)) => {
+                        let label = req.label();
+                        let meta = Meta {
+                            req_id,
+                            label,
+                            timer: self.metrics.op(label).latency_ns.start(),
+                            ctx: phtrace::start_request(
+                                req_id,
+                                phtrace::TraceOp::from_label(label),
+                            ),
+                            enq_ns: phtrace::now_ns(),
+                        };
+                        reqs.push((meta, req));
+                    }
+                    Err(e) => break Some(e),
+                }
+                self.metrics.bytes_read.add(used as u64);
+                lo += used;
+            };
+            let mut run = reqs.drain(..).peekable();
+            while let Some((_, first)) = run.peek() {
+                let writes = first.is_write();
+                let mut same = std::iter::from_fn(|| run.next_if(|(_, r)| r.is_write() == writes));
+                match writes {
+                    true => {
+                        let jobs = same.collect();
+                        self.admit(conn, jobs, run.peek().is_none());
+                    }
+                    false => self.answer(conn, &mut same),
+                }
+            }
+            drop(run);
+            if bad.is_some() || self.stop() || conn.out().dead {
+                break bad;
+            }
+            // Every whole frame is served: make room and read on. The
+            // buffer only grows for a frame larger than itself, and
+            // `split_frame` has bounded that frame by `MAX_FRAME`.
+            inbuf.copy_within(lo..hi, 0);
+            (lo, hi) = (0, hi - lo);
+            if hi == inbuf.len() {
+                inbuf.resize(2 * hi, 0);
+            }
+            match stream.read(&mut inbuf[hi..]) {
+                Ok(0) if hi == 0 => break None, // clean close at a frame boundary
+                Ok(0) => break Some(ProtoError::Truncated),
+                Ok(n) => hi += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break None, // reset / our own shutdown
+            }
         };
-        let _ = tx.send(proto::frame(&proto::encode_response(0, &resp)));
+        if let Some(e) = bad.filter(|_| !self.stop()) {
+            // Count the malformed frame and best-effort send a typed
+            // error reply (request id 0 — the frame's id is
+            // untrustworthy) before closing the connection.
+            self.metrics.protocol_errors.inc();
+            phtrace::trigger_dump(&format!("protocol error: {e}"));
+            let resp: Response<K> = Response::Error {
+                code: ErrorCode::BadRequest,
+                detail: e.to_string(),
+            };
+            let mut out = conn.out();
+            proto::frame_response(&mut out.buf, 0, &resp);
+            conn.flush(&mut out, 0);
+        }
     }
 }
 
@@ -595,12 +656,17 @@ impl Drop for ServerHandle {
     }
 }
 
+fn named(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let spawned = std::thread::Builder::new().name(name).spawn(body);
+    spawned.expect("spawn server thread")
+}
+
 /// Binds `addr` (use port 0 for an ephemeral port), spawns the accept
 /// loop, `cfg.workers` queue workers and — when `metrics_addr` is
 /// given — an HTTP sidecar answering `GET /metrics` (Prometheus text
 /// exposition from `registry`), `/healthz` + `/livez` (liveness),
 /// `/readyz` (readiness JSON) and the `/debug/slow`, `/debug/trace`,
-/// `/debug/dumps` tracing endpoints (see [`serve_http_once`]).
+/// `/debug/dumps` tracing endpoints (see [`crate::sidecar`]).
 pub fn spawn<B: Backend<K>, const K: usize>(
     backend: Arc<B>,
     addr: &str,
@@ -617,61 +683,54 @@ pub fn spawn<B: Backend<K>, const K: usize>(
         queue: Mutex::new(VecDeque::with_capacity(cfg.queue_cap.min(4096))),
         work: Condvar::new(),
         space: Condvar::new(),
+        turn: Mutex::new(()),
         stop: AtomicBool::new(false),
         conns: Mutex::new(HashMap::new()),
-        next_conn: AtomicU64::new(0),
+        runs: AtomicU64::new(0),
     });
 
     let mut threads = Vec::new();
     for w in 0..cfg.workers.max(1) {
         let sh = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("phserve-worker-{w}"))
-                .spawn(move || sh.worker_loop())
-                .expect("spawn worker"),
-        );
+        threads.push(named(format!("phserve-worker-{w}"), move || {
+            sh.worker_loop()
+        }));
     }
 
     let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    {
-        let sh = Arc::clone(&shared);
-        let ct = Arc::clone(&conn_threads);
-        threads.push(
-            std::thread::Builder::new()
-                .name("phserve-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if sh.stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        sh.metrics.connections_total.inc();
-                        sh.metrics.connections.add(1);
-                        let conn_id = sh.next_conn.fetch_add(1, Ordering::Relaxed);
-                        if let Ok(clone) = stream.try_clone() {
-                            sh.conns.lock().unwrap().insert(conn_id, clone);
-                        }
-                        let conn_shared = Arc::clone(&sh);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("phserve-conn-{conn_id}"))
-                            .spawn(move || conn_shared.serve_conn(stream, conn_id))
-                            .expect("spawn connection thread");
-                        let mut ct = ct.lock().unwrap();
-                        // Reap finished connection threads so a
-                        // long-lived server doesn't hoard handles.
-                        let (done, live): (Vec<_>, Vec<_>) =
-                            ct.drain(..).partition(|h| h.is_finished());
-                        for h in done {
-                            let _ = h.join();
-                        }
-                        *ct = live;
-                        ct.push(handle);
-                    }
-                })
-                .expect("spawn accept loop"),
-        );
-    }
+    let (sh, ct) = (Arc::clone(&shared), Arc::clone(&conn_threads));
+    threads.push(named("phserve-accept".into(), move || {
+        for (conn_id, stream) in listener.incoming().enumerate() {
+            if sh.stop() {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let Ok(sock) = stream.try_clone() else {
+                continue;
+            };
+            let _ = sock.set_nodelay(true);
+            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
+            let conn = Arc::new(Conn {
+                sock,
+                out: Mutex::default(),
+                acked: Condvar::new(),
+            });
+            sh.metrics.connections_total.inc();
+            sh.metrics.connections.add(1);
+            sh.conns.lock().unwrap().insert(conn_id, Arc::clone(&conn));
+            let conn_shared = Arc::clone(&sh);
+            let handle = named(format!("phserve-conn-{conn_id}"), move || {
+                conn_shared.serve_conn(stream, &conn);
+                conn_shared.conns.lock().unwrap().remove(&conn_id);
+                conn_shared.metrics.connections.add(-1);
+            });
+            let mut ct = ct.lock().unwrap();
+            // Let go of finished connection threads so a long-lived
+            // server doesn't hoard handles.
+            ct.retain(|h| !h.is_finished());
+            ct.push(handle);
+        }
+    }));
 
     let metrics_local = match metrics_addr {
         Some(maddr) => {
@@ -679,21 +738,17 @@ pub fn spawn<B: Backend<K>, const K: usize>(
             let mlocal = mlistener.local_addr()?;
             let reg = registry.clone();
             let sh = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("phserve-metrics".into())
-                    .spawn(move || {
-                        for stream in mlistener.incoming() {
-                            if sh.stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if let Ok(mut s) = stream {
-                                serve_http_once(&mut s, &reg, &sh);
-                            }
-                        }
-                    })
-                    .expect("spawn metrics sidecar"),
-            );
+            threads.push(named("phserve-metrics".into(), move || {
+                sidecar::serve(
+                    &mlistener,
+                    &reg,
+                    || sh.stop(),
+                    || {
+                        let depth = sh.queue.lock().unwrap().len();
+                        sidecar::readiness_json(!sh.stop(), &*sh.backend, depth, &reg)
+                    },
+                )
+            }));
             Some(mlocal)
         }
         None => None,
@@ -704,8 +759,8 @@ pub fn spawn<B: Backend<K>, const K: usize>(
         stop_shared.stop.store(true, Ordering::SeqCst);
         stop_shared.work.notify_all();
         stop_shared.space.notify_all();
-        for s in stop_shared.conns.lock().unwrap().values() {
-            let _ = s.shutdown(Shutdown::Both);
+        for c in stop_shared.conns.lock().unwrap().values() {
+            let _ = c.sock.shutdown(Shutdown::Both);
         }
         // Wake the (blocking) accept loops.
         let _ = TcpStream::connect(local);
@@ -722,77 +777,4 @@ pub fn spawn<B: Backend<K>, const K: usize>(
         threads,
         conn_threads,
     })
-}
-
-/// Answers exactly one HTTP request on `s`. Routes:
-///
-/// * `GET /metrics` — Prometheus text exposition.
-/// * `GET /healthz`, `GET /livez` — liveness: `ok` whenever the
-///   process is up and the sidecar thread is serving (no dependency
-///   on the backend — a wedged backend must not make the orchestrator
-///   restart-loop the process).
-/// * `GET /readyz` — readiness as JSON: backend kind/writability,
-///   shard topology, rebalancer + in-flight migration state.
-/// * `GET /debug/slow` — the slow-query log (JSON; `[]` untraced).
-/// * `GET /debug/trace?n=N` — the N most recent flight-recorder
-///   records (default 256).
-/// * `GET /debug/dumps` — retained trigger-dump snapshots.
-///
-/// Anything else 404. Connection: close — scrapers reconnect per
-/// scrape.
-fn serve_http_once<B: Backend<K>, const K: usize>(
-    s: &mut TcpStream,
-    registry: &Registry,
-    shared: &Shared<B, K>,
-) {
-    let _ = s.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut buf = [0u8; 4096];
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match s.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                filled += n;
-                if buf[..filled].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf[..filled]);
-    let path = head
-        .lines()
-        .next()
-        .and_then(|line| {
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next()) {
-                (Some("GET"), Some(p)) => Some(p.to_string()),
-                _ => None,
-            }
-        })
-        .unwrap_or_default();
-    const TEXT: &str = "text/plain; version=0.0.4";
-    const JSON: &str = "application/json";
-    let (status, ctype, body) = match path.as_str() {
-        "/metrics" => ("200 OK", TEXT, registry.render_prometheus()),
-        "/healthz" | "/livez" => ("200 OK", TEXT, "ok\n".to_string()),
-        "/readyz" => ("200 OK", JSON, shared.readiness_json(registry)),
-        "/debug/slow" => ("200 OK", JSON, phtrace::slow_json()),
-        "/debug/dumps" => ("200 OK", JSON, phtrace::dumps_json()),
-        p if p.starts_with("/debug/trace") => {
-            let n = p
-                .split_once("?n=")
-                .and_then(|(_, v)| v.parse().ok())
-                .unwrap_or(256);
-            ("200 OK", JSON, phtrace::trace_json(n))
-        }
-        _ => ("404 Not Found", TEXT, "not found\n".to_string()),
-    };
-    let resp = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = s.write_all(resp.as_bytes());
-    let _ = s.flush();
 }

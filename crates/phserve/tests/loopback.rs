@@ -337,3 +337,115 @@ fn durable_backend_acked_writes_survive_restart() {
     assert_eq!(reopened.get_with(&[7, 7, 9], |v| *v), Some(7));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Pipelines `[insert k v, get k, window ∋ k, remove k, get k,
+/// window ∋ k]` groups with 64 requests in flight and checks every
+/// reply, in arrival order: a connection's replies come back in
+/// request order, and each read sees exactly the writes sent before it
+/// on its connection — it may neither overtake a write still in the
+/// admission queue nor be answered from a view pinned before that
+/// write was acknowledged.
+fn pipelined_reads_follow_own_writes(server: &phserve::ServerHandle) {
+    use phserve::proto::{decode_response, encode_request, read_frame, write_frame};
+    let mut groups: Vec<(Request<K>, Response<K>)> = Vec::new();
+    for i in 1..=200u64 {
+        let (key, value) = ([i * 10, i * 10, 7], i);
+        let get = Request::Get { key };
+        let window = Request::Query {
+            min: [i * 10 - 1, i * 10 - 1, 0],
+            max: [i * 10 + 1, i * 10 + 1, 9],
+        };
+        groups.extend([
+            (Request::Insert { key, value }, Response::Ack),
+            (get.clone(), Response::Value(Some(value))),
+            (window.clone(), Response::Entries(vec![(key, value)])),
+            (Request::Remove { key }, Response::Value(Some(value))),
+            (get, Response::Value(None)),
+            (window, Response::Entries(vec![])),
+        ]);
+    }
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut sent = 0;
+    for (answered, (req, want)) in groups.iter().enumerate() {
+        while sent < groups.len() && sent < answered + 64 {
+            write_frame(&mut sock, &encode_request(sent as u64, &groups[sent].0)).unwrap();
+            sent += 1;
+        }
+        let body = read_frame(&mut sock).unwrap().expect("a reply frame");
+        let (id, got) = decode_response::<K>(&body).unwrap();
+        assert_eq!(id, answered as u64, "replies must come in request order");
+        assert_eq!(&got, want, "request {answered}: {req:?}");
+    }
+}
+
+#[test]
+fn pipelined_reads_follow_own_writes_in_memory() {
+    let server = mem_server(ServerConfig::default());
+    pipelined_reads_follow_own_writes(&server);
+    server.stop();
+}
+
+#[test]
+fn pipelined_reads_follow_own_writes_durable() {
+    let backend = Arc::new(
+        DurableSharded::<u64, K>::open_with(
+            Arc::new(phstore::vfs::MemVfs::new()),
+            std::path::Path::new("/db"),
+            8,
+            DurableConfig::default(),
+        )
+        .unwrap(),
+    );
+    let cfg = ServerConfig::default();
+    let server = spawn(backend, "127.0.0.1:0", None, Registry::new(), cfg).unwrap();
+    pipelined_reads_follow_own_writes(&server);
+    server.stop();
+}
+
+/// A peer that floods gets and never reads a reply is closed once a
+/// reply write has blocked for the write timeout; meanwhile a second
+/// connection's inserts keep being acknowledged.
+#[test]
+fn peer_that_never_reads_is_closed_by_the_write_timeout() {
+    use phserve::proto::{encode_request, frame};
+    use phserve::server::WRITE_TIMEOUT;
+    let server = mem_server(ServerConfig::default());
+    let mut flood = TcpStream::connect(server.addr()).unwrap();
+    flood
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let started = std::time::Instant::now();
+    let flooder = std::thread::spawn(move || {
+        // 10 k gets to a write; replies pile up unread until the
+        // server's send buffer and ours are full, its reply write
+        // blocks, times out, and it closes — failing our write.
+        let burst: Vec<u8> = (0..10_000u64)
+            .flat_map(|i| frame(&encode_request(i, &Request::<K>::Get { key: [i, i, i] })))
+            .collect();
+        while flood.write_all(&burst).is_ok() {}
+        started.elapsed()
+    });
+    let mut c: Client<K> = Client::connect(server.addr()).unwrap();
+    let mut acked = 0u64;
+    while !flooder.is_finished() {
+        assert!(
+            started.elapsed() < Duration::from_secs(25),
+            "the flooding connection was never closed"
+        );
+        assert!(matches!(
+            c.insert([acked, 1, 2], acked).unwrap(),
+            Response::Ack
+        ));
+        acked += 1;
+    }
+    let closed_after = flooder.join().unwrap();
+    assert!(
+        closed_after >= WRITE_TIMEOUT / 2,
+        "closed after {closed_after:?}: not by the write timeout"
+    );
+    assert!(acked > 0, "the second connection starved");
+    assert_eq!(c.get([0, 1, 2]).unwrap(), Some(0));
+    server.stop();
+}

@@ -704,7 +704,7 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         }
         // Sustained write pressure: freeze the cut under every live
         // cell's state lock, in ascending slot order — the order of
-        // bulk_load's multi-acquisition, so no deadlock. (`live_slots`
+        // apply_run's multi-acquisition, so no deadlock. (`live_slots`
         // is in Z-order, which stops being slot order at the first
         // split.)
         'retry: loop {
@@ -744,50 +744,54 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         self.snapshot().knn(center, n)
     }
 
-    /// Bulk-inserts `items`: the batch admission seam the serving
-    /// layer's pipelined ingest rides on. Items are partitioned by the
-    /// routing map once, every involved shard is write-locked in
-    /// ascending slot order, and admission is checked against each
-    /// armed migration backlog **before any item is journaled**: if any
-    /// partition would overflow its backlog the whole batch sheds with
-    /// [`ShardError::Overloaded`] — nothing journaled, nothing applied,
-    /// safe to retry. Once admitted, each item is journaled then
-    /// applied exactly like [`DurableSharded::insert`] (one WAL append
-    /// per item, one lock acquisition per shard). Returns the number
-    /// of *new* keys (duplicates overwrite, last write wins).
+    /// Applies a run of inserts and removes as one group commit per
+    /// involved shard — the multi-cell write path the serving layer's
+    /// pipelined writes ride on. Returns each op's previous value, in
+    /// run order.
     ///
-    /// Durability on a store I/O error matches the sequential path: the
-    /// failing item and everything after it (in slot order, then batch
-    /// order within a slot) are neither journaled nor applied; items
-    /// before it are as durable as individually acknowledged inserts.
+    /// The run is partitioned by the routing map in run order (so ops
+    /// on one key keep their order: last writer wins), every involved
+    /// shard is write-locked in ascending slot order, and admission is
+    /// checked against each armed migration backlog **before anything
+    /// is journaled**: if any partition would overflow its backlog the
+    /// whole run sheds with [`ShardError::Overloaded`] — nothing
+    /// journaled, nothing applied, safe to retry. Once admitted, each
+    /// shard's partition is one [`Durable::apply_batch`]: one WAL
+    /// write and one sync per involved shard, however long the run.
+    ///
+    /// On a store I/O error the failing shard's partition is not
+    /// applied and later shards (in slot order) are not attempted;
+    /// earlier shards' partitions are durable. The caller learns only
+    /// the error, so it must treat every op of the run as
+    /// outcome-unknown. The same holds for a crash before the call
+    /// returns: the run may survive in part — whole partitions of some
+    /// shards, a frame prefix of one.
     ///
     /// Publication is all-at-once: every involved shard's new tree
     /// version is published inside **one** write-clock bracket after
-    /// the whole batch applies, so a [`Snapshot`] observes either none
-    /// of the batch or all of it — never a torn batch. (A shed batch
-    /// publishes nothing; a mid-batch I/O error publishes the applied,
-    /// durable prefix before surfacing the error.)
-    pub fn bulk_load(&self, items: Vec<([u64; K], V)>) -> Result<usize, ShardError> {
-        let mut new_total = 0usize;
+    /// the whole run applies, so a [`Snapshot`] observes either none
+    /// of the run or all of it — never a torn run. (A shed run
+    /// publishes nothing; an I/O error publishes the applied, durable
+    /// partitions before surfacing.)
+    pub fn apply_run(&self, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, ShardError> {
         'retry: loop {
             let inner = self.load_state();
             let bound = inner.map.slot_bound();
-            let mut parts: Vec<Vec<([u64; K], V)>> = (0..bound).map(|_| Vec::new()).collect();
-            for (k, v) in items.iter() {
-                parts[inner.map.route(k)].push((*k, v.clone()));
-            }
+            let route: Vec<usize> = ops.iter().map(|op| inner.map.route(op.key())).collect();
+            let mut involved = vec![false; bound];
+            route.iter().for_each(|&slot| involved[slot] = true);
+            let slots: Vec<usize> = (0..bound).filter(|&slot| involved[slot]).collect();
             // Lock every involved cell, ascending slot order (every
             // other lock holder in this crate holds at most one cell
             // lock at a time or locks in the same ascending order, so
             // an ordered multi-acquisition cannot deadlock). A retired
             // cell means a split committed since the state load: drop
             // everything and re-route.
-            let involved: Vec<usize> = (0..bound).filter(|&s| !parts[s].is_empty()).collect();
-            let cells: Vec<&Arc<DurCell<V, K>>> = involved
+            let cells: Vec<&Arc<DurCell<V, K>>> = slots
                 .iter()
                 .map(|&s| inner.cells[s].as_ref().expect("live slot without a cell"))
                 .collect();
-            let mut guards = Vec::with_capacity(involved.len());
+            let mut guards = Vec::with_capacity(cells.len());
             for cell in &cells {
                 let guard = cell.state.lock();
                 if cell.retired.load(Ordering::SeqCst) {
@@ -795,57 +799,72 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
                 }
                 guards.push(guard);
             }
+            // Partition by slot, in run order.
+            let mut parts: Vec<Vec<Op<V, K>>> = (0..bound).map(|_| Vec::new()).collect();
+            for (op, &slot) in ops.into_iter().zip(&route) {
+                parts[slot].push(op);
+            }
             // Admission: every partition must fit its armed backlog
             // before anything is journaled — all-or-nothing shedding
             // (and nothing published: the trees never changed).
-            for (&s, cs) in involved.iter().zip(guards.iter()) {
+            for (&slot, cs) in slots.iter().zip(guards.iter()) {
                 if let Some(b) = cs.backlog.as_ref() {
-                    if b.ops.len() + parts[s].len() > b.cap {
-                        self.reb_metrics.shed.add(items.len() as u64);
+                    if b.ops.len() + parts[slot].len() > b.cap {
+                        self.reb_metrics.shed.add(route.len() as u64);
                         return Err(ShardError::Overloaded {
-                            slot: s,
+                            slot,
                             backlog: b.cap,
                         });
                     }
                 }
             }
+            let mut prevs: Vec<_> = (0..bound).map(|_| Vec::new().into_iter()).collect();
             let mut failure = None;
-            'apply: for (&s, cs) in involved.iter().zip(guards.iter_mut()) {
-                for (key, value) in parts[s].drain(..) {
-                    let queued = cs.backlog.is_some().then(|| value.clone());
-                    match cs.store.insert(key, value) {
-                        Ok(prev) => {
-                            if prev.is_none() {
-                                new_total += 1;
-                            }
-                        }
-                        Err(e) => {
-                            failure = Some(e);
-                            break 'apply;
-                        }
+            for (&slot, cs) in slots.iter().zip(guards.iter_mut()) {
+                let part = std::mem::take(&mut parts[slot]);
+                let queued = cs.backlog.is_some().then(|| part.clone());
+                match cs.store.apply_batch(part) {
+                    Ok(p) => prevs[slot] = p.into_iter(),
+                    Err(e) => {
+                        failure = Some(e);
+                        break;
                     }
-                    if let Some(value) = queued {
-                        cs.backlog
-                            .as_mut()
-                            .expect("backlog vanished under the cell lock")
-                            .ops
-                            .push(Op::Insert { key, value });
-                    }
+                }
+                if let Some(queued) = queued {
+                    cs.backlog
+                        .as_mut()
+                        .expect("backlog vanished under the cell lock")
+                        .ops
+                        .extend(queued);
                 }
             }
             // One bracket covering every involved cell: readers and
-            // snapshots see the batch land atomically. On failure this
-            // publishes the applied (journaled, durable) prefix.
+            // snapshots see the run land atomically. On failure this
+            // publishes the applied (journaled, durable) partitions.
             self.clock.bracket(|| {
                 for (cell, cs) in cells.iter().zip(guards.iter()) {
                     cell.publish(cs, &self.swap_metrics);
                 }
             });
             return match failure {
-                None => Ok(new_total),
                 Some(e) => Err(e.into()),
+                None => Ok(route
+                    .iter()
+                    .map(|&slot| prevs[slot].next().expect("one result per op"))
+                    .collect()),
             };
         }
+    }
+
+    /// Bulk-inserts `items` as one [`DurableSharded::apply_run`] (same
+    /// admission, durability and publication contract). Returns the
+    /// number of *new* keys (duplicates overwrite, last write wins).
+    pub fn bulk_load(&self, items: Vec<([u64; K], V)>) -> Result<usize, ShardError> {
+        let ops = items
+            .into_iter()
+            .map(|(key, value)| Op::Insert { key, value })
+            .collect();
+        Ok(self.apply_run(ops)?.iter().filter(|p| p.is_none()).count())
     }
 
     /// Per-shard statistics (slot ids, entry counts, epoch) shaped

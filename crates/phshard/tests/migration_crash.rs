@@ -2,13 +2,15 @@
 //!
 //! The central test runs a deterministic script — writes, then
 //! `begin_split` on the hot shard, writes *during* the migration
-//! (which backlog), `commit_split`, writes after — under a
+//! (issued as multi-shard runs, which backlog), `commit_split`, writes
+//! after — under a
 //! [`FaultVfs`] that cuts the write stream at a given byte budget,
 //! then reopens the surviving bytes fault-free and asserts the
 //! recovered store holds **exactly** the model state after the
-//! acknowledged ops (or one more, for an op that became durable inside
-//! the call that crashed): no lost writes, no duplicated or phantom
-//! keys, at every single crash offset. Companion tests kill the
+//! acknowledged ops (plus, of the call that crashed, what became
+//! durable inside it: the op, or a per-shard prefix of the run): no
+//! lost writes, no duplicated or phantom keys, at every single crash
+//! offset. Companion tests kill the
 //! manifest renames and syncs that fence the protocol's phases.
 //!
 //! By default the sweep strides across the byte space so it stays
@@ -18,6 +20,7 @@
 use phshard::{DurableSharded, ShardError};
 use phstore::vfs::{FaultConfig, FaultVfs, MemVfs};
 use phstore::DurableConfig;
+use phtree::Op;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -87,10 +90,15 @@ fn store_equals_model(store: &DurableSharded<u32, 2>, model: &Model) -> bool {
             .all(|(k, &v)| store.get_with(k, |got| *got) == Some(v))
 }
 
-/// Runs the script on `store`, splitting slot 0 between phases.
-/// Returns how many data ops were acknowledged (split calls are not
-/// data ops — their effects are content-neutral by construction).
-fn run_script(store: &DurableSharded<u32, 2>, ops: &[(bool, Key, u32)]) -> usize {
+/// Ops per mid-migration run.
+const RUN: usize = 5;
+
+/// Runs the script on `store`, splitting slot 0 between phases; the
+/// mid-migration ops go in as runs of [`RUN`]. Returns how many data
+/// ops were acknowledged (split calls are not data ops — their effects
+/// are content-neutral by construction) and how many were in the call
+/// that failed, if one did.
+fn run_script(store: &DurableSharded<u32, 2>, ops: &[(bool, Key, u32)]) -> (usize, usize) {
     let mut acked = 0usize;
     let do_op = |op: &(bool, Key, u32)| -> Result<(), ShardError> {
         let (is_remove, key, value) = *op;
@@ -103,32 +111,64 @@ fn run_script(store: &DurableSharded<u32, 2>, ops: &[(bool, Key, u32)]) -> usize
     };
     for op in &ops[..PRE] {
         if do_op(op).is_err() {
-            return acked;
+            return (acked, 1);
         }
         acked += 1;
     }
     let pending = store.begin_split(0, 1).ok();
-    for op in &ops[PRE..MID] {
-        if do_op(op).is_err() {
+    for run in ops[PRE..MID].chunks(RUN) {
+        let run_ops = run
+            .iter()
+            .map(|&(is_remove, key, value)| match is_remove {
+                true => Op::Remove { key },
+                false => Op::Insert { key, value },
+            })
+            .collect();
+        if store.apply_run(run_ops).is_err() {
             // The VFS is dead; still drive the commit/rollback path so
             // the sweep covers its failure handling too.
             if let Some(p) = pending {
                 let _ = store.commit_split(p);
             }
-            return acked;
+            return (acked, run.len());
         }
-        acked += 1;
+        acked += run.len();
     }
     if let Some(p) = pending {
         let _ = store.commit_split(p);
     }
     for op in &ops[MID..] {
         if do_op(op).is_err() {
-            return acked;
+            return (acked, 1);
         }
         acked += 1;
     }
-    acked
+    (acked, 0)
+}
+
+/// Whether `store` holds exactly the acknowledged ops plus what a
+/// crashed call may have made durable before dying: of its `in_flight`
+/// ops, a prefix per shard — a run journals one shard after another,
+/// and a torn WAL write keeps the frames before the tear. (Every call
+/// that can crash routes on the two initial shards.)
+fn landed(
+    store: &DurableSharded<u32, 2>,
+    ops: &[(bool, Key, u32)],
+    states: &[Model],
+    acked: usize,
+    in_flight: usize,
+) -> bool {
+    let call = &ops[acked..(acked + in_flight).min(ops.len())];
+    let (low, high): (Vec<_>, Vec<_>) = call.iter().partition(|op| op.1[0] >> 63 == 0);
+    (0..=low.len()).any(|i| {
+        (0..=high.len()).any(|j| {
+            let mut model = states[acked].clone();
+            for op in low[..i].iter().chain(&high[..j]) {
+                apply_model(&mut model, op);
+            }
+            store_equals_model(store, &model)
+        })
+    })
 }
 
 /// Fault-free reference run: asserts the script itself is sound and
@@ -141,7 +181,7 @@ fn reference_run() -> (Vec<Model>, u64) {
     let store: DurableSharded<u32, 2> =
         DurableSharded::open_with(Arc::new(probe.clone()), Path::new("/db"), 2, config()).unwrap();
     let acked = run_script(&store, &ops);
-    assert_eq!(acked, ops.len(), "reference run must ack everything");
+    assert_eq!(acked, (ops.len(), 0), "reference run must ack everything");
     assert!(store.epoch() > 0, "reference run must commit the split");
     assert_eq!(store.shards(), 3, "slot 0 split into two children");
     assert!(store_equals_model(&store, &states[N_OPS]));
@@ -178,13 +218,13 @@ fn migration_crash_sweep() {
                 ..Default::default()
             },
         );
-        let acked = match DurableSharded::<u32, 2>::open_with(
+        let (acked, in_flight) = match DurableSharded::<u32, 2>::open_with(
             Arc::new(faulty),
             Path::new("/db"),
             2,
             config(),
         ) {
-            Err(_) => 0, // crashed while creating the initial store
+            Err(_) => (0, 0), // crashed while creating the initial store
             Ok(store) => run_script(&store, &ops),
         };
 
@@ -200,14 +240,11 @@ fn migration_crash_sweep() {
         }
         // Deterministic landing: pre-migration state (rollback) or
         // post-migration state (commit), never in between — and in
-        // both, exactly the acknowledged ops (or one more that became
-        // durable inside the crashing call). Never fewer: no lost
-        // acks. Never other keys: no duplicated or phantom entries.
-        let candidates = [acked, (acked + 1).min(ops.len())];
+        // both, exactly the acknowledged ops (plus what became durable
+        // inside the crashing call). Never fewer: no lost acks. Never
+        // other keys: no duplicated or phantom entries.
         assert!(
-            candidates
-                .iter()
-                .any(|&n| store_equals_model(&store, &states[n])),
+            landed(&store, &ops, &states, acked, in_flight),
             "budget {budget}: recovered state diverged (acked {acked}, epoch {})",
             store.epoch()
         );
@@ -237,13 +274,13 @@ fn migration_rename_kill_lands_pre_or_post() {
                 ..Default::default()
             },
         );
-        let acked = match DurableSharded::<u32, 2>::open_with(
+        let (acked, in_flight) = match DurableSharded::<u32, 2>::open_with(
             Arc::new(faulty.clone()),
             Path::new("/db"),
             2,
             config(),
         ) {
-            Err(_) => 0,
+            Err(_) => (0, 0),
             Ok(store) => run_script(&store, &ops),
         };
         if faulty.crashed() {
@@ -252,11 +289,8 @@ fn migration_rename_kill_lands_pre_or_post() {
         let store =
             DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config())
                 .unwrap_or_else(|e| panic!("rename budget {rename_budget}: recovery failed: {e}"));
-        let candidates = [acked, (acked + 1).min(ops.len())];
         assert!(
-            candidates
-                .iter()
-                .any(|&n| store_equals_model(&store, &states[n])),
+            landed(&store, &ops, &states, acked, in_flight),
             "rename budget {rename_budget}: diverged (acked {acked})"
         );
     }
@@ -279,13 +313,13 @@ fn migration_sync_kill_lands_pre_or_post() {
                 ..Default::default()
             },
         );
-        let acked = match DurableSharded::<u32, 2>::open_with(
+        let (acked, in_flight) = match DurableSharded::<u32, 2>::open_with(
             Arc::new(faulty.clone()),
             Path::new("/db"),
             2,
             config(),
         ) {
-            Err(_) => 0,
+            Err(_) => (0, 0),
             Ok(store) => run_script(&store, &ops),
         };
         if faulty.crashed() {
@@ -294,11 +328,8 @@ fn migration_sync_kill_lands_pre_or_post() {
         let store =
             DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config())
                 .unwrap_or_else(|e| panic!("sync budget {sync_budget}: recovery failed: {e}"));
-        let candidates = [acked, (acked + 1).min(ops.len())];
         assert!(
-            candidates
-                .iter()
-                .any(|&n| store_equals_model(&store, &states[n])),
+            landed(&store, &ops, &states, acked, in_flight),
             "sync budget {sync_budget}: diverged (acked {acked})"
         );
     }

@@ -40,7 +40,7 @@ use crate::retry::{RetryPolicy, RetryVfs};
 use crate::store::{load_with, save_with, tmp_path};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{self, WalDisposition, WalWriter};
-use phtree::{Iter, PhTree};
+use phtree::{Iter, Op, PhTree};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -309,6 +309,26 @@ impl<V: ValueCodec, const K: usize> Durable<V, K> {
         let prev = self.tree.remove(key);
         self.maybe_checkpoint()?;
         Ok(prev)
+    }
+
+    /// Applies `ops` in order as one group commit: all journaled with
+    /// one WAL write and one sync ([`WalWriter::append_batch`]), then
+    /// all applied, then one checkpoint check. Returns each op's
+    /// previous value, in `ops` order. When this returns `Ok` every op
+    /// survives a crash; a crash before that may keep a prefix of the
+    /// batch (the log is replayed up to its torn tail), never a subset
+    /// that is not a prefix. A journal error applies nothing.
+    pub fn apply_batch(&mut self, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, StoreError> {
+        self.wal.append_batch(&ops)?;
+        let prevs = ops
+            .into_iter()
+            .map(|op| match op {
+                Op::Insert { key, value } => self.tree.insert(key, value),
+                Op::Remove { key } => self.tree.remove(&key),
+            })
+            .collect();
+        self.maybe_checkpoint()?;
+        Ok(prevs)
     }
 
     fn maybe_checkpoint(&mut self) -> Result<(), StoreError> {

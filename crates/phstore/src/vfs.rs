@@ -343,6 +343,7 @@ pub struct FaultConfig {
 struct FaultState {
     cfg: FaultConfig,
     bytes_written: u64,
+    writes: u64,
     syncs: u64,
     renames: u64,
     crashed: bool,
@@ -382,6 +383,16 @@ impl FaultVfs {
     /// Matched bytes written so far (for sizing sweep budgets).
     pub fn bytes_written(&self) -> u64 {
         self.state.lock().unwrap().bytes_written
+    }
+
+    /// Matched `write_all_at` calls so far.
+    pub fn writes(&self) -> u64 {
+        self.state.lock().unwrap().writes
+    }
+
+    /// Matched `sync_all` calls that succeeded so far.
+    pub fn syncs(&self) -> u64 {
+        self.state.lock().unwrap().syncs
     }
 
     fn matches(&self, path: &Path) -> bool {
@@ -424,6 +435,7 @@ impl VfsFile for FaultFile {
             if !self.matched {
                 buf.len() as u64
             } else {
+                state.writes += 1;
                 match state.cfg.write_budget {
                     None => {
                         state.bytes_written += buf.len() as u64;
@@ -474,13 +486,11 @@ impl VfsFile for FaultFile {
                 return Err(crashed_err());
             }
             if self.matched {
-                if let Some(budget) = state.cfg.sync_budget {
-                    if state.syncs >= budget {
-                        state.crashed = true;
-                        return Err(crashed_err());
-                    }
-                    state.syncs += 1;
+                if state.cfg.sync_budget.is_some_and(|b| state.syncs >= b) {
+                    state.crashed = true;
+                    return Err(crashed_err());
                 }
+                state.syncs += 1;
             }
         }
         self.inner.sync_all()

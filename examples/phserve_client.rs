@@ -11,7 +11,7 @@
 //! * knn — k nearest neighbours with the k-way merge,
 //! * stats / ping — introspection and liveness,
 //! * pipelining — a run of inserts sent without waiting, which the
-//!   server coalesces into one `bulk_load`,
+//!   server coalesces into write runs (one backend call each),
 //! * the shed path — a tiny admission queue refusing work with a typed
 //!   `Overloaded` reply instead of stalling or dying.
 //!
@@ -96,7 +96,7 @@ fn main() {
 
     // --- Pipelining ---------------------------------------------------
     // Send 256 inserts without waiting for any reply; the server pops
-    // them in batches and coalesces the runs into bulk loads.
+    // them in batches and applies each run with one backend call.
     let ids: Vec<u64> = (0..256u64)
         .map(|i| {
             c.send(&Request::Insert {
@@ -117,7 +117,7 @@ fn main() {
         .find(|c| c.name == "phserve_coalesced_inserts_total")
         .map(|c| c.value)
         .unwrap_or(0);
-    println!("pipelining: 256 inserts acked, {coalesced} rode coalesced bulk loads");
+    println!("pipelining: 256 inserts acked, {coalesced} rode coalesced write runs");
     server.stop();
 
     // --- The shed path ------------------------------------------------
