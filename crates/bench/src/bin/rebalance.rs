@@ -24,6 +24,7 @@
 //!         [--quick true] [--n 200000] [--split-bits 2] [--backlog 512]`
 
 use measure::{Cli, Table};
+use phmetrics::exact_percentile;
 use phshard::{DurableSharded, ShardError};
 use phstore::vfs::MemVfs;
 use phstore::DurableConfig;
@@ -34,14 +35,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 type Key = [u64; 2];
-
-fn percentile(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64
-}
 
 /// Point-read latencies (ns) over `probes`, one synchronous read at a
 /// time — the honest single-client view.
@@ -175,15 +168,15 @@ fn main() {
     table.add_row(
         0.0,
         &[
-            ("p50", Some(percentile(&baseline, 0.50))),
-            ("p99", Some(percentile(&baseline, 0.99))),
+            ("p50", Some(exact_percentile(&baseline, 0.50))),
+            ("p99", Some(exact_percentile(&baseline, 0.99))),
         ],
     );
     table.add_row(
         1.0,
         &[
-            ("p50", Some(percentile(&during, 0.50))),
-            ("p99", Some(percentile(&during, 0.99))),
+            ("p50", Some(exact_percentile(&during, 0.50))),
+            ("p99", Some(exact_percentile(&during, 0.99))),
         ],
     );
     print!("{}", table.render_text());
@@ -204,10 +197,10 @@ fn main() {
         migrated = split_report.migrated,
         drained = split_report.backlog_drained,
         epoch = split_report.epoch,
-        bp50 = percentile(&baseline, 0.50),
-        bp99 = percentile(&baseline, 0.99),
-        dp50 = percentile(&during, 0.50),
-        dp99 = percentile(&during, 0.99),
+        bp50 = exact_percentile(&baseline, 0.50),
+        bp99 = exact_percentile(&baseline, 0.99),
+        dp50 = exact_percentile(&during, 0.50),
+        dp99 = exact_percentile(&during, 0.99),
         dn = during.len(),
     );
     if let Err(e) = std::fs::create_dir_all("results") {

@@ -150,3 +150,41 @@ fn measurement_harness_runs_end_to_end() {
     assert!(del_us > 0.0);
     assert!(idx.is_empty());
 }
+
+/// Every `cargo run … --example NAME` the README advertises must run:
+/// `NAME` is an `[[example]]` target of this crate and its file exists.
+#[test]
+fn readme_example_commands_name_real_targets() {
+    let crate_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |p: std::path::PathBuf| std::fs::read_to_string(&p).expect("readable text file");
+    let manifest = read(crate_dir.join("Cargo.toml"));
+    // `[[example]]` tables as name → path.
+    let quoted = |line: &str| line.split('"').nth(1).map(str::to_owned);
+    let targets: std::collections::BTreeMap<String, String> = manifest
+        .split("[[example]]")
+        .skip(1)
+        .filter_map(|table| {
+            let field = |key: &str| table.lines().find(|l| l.starts_with(key)).and_then(quoted);
+            Some((field("name")?, field("path")?))
+        })
+        .collect();
+    assert!(!targets.is_empty(), "no [[example]] tables parsed");
+
+    let readme = read(crate_dir.join("../../README.md"));
+    let words: Vec<&str> = readme.split_whitespace().collect();
+    let advertised: Vec<&str> = words
+        .windows(2)
+        .filter(|w| w[0] == "--example")
+        .map(|w| w[1].trim_matches(|c: char| !c.is_alphanumeric() && c != '_'))
+        .collect();
+    assert!(advertised.len() >= 8, "README example list not found");
+    for name in advertised {
+        let path = targets
+            .get(name)
+            .unwrap_or_else(|| panic!("README runs --example {name}: no such [[example]]"));
+        assert!(
+            crate_dir.join(path).is_file(),
+            "example {name}: no file {path}"
+        );
+    }
+}

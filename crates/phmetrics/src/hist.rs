@@ -215,9 +215,35 @@ impl HistSnapshot {
     }
 }
 
+/// Exact quantile of per-sample data: the value at rank
+/// `round((n - 1) · q)` of an ascending slice, 0 for an empty one.
+/// This is what load generators and benches holding every sample
+/// report; [`Histogram`] estimates the same thing from bucket counts.
+pub fn exact_percentile(sorted: &[u64], q: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[((n - 1) as f64 * q).round() as usize] as f64,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exact_percentile_is_the_rounded_rank() {
+        assert_eq!(exact_percentile(&[], 0.5), 0.0);
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(exact_percentile(&[7], q), 7.0);
+        }
+        let v = [10, 20, 30, 40, 50];
+        assert_eq!(exact_percentile(&v, 0.0), 10.0);
+        assert_eq!(exact_percentile(&v, 0.5), 30.0);
+        assert_eq!(exact_percentile(&v, 1.0), 50.0);
+        // Rank (n - 1)·q rounds to nearest: 3·0.5 = 1.5 → index 2.
+        assert_eq!(exact_percentile(&[1, 2, 3, 4], 0.5), 3.0);
+        assert_eq!(exact_percentile(&v, 0.99), 50.0);
+    }
 
     #[test]
     fn bucket_layout() {

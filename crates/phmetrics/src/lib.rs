@@ -43,7 +43,10 @@
 mod hist;
 mod report;
 
-pub use hist::{bucket_index, bucket_upper_bound, HistSnapshot, Histogram, OpTimer, NUM_BUCKETS};
+pub use hist::{
+    bucket_index, bucket_upper_bound, exact_percentile, HistSnapshot, Histogram, OpTimer,
+    NUM_BUCKETS,
+};
 pub use report::MetricsReporter;
 
 use hist::HistCells;

@@ -20,10 +20,12 @@
 //! Reading goes through a tiny [`cache::PageCache`] trait with two
 //! backends: [`cache::SliceCache`] (whole artifact resident, verified
 //! once at open) and [`cache::LruCache`] (demand paging with a pinned
-//! LRU, for artifacts larger than RAM). [`tree::PackedTree`] replays
-//! the live tree's exact traversal algorithms over borrowed page
-//! bytes, so results — including iteration order and kNN tie-breaking
-//! — are byte-identical to the live tree's.
+//! LRU, for artifacts larger than RAM). [`tree::PackedTree`] has no
+//! traversals of its own: its record view implements `phtree`'s node
+//! read seam ([`phtree::walk::NodeRead`]), and the live tree's point
+//! descent, window walker and kNN search run over borrowed page bytes
+//! unchanged, so results — including iteration order and kNN
+//! tie-breaking — are byte-identical to the live tree's.
 //!
 //! Typical round trip:
 //!

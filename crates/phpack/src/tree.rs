@@ -1,43 +1,43 @@
 //! The packed read-only tree: open, point/window/kNN queries.
 //!
-//! All three walkers replay the live tree's algorithms over
-//! [`NodeView`]s — borrowed page bytes, no deserialisation, no per-node
+//! There are no packed traversals: [`PackedNode`] — a record view over
+//! borrowed page bytes plus the cache that resolves its child
+//! references — implements `phtree`'s node read seam
+//! ([`phtree::walk::NodeRead`]), and the three traversals of the live
+//! tree run over it unchanged. No deserialisation, no per-node
 //! allocation:
 //!
-//! * [`PackedTree::get`] is the descent loop of `PhTree::get`.
-//! * [`PackedTree::query`] is the live `Query` iterator with its stack
-//!   inlined into a fixed-size array (tree depth is bounded by the
-//!   64-bit key width, so 64 frames always suffice) — constructing and
-//!   draining a query performs **zero** heap allocations for
+//! * [`PackedTree::get`] / [`PackedTree::contains`] are
+//!   [`phtree::walk::descend`], the descent loop of `PhTree::get`.
+//! * [`PackedTree::query`] wraps [`phtree::walk::Window`], the walker
+//!   behind `PhTree::query`, whose stack is a fixed array — constructing
+//!   and draining a query performs **zero** heap allocations for
 //!   fixed-width value types.
-//! * [`PackedTree::knn_into`] is not a replay at all: it hands
-//!   [`PackedNode`]s to the one best-first search in `phtree::knn`,
-//!   whose state lives in a caller-owned [`KnnScratch`]; after
-//!   warm-up, repeated searches allocate nothing. A sub-node's page is
-//!   fetched only when the search reaches it, and a value is decoded
-//!   only once its entry is a result.
+//! * [`PackedTree::knn_into`] hands [`PackedNode`]s to the best-first
+//!   search in `phtree::knn`, whose state lives in a caller-owned
+//!   [`KnnScratch`]; after warm-up, repeated searches allocate nothing.
+//!   A sub-node's page is fetched only when the search reaches it, and
+//!   a value is decoded only once its entry is a result.
 //!
-//! Result *order* is identical to the live tree's, not merely the
-//! result set: the window walker visits slots in the same sequence and
-//! kNN results are sorted by `(distance, key)`, which is what lets the
-//! differential test suite compare outputs element by element.
+//! Result *order* is therefore the live tree's, not merely the result
+//! set: windows come back in the same sequence and kNN results sorted
+//! by `(distance, key)`. The differential test suite compares outputs
+//! element by element; what it vouches for is the PHPACK01 decoder
+//! ([`crate::view`]) underneath the shared code.
 
 use crate::cache::{CacheMode, CacheStats, LruCache, PageCache, SliceCache};
 use crate::format::{Meta, PackedRef, PACK_MAGIC, PAGE_SIZE};
-use crate::view::{NodeView, PSlot};
-use phbits::{hc, num};
+use crate::view::{NodeView, PSlot, PackedPost};
+use phbits::hc;
 use phstore::vfs::{StdVfs, Vfs};
 use phstore::{fnv1a, superblock, Corruption, StoreError, ValueCodec};
-use phtree::knn::{self, Expanded, Hit, KnnNode, Slot};
+use phtree::knn::{self, Expanded, Hit};
 use phtree::raw::{build_node, RawNode};
+use phtree::walk::{self, NodeRead, Slot, SlotOf, Window};
 use phtree::{Distance, IntEuclidean, PhTree};
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::Arc;
-
-/// Maximum descent depth: the root splits at bit 63 and every child
-/// splits strictly lower, so a chain is at most 64 nodes.
-const MAX_DEPTH: usize = 64;
 
 /// A read-only PH-tree served from a packed artifact.
 pub struct PackedTree<V, const K: usize> {
@@ -152,81 +152,45 @@ impl<V, const K: usize> PackedTree<V, K> {
 }
 
 impl<V: ValueCodec, const K: usize> PackedTree<V, K> {
+    /// Handle of the root record, for the shared traversals.
+    fn root(&self) -> Option<PackedChild<'_>> {
+        Some(PackedChild {
+            cache: &*self.cache,
+            r: self.root?,
+            parent: None,
+        })
+    }
+
     /// Point query. Decodes and returns the stored value on a hit.
     pub fn get(&self, key: &[u64; K]) -> Result<Option<V>, StoreError> {
-        let Some(mut r) = self.root else {
+        let Some(root) = self.root() else {
             return Ok(None);
         };
-        let mut parent: Option<u8> = None;
-        loop {
-            let node = NodeView::<K>::fetch(&*self.cache, r, parent)?;
-            if !node.infix_matches(key) {
-                return Ok(None);
-            }
-            let h = hc::addr(key, node.post_len as u32);
-            match node.get_slot(h)? {
-                None => return Ok(None),
-                Some(PSlot::Post { pf_off, pr }) => {
-                    return if node.postfix_matches(pf_off, key) {
-                        node.value_at::<V>(pr).map(Some)
-                    } else {
-                        Ok(None)
-                    };
-                }
-                Some(PSlot::Sub { sr }) => {
-                    parent = Some(node.post_len);
-                    r = node.child_ref(sr)?;
-                }
-            }
-        }
+        walk::descend::<PackedNode<K>, K>(&root, key)?
+            .map(|(node, post)| node.view.value_at::<V>(post.pr))
+            .transpose()
     }
 
     /// Whether `key` is stored (the [`PackedTree::get`] walk without
     /// the value decode).
     pub fn contains(&self, key: &[u64; K]) -> Result<bool, StoreError> {
-        let Some(mut r) = self.root else {
+        let Some(root) = self.root() else {
             return Ok(false);
         };
-        let mut parent: Option<u8> = None;
-        loop {
-            let node = NodeView::<K>::fetch(&*self.cache, r, parent)?;
-            if !node.infix_matches(key) {
-                return Ok(false);
-            }
-            let h = hc::addr(key, node.post_len as u32);
-            match node.get_slot(h)? {
-                None => return Ok(false),
-                Some(PSlot::Post { pf_off, .. }) => {
-                    return Ok(node.postfix_matches(pf_off, key));
-                }
-                Some(PSlot::Sub { sr }) => {
-                    parent = Some(node.post_len);
-                    r = node.child_ref(sr)?;
-                }
-            }
-        }
+        Ok(walk::descend::<PackedNode<K>, K>(&root, key)?.is_some())
     }
 
     /// Window query over borrowed page bytes; yields entries in the
     /// same order as the live tree's `PhTree::query`.
     pub fn query(&self, min: &[u64; K], max: &[u64; K]) -> PackedQuery<'_, V, K> {
-        let mut q = PackedQuery {
-            cache: &*self.cache,
-            min: *min,
-            max: *max,
-            stack: std::array::from_fn(|_| None),
-            depth: 0,
-            pending: None,
+        let mut walk = Window::new(*min, *max, 0);
+        let pending = self.root().and_then(|root| walk.push_root(&root).err());
+        PackedQuery {
+            walk,
+            pending,
             done: false,
             _v: PhantomData,
-        };
-        if let Some(r) = self.root {
-            match NodeView::<K>::fetch(q.cache, r, None) {
-                Ok(root) => q.push_node(root, [0u64; K]),
-                Err(e) => q.pending = Some(e),
-            }
         }
-        q
     }
 
     /// Number of entries in the window (drains a [`PackedTree::query`]).
@@ -284,14 +248,9 @@ impl<V: ValueCodec, const K: usize> PackedTree<V, K> {
         V: 't,
     {
         out.clear();
-        let roots = trees.into_iter().filter_map(|(dist, tree)| {
-            let child = PackedChild {
-                cache: &*tree.cache,
-                r: tree.root?,
-                parent: None,
-            };
-            Some((dist, child))
-        });
+        let roots = trees
+            .into_iter()
+            .filter_map(|(dist, tree)| Some((dist, tree.root()?)));
         let seen = scratch.search(roots, center, n, f64::INFINITY, metric)?;
         for hit in scratch.drain_hits() {
             out.push(Hit {
@@ -353,214 +312,34 @@ impl<V: ValueCodec, const K: usize> PackedTree<V, K> {
 
 // -------------------------------------------------------------- queries
 
-enum PCursor {
-    /// Next LHC child index plus its dense post rank, tracked
-    /// incrementally (the live `Cursor::Lhc`).
-    Lhc { idx: usize, pr: usize },
-    /// Next HC address, `None` when exhausted.
-    Hc(Option<u64>),
-}
-
-struct PFrame<'c, const K: usize> {
-    node: NodeView<'c, K>,
-    prefix: [u64; K],
-    m_l: u64,
-    m_u: u64,
-    inside: bool,
-    cursor: PCursor,
-}
-
 /// Iterator over all packed entries within a query rectangle; see
 /// [`PackedTree::query`]. Yields `Result` because every step reads
-/// (and may fail to verify) page bytes.
+/// (and may fail to verify) page bytes; after an error it yields
+/// nothing more.
 pub struct PackedQuery<'t, V, const K: usize> {
-    cache: &'t dyn PageCache,
-    min: [u64; K],
-    max: [u64; K],
-    /// Fixed-size descent stack: no heap allocation per query.
-    stack: [Option<PFrame<'t, K>>; MAX_DEPTH],
-    depth: usize,
+    walk: Window<PackedNode<'t, K>, K>,
+    /// Failure to fetch the root, reported by the first `next`.
     pending: Option<StoreError>,
     done: bool,
     _v: PhantomData<fn() -> V>,
-}
-
-impl<'t, V, const K: usize> PackedQuery<'t, V, K> {
-    /// Pushes a frame for `node` if its region intersects the query
-    /// (the live `Query::push_node`).
-    fn push_node(&mut self, node: NodeView<'t, K>, prefix: [u64; K]) {
-        let span = num::low_mask(node.post_len as u32 + 1);
-        let mut inside = true;
-        for (d, &p) in prefix.iter().enumerate() {
-            if p > self.max[d] || p | span < self.min[d] {
-                return;
-            }
-            inside &= self.min[d] <= p && p | span <= self.max[d];
-        }
-        let (m_l, m_u) = if inside {
-            (0, num::low_mask(K as u32))
-        } else {
-            hc::masks(&prefix, &self.min, &self.max, node.post_len as u32)
-        };
-        if m_l & !m_u != 0 {
-            return;
-        }
-        let cursor = if node.hc {
-            PCursor::Hc(Some(hc::first_addr(m_l, m_u)))
-        } else {
-            let idx = node.lhc_lower_bound(m_l);
-            PCursor::Lhc {
-                idx,
-                pr: node.lhc_scan_state(idx),
-            }
-        };
-        if self.depth == MAX_DEPTH {
-            // Unreachable for depth-chained records; typed backstop.
-            self.pending = Some(Corruption::new("descent deeper than key width").into());
-            return;
-        }
-        self.stack[self.depth] = Some(PFrame {
-            node,
-            prefix,
-            m_l,
-            m_u,
-            inside,
-            cursor,
-        });
-        self.depth += 1;
-    }
-
-    /// Pushes a frame for a node known to lie inside the query.
-    fn push_node_inside(&mut self, node: NodeView<'t, K>, prefix: [u64; K]) {
-        let cursor = if node.hc {
-            PCursor::Hc(Some(0))
-        } else {
-            PCursor::Lhc { idx: 0, pr: 0 }
-        };
-        if self.depth == MAX_DEPTH {
-            self.pending = Some(Corruption::new("descent deeper than key width").into());
-            return;
-        }
-        self.stack[self.depth] = Some(PFrame {
-            node,
-            prefix,
-            m_l: 0,
-            m_u: num::low_mask(K as u32),
-            inside: true,
-            cursor,
-        });
-        self.depth += 1;
-    }
-}
-
-/// Advances `frame` to its next candidate slot (the live
-/// `Query::next_candidate`).
-fn next_candidate<const K: usize>(
-    frame: &mut PFrame<'_, K>,
-) -> Result<Option<(u64, PSlot)>, StoreError> {
-    let node = &frame.node;
-    match &mut frame.cursor {
-        PCursor::Lhc { idx, pr } => {
-            while *idx < node.n_children() {
-                let (h, slot) = node.lhc_at_ranked(*idx, *pr);
-                *idx += 1;
-                if matches!(slot, PSlot::Post { .. }) {
-                    *pr += 1;
-                }
-                if h > frame.m_u {
-                    break;
-                }
-                if hc::addr_valid(h, frame.m_l, frame.m_u) {
-                    return Ok(Some((h, slot)));
-                }
-            }
-        }
-        PCursor::Hc(next) => {
-            while let Some(h) = *next {
-                *next = hc::next_addr(h, frame.m_l, frame.m_u);
-                if let Some(slot) = node.get_slot(h)? {
-                    return Ok(Some((h, slot)));
-                }
-            }
-        }
-    }
-    Ok(None)
 }
 
 impl<'t, V: ValueCodec, const K: usize> Iterator for PackedQuery<'t, V, K> {
     type Item = Result<([u64; K], V), StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(e) = self.pending.take() {
-                self.done = true;
-                return Some(Err(e));
-            }
-            if self.done || self.depth == 0 {
-                return None;
-            }
-            let frame = self.stack[self.depth - 1].as_mut().expect("live frame");
-            let (prefix, post_len, inside) = (frame.prefix, frame.node.post_len, frame.inside);
-            let step = match next_candidate(frame) {
-                Ok(s) => s,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            };
-            match step {
-                None => {
-                    self.depth -= 1;
-                    self.stack[self.depth] = None;
-                }
-                Some((h, PSlot::Post { pf_off, pr })) => {
-                    let node = &self.stack[self.depth - 1]
-                        .as_ref()
-                        .expect("live frame")
-                        .node;
-                    let mut key = prefix;
-                    hc::apply_addr(&mut key, h, post_len as u32);
-                    node.read_postfix_into(pf_off, &mut key);
-                    if inside || (0..K).all(|d| self.min[d] <= key[d] && key[d] <= self.max[d]) {
-                        return match node.value_at::<V>(pr) {
-                            Ok(v) => Some(Ok((key, v))),
-                            Err(e) => {
-                                self.done = true;
-                                Some(Err(e))
-                            }
-                        };
-                    }
-                }
-                Some((h, PSlot::Sub { sr })) => {
-                    let node = &self.stack[self.depth - 1]
-                        .as_ref()
-                        .expect("live frame")
-                        .node;
-                    let mut child_prefix = prefix;
-                    hc::apply_addr(&mut child_prefix, h, post_len as u32);
-                    let sub = match node
-                        .child_ref(sr)
-                        .and_then(|r| NodeView::<K>::fetch(self.cache, r, Some(post_len)))
-                    {
-                        Ok(s) => s,
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                    };
-                    sub.read_infix_into(&mut child_prefix);
-                    let m = !num::low_mask(sub.post_len as u32 + 1);
-                    for v in child_prefix.iter_mut() {
-                        *v &= m;
-                    }
-                    if inside {
-                        self.push_node_inside(sub, child_prefix);
-                    } else {
-                        self.push_node(sub, child_prefix);
-                    }
-                }
-            }
+        if self.done {
+            return None;
         }
+        let step = match self.pending.take() {
+            Some(e) => Err(e),
+            None => self.walk.next_entry().and_then(|hit| match hit {
+                Some((key, node, post)) => Ok(Some((key, node.view.value_at::<V>(post.pr)?))),
+                None => Ok(None),
+            }),
+        };
+        self.done = step.is_err();
+        step.transpose()
     }
 }
 
@@ -573,13 +352,14 @@ pub type PackedNeighbor<V, const K: usize> = Hit<V, K>;
 /// [`phtree::knn::KnnScratch`].
 pub type KnnScratch<'c, const K: usize> = knn::KnnScratch<PackedNode<'c, K>, K>;
 
-/// A packed node record as the shared kNN search sees it.
+/// A packed node record as the shared traversals see it: the record
+/// view plus the cache its child references resolve through.
 pub struct PackedNode<'c, const K: usize> {
     view: NodeView<'c, K>,
     cache: &'c dyn PageCache,
 }
 
-/// Where a packed sub-node lives; nothing is read until the search
+/// Where a packed sub-node lives; nothing is read until a traversal
 /// resolves it.
 pub struct PackedChild<'c> {
     cache: &'c dyn PageCache,
@@ -593,10 +373,34 @@ pub struct PackedChild<'c> {
 /// the value's dense post rank.
 pub struct PackedValue<'c, const K: usize>(NodeView<'c, K>, usize);
 
-impl<'c, const K: usize> KnnNode<K> for PackedNode<'c, K> {
+/// Cursor of a scan over a packed LHC record: the next child index and
+/// its dense post rank, tracked incrementally.
+pub struct PackedScan {
+    idx: usize,
+    pr: usize,
+}
+
+impl<'c, const K: usize> PackedNode<'c, K> {
+    /// A decoded slot as the seam reports it (reads a sub-node's
+    /// reference, not the sub-node).
+    #[inline]
+    fn slot(&self, slot: PSlot) -> Result<SlotOf<Self, K>, StoreError> {
+        Ok(match slot {
+            PSlot::Post(post) => Slot::Post(post),
+            PSlot::Sub { sr } => Slot::Sub(PackedChild {
+                cache: self.cache,
+                r: self.view.child_ref(sr)?,
+                parent: Some(self.view.post_len),
+            }),
+        })
+    }
+}
+
+impl<'c, const K: usize> NodeRead<K> for PackedNode<'c, K> {
     type Child = PackedChild<'c>;
-    type Post = usize;
+    type Post = PackedPost;
     type Value = PackedValue<'c, K>;
+    type Scan = PackedScan;
     type Error = StoreError;
 
     fn resolve(child: &PackedChild<'c>) -> Result<Self, StoreError> {
@@ -606,42 +410,80 @@ impl<'c, const K: usize> KnnNode<K> for PackedNode<'c, K> {
         })
     }
 
+    #[inline]
     fn post_len(&self) -> u32 {
         self.view.post_len as u32
     }
 
+    #[inline]
     fn read_infix_into(&self, key: &mut [u64; K]) {
         self.view.read_infix_into(key)
     }
 
-    fn visit_slots(
+    #[inline]
+    fn infix_matches(&self, key: &[u64; K]) -> bool {
+        self.view.infix_matches(key)
+    }
+
+    #[inline]
+    fn is_hc(&self) -> bool {
+        self.view.hc
+    }
+
+    #[inline]
+    fn slot_at(&self, h: u64) -> Result<Option<SlotOf<Self, K>>, StoreError> {
+        self.view.get_slot(h)?.map(|s| self.slot(s)).transpose()
+    }
+
+    #[inline]
+    fn scan_from(&self, h: u64) -> PackedScan {
+        let idx = self.view.lhc_lower_bound(h);
+        PackedScan {
+            idx,
+            pr: self.view.lhc_post_rank(idx),
+        }
+    }
+
+    #[inline]
+    fn scan_next(
         &self,
-        corner: &[u64; K],
-        mut f: impl FnMut([u64; K], Slot<PackedChild<'c>, usize>),
-    ) -> Result<(), StoreError> {
-        let view = &self.view;
-        view.visit_slots(|h, slot| {
-            let mut key = *corner;
-            hc::apply_addr(&mut key, h, view.post_len as u32);
-            match slot {
-                PSlot::Post { pf_off, pr } => {
-                    view.read_postfix_into(pf_off, &mut key);
-                    f(key, Slot::Post(pr));
-                }
-                PSlot::Sub { sr } => {
-                    let child = PackedChild {
-                        cache: self.cache,
-                        r: view.child_ref(sr)?,
-                        parent: Some(view.post_len),
-                    };
-                    f(key, Slot::Sub(child));
-                }
+        scan: &mut PackedScan,
+        m_l: u64,
+        m_u: u64,
+    ) -> Result<Option<(u64, SlotOf<Self, K>)>, StoreError> {
+        while scan.idx < self.view.n_children() {
+            let (h, slot) = self.view.lhc_at_ranked(scan.idx, scan.pr);
+            if h > m_u {
+                break;
             }
+            scan.idx += 1;
+            scan.pr += matches!(slot, PSlot::Post(_)) as usize;
+            if hc::addr_valid(h, m_l, m_u) {
+                return Ok(Some((h, self.slot(slot)?)));
+            }
+        }
+        Ok(None)
+    }
+
+    #[inline]
+    fn read_postfix_into(&self, post: &PackedPost, key: &mut [u64; K]) {
+        self.view.read_postfix_into(post.pf_off, key)
+    }
+
+    #[inline]
+    fn postfix_matches(&self, post: &PackedPost, key: &[u64; K]) -> bool {
+        self.view.postfix_matches(post.pf_off, key)
+    }
+
+    fn visit_slots(&self, mut f: impl FnMut(u64, SlotOf<Self, K>)) -> Result<(), StoreError> {
+        self.view.visit_slots(|h, slot| {
+            f(h, self.slot(slot)?);
             Ok(())
         })
     }
 
-    fn value(&self, pr: usize) -> PackedValue<'c, K> {
-        PackedValue(self.view.clone(), pr)
+    #[inline]
+    fn value(&self, post: PackedPost) -> PackedValue<'c, K> {
+        PackedValue(self.view.clone(), post.pr)
     }
 }

@@ -1,5 +1,6 @@
-//! Zero-copy node views: the read surface of `phtree::node::Node`
-//! replayed over borrowed page bytes.
+//! Zero-copy node views: the PHPACK01 record decoder, the read surface
+//! of `phtree::node::Node` over borrowed page bytes. `tree.rs` builds
+//! `phtree`'s node read seam on it; nothing here traverses.
 //!
 //! A [`NodeView`] is parsed from a record with **O(1)** work: header
 //! field checks, the exact bit-length formula for the claimed
@@ -26,12 +27,17 @@ use phstore::{Corruption, StoreError, ValueCodec};
 /// packed HC node beyond it cannot have come from a valid tree.
 const MAX_HC_K: usize = 22;
 
+/// A postfix entry of a packed node: bit offset of its postfix record
+/// and its dense post rank (index into the value area).
+pub struct PackedPost {
+    pub(crate) pf_off: usize,
+    pub(crate) pr: usize,
+}
+
 /// An occupied hypercube slot, resolved to dense ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PSlot {
-    /// Postfix entry: bit offset of its postfix record and its dense
-    /// post rank (index into the value area).
-    Post { pf_off: usize, pr: usize },
+    /// Postfix entry.
+    Post(PackedPost),
     /// Sub-node: dense sub rank (index into the child-ref array).
     Sub { sr: usize },
 }
@@ -261,7 +267,9 @@ impl<'c, const K: usize> NodeView<'c, K> {
         self.infix_bits() + self.n_children() * (K + 1)
     }
 
-    fn lhc_post_rank(&self, j: usize) -> usize {
+    /// Dense post rank of LHC child `j` (one popcount): where an
+    /// incremental scan from `j` starts counting.
+    pub fn lhc_post_rank(&self, j: usize) -> usize {
         let n = self.n_children();
         j - bytes::count_ones(self.bits(), self.infix_bits() + n * K, j)
     }
@@ -287,27 +295,25 @@ impl<'c, const K: usize> NodeView<'c, K> {
 
     /// Index of the first LHC child with address `>= h`.
     pub fn lhc_lower_bound(&self, h: u64) -> usize {
+        if h == 0 {
+            return 0; // scans of a whole node start here
+        }
         match self.lhc_search(h) {
             Ok(j) | Err(j) => j,
         }
     }
 
-    /// Initial dense post rank for an incremental LHC scan from `j`.
-    pub fn lhc_scan_state(&self, j: usize) -> usize {
-        self.lhc_post_rank(j)
-    }
-
     /// LHC child `j` with its dense post rank `pr` tracked by the
-    /// caller (see the live `lhc_at_ranked`).
+    /// caller.
     pub fn lhc_at_ranked(&self, j: usize, pr: usize) -> (u64, PSlot) {
         let addr = self.lhc_addr_at(j);
         let slot = if self.lhc_is_sub(j) {
             PSlot::Sub { sr: j - pr }
         } else {
-            PSlot::Post {
+            PSlot::Post(PackedPost {
                 pf_off: self.lhc_pf_base() + pr * self.post_bits(),
                 pr,
-            }
+            })
         };
         (addr, slot)
     }
@@ -321,10 +327,10 @@ impl<'c, const K: usize> NodeView<'c, K> {
                 0 => Ok(None),
                 1 => {
                     let (pr, _) = self.hc_ranks(h);
-                    Ok(Some(PSlot::Post {
+                    Ok(Some(PSlot::Post(PackedPost {
                         pf_off: self.hc_pf_base() + h as usize * self.post_bits(),
                         pr,
-                    }))
+                    })))
                 }
                 2 => {
                     let (_, sr) = self.hc_ranks(h);
@@ -356,10 +362,10 @@ impl<'c, const K: usize> NodeView<'c, K> {
                     1 => {
                         f(
                             h,
-                            PSlot::Post {
+                            PSlot::Post(PackedPost {
                                 pf_off: pf_base + h as usize * pb,
                                 pr,
-                            },
+                            }),
                         )?;
                         pr += 1;
                     }
@@ -372,22 +378,10 @@ impl<'c, const K: usize> NodeView<'c, K> {
             }
         } else {
             let mut pr = 0usize;
-            let pf_base = self.lhc_pf_base();
-            let pb = self.post_bits();
             for j in 0..self.n_children() {
-                let h = self.lhc_addr_at(j);
-                if self.lhc_is_sub(j) {
-                    f(h, PSlot::Sub { sr: j - pr })?;
-                } else {
-                    f(
-                        h,
-                        PSlot::Post {
-                            pf_off: pf_base + pr * pb,
-                            pr,
-                        },
-                    )?;
-                    pr += 1;
-                }
+                let (h, slot) = self.lhc_at_ranked(j, pr);
+                pr += matches!(slot, PSlot::Post(_)) as usize;
+                f(h, slot)?;
             }
         }
         Ok(())

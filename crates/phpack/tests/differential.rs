@@ -289,3 +289,88 @@ fn unit_values_zero_stride() {
     assert_eq!(p.query_count(&[0; 3], &[u64::MAX; 3]).unwrap(), live.len());
     assert_eq!(p.get(&[1, 3, 1]).unwrap(), Some(()));
 }
+
+/// A paged live node across the format boundary. PHPACK01 stores a
+/// node's *logical* bit string, so a root cut into segments in memory
+/// must pack to the record a flat node would, and the packed scan
+/// (one index) must yield what the live scan (index + segment
+/// iterator) yields, wherever the window's `m_l` lands.
+#[test]
+fn paged_root_packs_to_its_logical_form_k20() {
+    const K: usize = 20;
+    fn splitmix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+    // Key `i` sits at root address `i` (the recipe of
+    // `phtree/tests/paged.rs::root_cube_key`): 240 entries of ~160
+    // bytes each in one root, ten times the 4 KiB page.
+    let cube_key = |i: u64| -> [u64; K] {
+        std::array::from_fn(|d| {
+            let top = (i >> (K - 1 - d)) & 1;
+            (top << 63) | (splitmix((i << 8) | d as u64) >> 1)
+        })
+    };
+    let mut live: PhTree<u64, K> = PhTree::new();
+    let mut model: BTreeMap<[u64; K], u64> = BTreeMap::new();
+    // Inserted out of address order, so segments split where the
+    // update order puts them; every fifth key gets a sibling that
+    // collides with it in the root and hangs a sub-node off a segment.
+    for j in 0..240u64 {
+        let i = j * 77 % 240;
+        let key = cube_key(i);
+        live.insert(key, i);
+        model.insert(key, i);
+        if i % 5 == 0 {
+            let mut sibling = key;
+            sibling[3] ^= 1 << 17;
+            live.insert(sibling, 1000 + i);
+            model.insert(sibling, 1000 + i);
+        }
+    }
+    live.check_invariants();
+    let stats = live.stats();
+    // A flat root is 3 heap blocks (node, bits, values); a paged one is
+    // 3 (node, fences, segment pointers) plus at least 3 per segment.
+    let sub_nodes = stats.nodes - 1;
+    assert!(
+        stats.allocations - 3 * sub_nodes >= 3 + 3 * 3,
+        "root must be paged into >= 3 segments: {stats:?}"
+    );
+
+    // Root addresses in use are 0..240: dimensions 12..20 decide, the
+    // others are in their lower half. `m_l = a` starts the scan at
+    // address `a`, inside whichever segment covers it, and runs across
+    // every later boundary; clearing bits of `m_u` makes it skip
+    // through the segments instead.
+    let bit = |a: u64, d: usize| (a >> (K - 1 - d)) & 1 == 1;
+    let lo = |a: u64| -> [u64; K] { std::array::from_fn(|d| (bit(a, d) as u64) << 63) };
+    let hi = |a: u64| -> [u64; K] { lo(a).map(|v| v | (u64::MAX >> 1)) };
+    let mut windows = vec![([0u64; K], [u64::MAX; K])];
+    for a in [1u64, 2, 37, 64, 100, 129, 200, 239] {
+        windows.push((lo(a), [u64::MAX; K]));
+        windows.push(([0u64; K], hi(a)));
+        // Four addresses, and a cut through the postfixes of dimension 0.
+        let (mut min, max) = (lo(a & !3), hi(a | 3));
+        min[0] = 1 << 61;
+        windows.push((min, max));
+    }
+    for (min, max) in &windows {
+        let inside = |k: &[u64; K]| (0..K).all(|d| min[d] <= k[d] && k[d] <= max[d]);
+        assert!(model.keys().any(inside), "empty window {min:?}..{max:?}");
+    }
+    let centers: Vec<[u64; K]> = [0u64, 100, 239].map(cube_key).to_vec();
+    for mode in [CacheMode::Resident, CacheMode::Lru { pages: 2 }] {
+        check_against(&live, &model, &windows, &centers, mode).unwrap();
+        // The artifact shows no paging: unpacked, it is the tree a
+        // bulk load builds.
+        let vfs = MemVfs::new();
+        let path = Path::new("/m/paged.phk");
+        pack_tree_in(&live, &vfs, path).unwrap();
+        let packed: PackedTree<u64, K> = PackedTree::open_in(&vfs, path, mode).unwrap();
+        let bulk = PhTree::bulk_load(model.iter().map(|(k, v)| (*k, *v)).collect());
+        assert_eq!(packed.to_tree().unwrap().stats(), bulk.stats());
+    }
+}

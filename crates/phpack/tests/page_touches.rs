@@ -3,6 +3,10 @@
 //! the paths it opens and no others. Fetching every child of every
 //! opened node again — what the packed walker did before the shared
 //! search — multiplies the count several times over.
+//!
+//! Page touches per window, pinned too: the window walker still fetches
+//! every sub-node its masks admit before testing the sub-node's region,
+//! so its count is the number a deferred child fetch will divide.
 
 use phpack::{pack_tree_in, CacheMode, PackedTree};
 use phstore::vfs::MemVfs;
@@ -19,8 +23,9 @@ fn splitmix(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[test]
-fn a_batch_of_knn_touches_no_more_pages_than_recorded() {
+/// The seeded 50 k tree, packed into `vfs` at the returned path, and
+/// 64 more points of the same stream to query around.
+fn packed_tree(vfs: &MemVfs) -> (&'static Path, Vec<[u64; K]>) {
     let mut x = 8u64;
     let mut point = || -> [u64; K] { std::array::from_fn(|_| splitmix(&mut x)) };
     let mut live: PhTree<u64, K> = PhTree::new();
@@ -28,10 +33,15 @@ fn a_batch_of_knn_touches_no_more_pages_than_recorded() {
         live.insert(point(), i);
     }
     let centres: Vec<[u64; K]> = (0..64).map(|_| point()).collect();
-
-    let vfs = MemVfs::new();
     let path = Path::new("/m/touches.phk");
-    pack_tree_in(&live, &vfs, path).unwrap();
+    pack_tree_in(&live, vfs, path).unwrap();
+    (path, centres)
+}
+
+#[test]
+fn a_batch_of_knn_touches_no_more_pages_than_recorded() {
+    let vfs = MemVfs::new();
+    let (path, centres) = packed_tree(&vfs);
     let touches = |mode| {
         let p: PackedTree<u64, K> = PackedTree::open_in(&vfs, path, mode).unwrap();
         for c in &centres {
@@ -50,4 +60,30 @@ fn a_batch_of_knn_touches_no_more_pages_than_recorded() {
         got <= RECORDED,
         "64 kNN(10) touched {got} pages, recorded {RECORDED}"
     );
+}
+
+#[test]
+fn a_batch_of_windows_touches_exactly_the_recorded_pages() {
+    let vfs = MemVfs::new();
+    let (path, centres) = packed_tree(&vfs);
+    // Boxes of 3/8 of the key range per side: about eight hits each.
+    const HALF: u64 = 3 << 60;
+    let touches = |mode| {
+        let p: PackedTree<u64, K> = PackedTree::open_in(&vfs, path, mode).unwrap();
+        let mut hits = 0;
+        for c in &centres {
+            let min = c.map(|v| v.saturating_sub(HALF));
+            let max = c.map(|v| v.saturating_add(HALF));
+            hits += p.query_count(&min, &max).unwrap();
+        }
+        (hits, p.cache_stats().touches)
+    };
+    let got = touches(CacheMode::Lru { pages: 64 });
+    assert_eq!(got, touches(CacheMode::Resident));
+    // Recorded at the commit before the window walker moved onto the
+    // shared node seam; the move must not change which pages a window
+    // reads. This is the number the roadmap's deferred child fetch for
+    // windows (test a sub-node's quadrant before fetching it) will
+    // divide.
+    assert_eq!(got, (501, 5_692), "64 windows: (hits, page touches)");
 }

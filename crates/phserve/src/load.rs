@@ -17,6 +17,7 @@
 
 use crate::client::Client;
 use crate::proto::{ErrorCode, ProtoError, Request, Response};
+use phmetrics::exact_percentile;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -685,14 +686,6 @@ fn conn_worker(
     Ok(out)
 }
 
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
-}
-
 /// Runs one scenario against `addr` and aggregates every connection's
 /// outcome. Returns an error if any connection hit a transport or
 /// protocol failure.
@@ -751,8 +744,8 @@ pub fn run_scenario(
         report.per_op.push(OpStats {
             op: label.to_string(),
             count: v.len() as u64,
-            p50_us: percentile_us(v, 0.50),
-            p99_us: percentile_us(v, 0.99),
+            p50_us: exact_percentile(v, 0.50) / 1000.0,
+            p99_us: exact_percentile(v, 0.99) / 1000.0,
             mean_us,
         });
     }

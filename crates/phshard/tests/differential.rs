@@ -1,14 +1,12 @@
 //! Differential tests: the same op stream drives a [`ShardedTree`] (at
-//! shard counts 1, 2 and 8), a plain [`PhTree`], a dynamic-K
-//! [`PhTreeDyn`] and a `BTreeMap` oracle — all four must agree at every
-//! step. This pins down const-K vs dynamic-K parity *under the shard
-//! router*: routing must never change what a key maps to, only where
-//! it lives.
+//! shard counts 1, 2 and 8), a plain [`PhTree`] and a `BTreeMap` oracle
+//! — all three must agree at every step: routing must never change
+//! what a key maps to, only where it lives.
 
 use phshard::{DurableSharded, ShardedTree};
 use phstore::vfs::MemVfs;
 use phstore::DurableConfig;
-use phtree::{PhTree, PhTreeDyn};
+use phtree::PhTree;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -52,7 +50,6 @@ proptest! {
             // threads=2 exercises the pool even under proptest.
             let sharded: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 2);
             let mut plain: PhTree<u32, 3> = PhTree::new();
-            let mut dynk: PhTreeDyn<u32> = PhTreeDyn::new(3);
             let mut oracle: BTreeMap<[u64; 3], u32> = BTreeMap::new();
             for op in &ops {
                 match *op {
@@ -60,19 +57,16 @@ proptest! {
                         let want = oracle.insert(k, v);
                         prop_assert_eq!(sharded.insert(k, v), want, "S={} insert {:?}", shards, k);
                         prop_assert_eq!(plain.insert(k, v), want);
-                        prop_assert_eq!(dynk.insert(&k, v), want);
                     }
                     Op::Remove(k) => {
                         let want = oracle.remove(&k);
                         prop_assert_eq!(sharded.remove(&k), want, "S={} remove {:?}", shards, k);
                         prop_assert_eq!(plain.remove(&k), want);
-                        prop_assert_eq!(dynk.remove(&k), want);
                     }
                     Op::Get(k) => {
                         let want = oracle.get(&k).copied();
                         prop_assert_eq!(sharded.get(&k), want, "S={} get {:?}", shards, k);
                         prop_assert_eq!(plain.get(&k).copied(), want);
-                        prop_assert_eq!(dynk.get(&k).copied(), want);
                     }
                 }
                 prop_assert_eq!(sharded.len(), oracle.len());

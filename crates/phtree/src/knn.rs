@@ -3,8 +3,8 @@
 //! The paper lists nearest-neighbour queries as a desirable extension
 //! ("an early prototype implementation indicates that such searches can
 //! be efficiently performed", Sect. 5). This module holds the one
-//! best-first search of the workspace, written over a small node-access
-//! seam ([`KnnNode`]) so the live tree and the packed reader (`phpack`)
+//! best-first search of the workspace, written over the node read seam
+//! ([`NodeRead`]) so the live tree and the packed reader (`phpack`)
 //! run the same loop, and over a *forest*: the queue is seeded with any
 //! number of roots, so a sharded kNN is one search, not one per shard.
 //!
@@ -28,12 +28,12 @@
 //! layout or storage.
 
 use crate::key::key_to_f64;
-use crate::node::{Node, SlotRef};
+use crate::node::Node;
 use crate::tree::PhTree;
+use crate::walk::{NodeRead, Slot};
 use phbits::{hc, num};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::convert::Infallible;
 
 /// A distance metric over PH-tree keys.
 ///
@@ -107,51 +107,6 @@ pub struct Hit<V, const K: usize> {
 /// A result of a search on a live tree: the value is borrowed from it.
 pub type Neighbor<'t, V, const K: usize> = Hit<&'t V, K>;
 
-/// An occupied slot as [`KnnNode::visit_slots`] reports it.
-pub enum Slot<C, P> {
-    /// A postfix entry.
-    Post(P),
-    /// A sub-node, not yet resolved.
-    Sub(C),
-}
-
-/// Read access to one PH-tree node: everything the search needs from a
-/// tree representation. Implemented by the live node and by `phpack`'s
-/// record view.
-pub trait KnnNode<const K: usize>: Sized {
-    /// Unresolved handle to a sub-node or root (a pointer in memory, a
-    /// page reference on disk).
-    type Child;
-    /// Token for a postfix entry's value, valid while its node is.
-    type Post;
-    /// What a queued entry keeps to reach its value after its node is
-    /// gone — for a packed tree still undecoded.
-    type Value;
-    /// Failure of resolving a child or reading a slot.
-    type Error;
-
-    /// Fetches the node behind a handle.
-    fn resolve(child: &Self::Child) -> Result<Self, Self::Error>;
-
-    /// Key bits per dimension below this node's split bit.
-    fn post_len(&self) -> u32;
-
-    /// Writes the node's infix into its bit range of `key`.
-    fn read_infix_into(&self, key: &mut [u64; K]);
-
-    /// Calls `f` for every occupied slot with the key the slot spells
-    /// below `corner` (the node's region's low corner): the full key of
-    /// an entry, the low corner of a sub-node's quadrant.
-    fn visit_slots(
-        &self,
-        corner: &[u64; K],
-        f: impl FnMut([u64; K], Slot<Self::Child, Self::Post>),
-    ) -> Result<(), Self::Error>;
-
-    /// Turns an entry's token into the handle a queued entry keeps.
-    fn value(&self, post: Self::Post) -> Self::Value;
-}
-
 /// How much of the forest a search opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Expanded {
@@ -173,7 +128,7 @@ impl Ord for D {
     }
 }
 
-enum Item<N: KnnNode<K>, const K: usize> {
+enum Item<N: NodeRead<K>, const K: usize> {
     /// An unresolved node and the low corner of the region known to
     /// hold it (a quadrant of its parent; all zero for a root).
     Child(N::Child, [u64; K]),
@@ -185,7 +140,7 @@ enum Item<N: KnnNode<K>, const K: usize> {
 /// Reusable state of the search: the queue, its item arena and the
 /// results. Keep one per worker and searches stop allocating once the
 /// capacity high-water mark is reached.
-pub struct KnnScratch<N: KnnNode<K>, const K: usize> {
+pub struct KnnScratch<N: NodeRead<K>, const K: usize> {
     heap: BinaryHeap<(Reverse<D>, u32)>,
     /// Queue items by arena index; `None` once popped.
     items: Vec<Option<Item<N, K>>>,
@@ -196,13 +151,13 @@ pub struct KnnScratch<N: KnnNode<K>, const K: usize> {
     hits: Vec<Hit<N::Value, K>>,
 }
 
-impl<N: KnnNode<K>, const K: usize> Default for KnnScratch<N, K> {
+impl<N: NodeRead<K>, const K: usize> Default for KnnScratch<N, K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<N: KnnNode<K>, const K: usize> KnnScratch<N, K> {
+impl<N: NodeRead<K>, const K: usize> KnnScratch<N, K> {
     /// An empty scratch.
     pub fn new() -> Self {
         KnnScratch {
@@ -280,26 +235,35 @@ impl<N: KnnNode<K>, const K: usize> KnnScratch<N, K> {
             };
             seen.nodes += 1;
             let span = num::low_mask(node.post_len());
-            node.visit_slots(&corner, |key, slot| match slot {
-                Slot::Post(post) => {
-                    let dist = metric.point(center, &key);
-                    if dist <= self.bound {
-                        // Tighten the bound to the n-th smallest entry
-                        // distance seen (never below `dist` itself).
-                        self.nearest.push(D(dist));
-                        if self.nearest.len() > n {
-                            self.nearest.pop();
+            node.visit_slots(|h, slot| {
+                // What the slot spells below the node's low corner: an
+                // entry's key, or a sub-node's quadrant's low corner.
+                let mut key = corner;
+                hc::apply_addr(&mut key, h, node.post_len());
+                match slot {
+                    Slot::Post(post) => {
+                        node.read_postfix_into(&post, &mut key);
+                        let dist = metric.point(center, &key);
+                        if dist <= self.bound {
+                            // Tighten the bound to the n-th smallest entry
+                            // distance seen (never below `dist` itself).
+                            self.nearest.push(D(dist));
+                            if self.nearest.len() > n {
+                                self.nearest.pop();
+                            }
+                            if let (true, Some(top)) =
+                                (self.nearest.len() == n, self.nearest.peek())
+                            {
+                                self.bound = self.bound.min(top.0);
+                            }
+                            let value = node.value(post);
+                            self.push(dist, Item::Entry(Hit { key, value, dist }));
                         }
-                        if let (true, Some(top)) = (self.nearest.len() == n, self.nearest.peek()) {
-                            self.bound = self.bound.min(top.0);
-                        }
-                        let value = node.value(post);
-                        self.push(dist, Item::Entry(Hit { key, value, dist }));
                     }
-                }
-                Slot::Sub(child) => {
-                    let dist = metric.to_box(center, &key, &key.map(|c| c | span));
-                    self.push(dist, Item::Child(child, key));
+                    Slot::Sub(child) => {
+                        let dist = metric.to_box(center, &key, &key.map(|c| c | span));
+                        self.push(dist, Item::Child(child, key));
+                    }
                 }
             })?;
         }
@@ -314,48 +278,6 @@ impl<N: KnnNode<K>, const K: usize> KnnScratch<N, K> {
     /// Takes the last search's hits, nearest first, keeping the buffer.
     pub fn drain_hits(&mut self) -> std::vec::Drain<'_, Hit<N::Value, K>> {
         self.hits.drain(..)
-    }
-}
-
-impl<'t, V, const K: usize> KnnNode<K> for &'t Node<V, K> {
-    type Child = &'t Node<V, K>;
-    type Post = &'t V;
-    type Value = &'t V;
-    type Error = Infallible;
-
-    fn resolve(child: &Self::Child) -> Result<Self, Infallible> {
-        Ok(child)
-    }
-
-    fn post_len(&self) -> u32 {
-        self.post_len as u32
-    }
-
-    fn read_infix_into(&self, key: &mut [u64; K]) {
-        Node::read_infix_into(self, key)
-    }
-
-    fn visit_slots(
-        &self,
-        corner: &[u64; K],
-        mut f: impl FnMut([u64; K], Slot<Self::Child, Self::Post>),
-    ) -> Result<(), Infallible> {
-        for (h, slot) in self.iter_slots() {
-            let mut key = *corner;
-            hc::apply_addr(&mut key, h, self.post_len as u32);
-            match slot {
-                SlotRef::Post { seg, pf_off, value } => {
-                    seg.read_postfix_into(pf_off, &mut key);
-                    f(key, Slot::Post(value));
-                }
-                SlotRef::Sub(sub) => f(key, Slot::Sub(sub)),
-            }
-        }
-        Ok(())
-    }
-
-    fn value(&self, post: &'t V) -> &'t V {
-        post
     }
 }
 

@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod dynamic;
 mod float;
 mod impls;
 mod iter;
@@ -65,9 +64,9 @@ pub mod raw;
 pub mod stats;
 pub mod telemetry;
 mod tree;
+pub mod walk;
 
 pub use config::ReprMode;
-pub use dynamic::PhTreeDyn;
 pub use float::{PhTreeF64, QueryF64};
 pub use iter::Iter;
 pub use knn::{Distance, F64Euclidean, IntEuclidean, Neighbor};
@@ -86,7 +85,6 @@ const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     const fn send<T: Send>() {}
     send_sync::<PhTree<String, 3>>();
-    send_sync::<PhTreeDyn<String>>();
     send_sync::<PhTreeF64<String, 3>>();
     // Borrowing iterators are Send + Sync when the element type is.
     send_sync::<Iter<'static, String, 3>>();

@@ -79,7 +79,7 @@
 //! fall depends on the order of updates.
 
 use crate::config::ReprMode;
-use phbits::BitBuf;
+use phbits::{hc, BitBuf};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -705,21 +705,6 @@ impl<V, const K: usize> Node<V, K> {
         lo.saturating_sub(1)
     }
 
-    /// Where an address-ordered LHC scan from address `h` starts: the
-    /// LHC node to scan first (this node, or the segment covering `h`)
-    /// and the segments to continue with once it is exhausted. This is
-    /// the seam through which the window-query walker sees paged nodes.
-    /// Callers must check `!is_hc()`.
-    pub fn lhc_scan_from(&self, h: u64) -> (&Node<V, K>, std::slice::Iter<'_, Arc<Node<V, K>>>) {
-        debug_assert_ne!(self.repr, Repr::Hc);
-        if self.repr == Repr::Paged {
-            let si = self.seg_index(h);
-            (&self.subs[si], self.subs[si + 1..].iter())
-        } else {
-            (self, [].iter())
-        }
-    }
-
     /// LHC: address of child `j`.
     #[inline]
     pub fn lhc_addr_at(&self, j: usize) -> u64 {
@@ -787,61 +772,20 @@ impl<V, const K: usize> Node<V, K> {
         Err(lo)
     }
 
-    /// For window queries: index of the first child with address `>= h`.
-    pub fn lhc_lower_bound(&self, h: u64) -> usize {
+    /// For LHC nodes: the address and slot at child index `j`.
+    pub fn lhc_at(&self, j: usize) -> (u64, SlotRef<'_, V, K>) {
         debug_assert_eq!(self.repr, Repr::Lhc);
-        if h == 0 {
-            return 0; // scans of a whole node start here
-        }
-        match self.lhc_search(h) {
-            Ok(j) | Err(j) => j,
-        }
-    }
-
-    /// Number of LHC children (callers must hold a plain LHC node or a
-    /// segment, see [`Node::lhc_scan_from`]).
-    #[inline]
-    pub fn lhc_len(&self) -> usize {
-        debug_assert_eq!(self.repr, Repr::Lhc);
-        self.local_children()
-    }
-
-    /// LHC: initial state for an incremental scan starting at child `j`:
-    /// the dense post rank at `j` (one popcount) and the postfix area
-    /// base offset. Feed both to [`Node::lhc_at_ranked`] and advance the
-    /// rank on every postfix child; this turns the per-child rank
-    /// popcount of [`Node::lhc_at`] into O(1) bookkeeping.
-    pub fn lhc_scan_state(&self, j: usize) -> (usize, usize) {
-        debug_assert_eq!(self.repr, Repr::Lhc);
-        (
-            self.lhc_post_rank(j),
-            self.lhc_pf_base(self.local_children()),
-        )
-    }
-
-    /// LHC: like [`Node::lhc_at`], but with the dense post rank `pr` of
-    /// child `j` and the postfix base supplied by a caller tracking them
-    /// incrementally (see [`Node::lhc_scan_state`]).
-    pub fn lhc_at_ranked(&self, j: usize, pr: usize, pf_base: usize) -> (u64, SlotRef<'_, V, K>) {
-        debug_assert_eq!(self.repr, Repr::Lhc);
-        debug_assert_eq!(pr, self.lhc_post_rank(j), "rank tracking out of sync");
-        let addr = self.lhc_addr_at(j);
+        let pr = self.lhc_post_rank(j);
         let slot = if self.lhc_is_sub(j) {
             SlotRef::Sub(&self.subs[j - pr])
         } else {
             SlotRef::Post {
                 seg: self,
-                pf_off: pf_base + pr * self.post_bits(),
+                pf_off: self.lhc_pf_base(self.local_children()) + pr * self.post_bits(),
                 value: &self.values[pr],
             }
         };
-        (addr, slot)
-    }
-
-    /// For LHC nodes: the address and slot at child index `j`.
-    pub fn lhc_at(&self, j: usize) -> (u64, SlotRef<'_, V, K>) {
-        let pr = self.lhc_post_rank(j);
-        self.lhc_at_ranked(j, pr, self.lhc_pf_base(self.local_children()))
+        (self.lhc_addr_at(j), slot)
     }
 
     // ------------------------------------------------------------------
@@ -1114,25 +1058,31 @@ impl<V, const K: usize> Node<V, K> {
 
     /// Iterates all occupied slots in address order.
     pub fn iter_slots(&self) -> SlotIter<'_, V, K> {
+        if self.repr == Repr::Hc {
+            SlotIter::enter(self, [].iter(), 0)
+        } else {
+            self.scan_from(0)
+        }
+    }
+
+    /// LHC or paged: iterates the occupied slots at addresses `>= h` in
+    /// address order, starting inside the segment that covers `h`. This
+    /// is the scan the window walker runs its masks over.
+    pub fn scan_from(&self, h: u64) -> SlotIter<'_, V, K> {
         let (node, rest) = match self.repr {
             Repr::Paged => {
-                let mut segs = self.subs.iter();
-                let first = segs.next().expect("a paged node has segments");
-                (&**first, segs)
+                let si = self.seg_index(h);
+                (&*self.subs[si], self.subs[si + 1..].iter())
             }
-            _ => (self, [].iter()),
+            Repr::Lhc => (self, [].iter()),
+            Repr::Hc => unreachable!("an HC node is probed by address, not scanned"),
         };
-        let mut it = SlotIter {
-            node,
-            rest,
-            pf_base: 0,
-            pb: self.post_bits(),
-            pos: 0,
-            pr: 0,
-            sr: 0,
+        // Scans of a whole node start at child 0 without a search.
+        let pos = match h {
+            0 => 0,
+            _ => node.lhc_search(h).unwrap_or_else(|insert_at| insert_at),
         };
-        it.enter(node);
-        it
+        SlotIter::enter(node, rest, pos)
     }
 
     // ------------------------------------------------------------------
@@ -1747,16 +1697,72 @@ pub(crate) struct SlotIter<'a, V, const K: usize> {
 }
 
 impl<'a, V, const K: usize> SlotIter<'a, V, K> {
-    /// Starts walking `node` from its first slot. The postfix base is
-    /// computed here so the per-item cost stays one address/kind read.
-    fn enter(&mut self, node: &'a Node<V, K>) {
-        self.node = node;
-        self.pf_base = if node.repr == Repr::Hc {
-            node.hc_pf_base()
+    /// Starts walking `node` (LHC: from child `pos`; HC: from slot 0),
+    /// with `rest` the segments to continue in. The postfix base and
+    /// the ranks at `pos` are computed here so the per-item cost stays
+    /// one address/kind read.
+    fn enter(
+        node: &'a Node<V, K>,
+        rest: std::slice::Iter<'a, Arc<Node<V, K>>>,
+        pos: usize,
+    ) -> Self {
+        let (pf_base, pr) = if node.repr == Repr::Hc {
+            (node.hc_pf_base(), 0)
         } else {
-            node.lhc_pf_base(node.local_children())
+            (
+                node.lhc_pf_base(node.local_children()),
+                node.lhc_post_rank(pos),
+            )
         };
-        (self.pos, self.pr, self.sr) = (0, 0, 0);
+        SlotIter {
+            node,
+            rest,
+            pf_base,
+            pb: node.post_bits(),
+            pos,
+            pr,
+            sr: pos - pr,
+        }
+    }
+
+    /// LHC or paged: the next slot whose address the window masks admit
+    /// ([`hc::addr_valid`]), `None` once the scan is exhausted or past
+    /// `m_u`, the largest address that can match. Slots the masks
+    /// reject cost an address and a kind-bit read, nothing more.
+    #[inline]
+    pub fn next_masked(&mut self, m_l: u64, m_u: u64) -> Option<(u64, SlotRef<'a, V, K>)> {
+        loop {
+            let node = self.node;
+            if self.pos >= node.local_children() {
+                let seg = self.rest.next()?;
+                *self = SlotIter::enter(seg, self.rest.clone(), 0);
+                continue;
+            }
+            let j = self.pos;
+            let h = node.lhc_addr_at(j);
+            if h > m_u {
+                return None;
+            }
+            self.pos += 1;
+            let admitted = hc::addr_valid(h, m_l, m_u);
+            if node.lhc_is_sub(j) {
+                self.sr += 1;
+                if admitted {
+                    return Some((h, SlotRef::Sub(&node.subs[self.sr - 1])));
+                }
+            } else {
+                self.pr += 1;
+                if admitted {
+                    let pr = self.pr - 1;
+                    let slot = SlotRef::Post {
+                        seg: node,
+                        pf_off: self.pf_base + pr * self.pb,
+                        value: &node.values[pr],
+                    };
+                    return Some((h, slot));
+                }
+            }
+        }
     }
 }
 
@@ -1789,27 +1795,7 @@ impl<'a, V, const K: usize> Iterator for SlotIter<'a, V, K> {
             }
             None
         } else {
-            if self.pos >= node.local_children() {
-                let seg = self.rest.next()?;
-                self.enter(seg);
-                return self.next();
-            }
-            let j = self.pos;
-            self.pos += 1;
-            let h = node.lhc_addr_at(j);
-            if node.lhc_is_sub(j) {
-                let r = SlotRef::Sub(&node.subs[self.sr]);
-                self.sr += 1;
-                Some((h, r))
-            } else {
-                let r = SlotRef::Post {
-                    seg: node,
-                    pf_off: self.pf_base + self.pr * self.pb,
-                    value: &node.values[self.pr],
-                };
-                self.pr += 1;
-                Some((h, r))
-            }
+            self.next_masked(0, u64::MAX)
         }
     }
 }

@@ -1,17 +1,13 @@
 //! Window (range) queries — Sect. 3.5 of the paper.
 //!
 //! A window query takes a lower-left and an upper-right corner and
-//! returns every stored key inside the axis-aligned hyper-rectangle. The
-//! iterator walks the tree depth-first; within each node it enumerates
-//! only hypercube addresses that can possibly intersect the query, using
-//! the two masks `mL`/`mU` and the constant-time successor function of
-//! [`phbits::hc`]. Sub-nodes are pruned by prefix-region intersection.
+//! returns every stored key inside the axis-aligned hyper-rectangle.
+//! [`Query`] is the live tree's face of the one window walker,
+//! [`crate::walk::Window`].
 
-use crate::node::{Node, SlotRef};
-use crate::telemetry::Visits;
+use crate::node::Node;
 use crate::tree::PhTree;
-use phbits::{hc, num};
-use std::sync::Arc;
+use crate::walk::Window;
 
 /// Iterator over all entries within a query rectangle, returned by
 /// [`PhTree::query`].
@@ -19,72 +15,15 @@ use std::sync::Arc;
 /// Yields `([u64; K], &V)` pairs in depth-first (Z-order-ish) order —
 /// not globally sorted.
 pub struct Query<'t, V, const K: usize> {
-    min: [u64; K],
-    max: [u64; K],
-    /// Approximation slack (Sect. 5 outlook / Nickerson & Shi): a node
-    /// whose region spans at most `2^slack_bits` per dimension and
-    /// intersects the query is reported wholesale, without exact
-    /// boundary checks. 0 = exact.
-    slack_bits: u32,
-    stack: Vec<Frame<'t, V, K>>,
-    /// Nodes visited over the iterator's lifetime, reported to the
-    /// telemetry sink on drop (ZST when the `metrics` feature is off).
-    vis: Visits,
+    walk: Window<&'t Node<V, K>, K>,
 }
 
+/// Nodes visited over the iterator's lifetime are reported to the
+/// telemetry sink on drop.
 #[cfg(feature = "metrics")]
 impl<V, const K: usize> Drop for Query<'_, V, K> {
     fn drop(&mut self) {
-        crate::telemetry::record_op(crate::telemetry::TreeOp::Query, self.vis);
-    }
-}
-
-enum Cursor {
-    /// Next LHC child index to examine, plus its dense post rank and the
-    /// node's postfix base offset, tracked incrementally so each step
-    /// avoids the O(children) rank popcount.
-    Lhc {
-        idx: usize,
-        pr: usize,
-        pf_base: usize,
-    },
-    /// Next HC address to examine, `None` when exhausted.
-    Hc(Option<u64>),
-}
-
-impl Cursor {
-    fn lhc<V, const K: usize>(node: &Node<V, K>, idx: usize) -> Self {
-        let (pr, pf_base) = node.lhc_scan_state(idx);
-        Cursor::Lhc { idx, pr, pf_base }
-    }
-}
-
-struct Frame<'t, V, const K: usize> {
-    /// The HC or LHC node being scanned: the pushed node itself, or the
-    /// current segment of a paged one.
-    node: &'t Node<V, K>,
-    /// Paged: the segments to continue with after `node`.
-    rest: std::slice::Iter<'t, Arc<Node<V, K>>>,
-    /// The node's prefix: bits above `post_len` are the path/infix bits,
-    /// bits at and below `post_len` are cleared. This is also the
-    /// node region's minimum corner.
-    prefix: [u64; K],
-    m_l: u64,
-    m_u: u64,
-    /// The node's region lies entirely inside the query box: every
-    /// entry below it matches without further checks, and sub-node
-    /// regions need no intersection test (paper Sect. 3.5: "the query
-    /// iterator can simply iterate through all elements").
-    inside: bool,
-    cursor: Cursor,
-}
-
-/// Clears bits `0..=bit` of every dimension.
-#[inline]
-fn clear_low(key: &mut [u64], bit: u32) {
-    let m = !num::low_mask(bit + 1);
-    for v in key.iter_mut() {
-        *v &= m;
+        crate::telemetry::record_op(crate::telemetry::TreeOp::Query, self.walk.vis);
     }
 }
 
@@ -95,148 +34,21 @@ impl<'t, V, const K: usize> Query<'t, V, K> {
         max: [u64; K],
         slack_bits: u32,
     ) -> Self {
-        let mut q = Query {
-            min,
-            max,
-            slack_bits,
-            stack: Vec::with_capacity(16),
-            vis: Visits::new(),
-        };
+        let mut walk = Window::new(min, max, slack_bits);
         if let Some(root) = tree.root.as_deref() {
-            q.push_node(root, [0u64; K]);
+            let Ok(()) = walk.push_root(&root);
         }
-        q
-    }
-
-    /// Pushes a frame for `node` whose region minimum is `prefix` (low
-    /// bits cleared), if the region intersects the query.
-    fn push_node(&mut self, node: &'t Node<V, K>, prefix: [u64; K]) {
-        let span = num::low_mask(node.post_len as u32 + 1);
-        let mut inside = true;
-        for (d, &p) in prefix.iter().enumerate() {
-            if p > self.max[d] || p | span < self.min[d] {
-                return;
-            }
-            inside &= self.min[d] <= p && p | span <= self.max[d];
-        }
-        // Approximate mode: small intersecting nodes count as inside.
-        let inside = inside || (node.post_len as u32) < self.slack_bits;
-        let (m_l, m_u) = if inside {
-            // Every slot matches; iterate the full cube.
-            (0, num::low_mask(K as u32))
-        } else {
-            hc::masks(&prefix, &self.min, &self.max, node.post_len as u32)
-        };
-        if m_l & !m_u != 0 {
-            return; // contradictory: no slot can match
-        }
-        self.push_frame(node, prefix, m_l, m_u, inside);
-    }
-
-    /// Pushes the frame scanning `node`'s slots under masks
-    /// `(m_l, m_u)`. An LHC scan starts at the first child at or above
-    /// `m_l` — for a paged node, in the segment covering `m_l`.
-    fn push_frame(
-        &mut self,
-        node: &'t Node<V, K>,
-        prefix: [u64; K],
-        m_l: u64,
-        m_u: u64,
-        inside: bool,
-    ) {
-        self.vis.bump();
-        let (node, rest, cursor) = if node.is_hc() {
-            (node, [].iter(), Cursor::Hc(Some(hc::first_addr(m_l, m_u))))
-        } else {
-            let (scan, rest) = node.lhc_scan_from(m_l);
-            (scan, rest, Cursor::lhc(scan, scan.lhc_lower_bound(m_l)))
-        };
-        self.stack.push(Frame {
-            node,
-            rest,
-            prefix,
-            m_l,
-            m_u,
-            inside,
-            cursor,
-        });
-    }
-
-    /// Pushes a frame for a node known to lie entirely inside the query.
-    fn push_node_inside(&mut self, node: &'t Node<V, K>, prefix: [u64; K]) {
-        self.push_frame(node, prefix, 0, num::low_mask(K as u32), true);
-    }
-
-    /// Advances the top frame to its next candidate slot.
-    fn next_candidate(&mut self) -> Option<(u64, SlotRef<'t, V, K>)> {
-        let frame = self.stack.last_mut()?;
-        let node = frame.node;
-        match &mut frame.cursor {
-            Cursor::Lhc { idx, pr, pf_base } => {
-                while *idx < node.lhc_len() {
-                    let (h, slot) = node.lhc_at_ranked(*idx, *pr, *pf_base);
-                    *idx += 1;
-                    if matches!(slot, SlotRef::Post { .. }) {
-                        *pr += 1;
-                    }
-                    if h > frame.m_u {
-                        return None; // beyond the largest possible match
-                    }
-                    if hc::addr_valid(h, frame.m_l, frame.m_u) {
-                        return Some((h, slot));
-                    }
-                }
-                // A paged node's scan carries on in its next segment.
-                let seg = frame.rest.next()?;
-                frame.node = seg;
-                frame.cursor = Cursor::lhc(seg, 0);
-                return self.next_candidate();
-            }
-            Cursor::Hc(next) => {
-                while let Some(h) = *next {
-                    *next = hc::next_addr(h, frame.m_l, frame.m_u);
-                    if let Some(slot) = node.get_slot(h) {
-                        return Some((h, slot));
-                    }
-                }
-            }
-        }
-        None
+        Query { walk }
     }
 }
 
 impl<'t, V, const K: usize> Iterator for Query<'t, V, K> {
     type Item = ([u64; K], &'t V);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let frame = self.stack.last()?;
-            let (prefix, post_len, inside) = (frame.prefix, frame.node.post_len, frame.inside);
-            match self.next_candidate() {
-                None => {
-                    self.stack.pop();
-                }
-                Some((h, SlotRef::Post { seg, pf_off, value })) => {
-                    let mut key = prefix;
-                    hc::apply_addr(&mut key, h, post_len as u32);
-                    seg.read_postfix_into(pf_off, &mut key);
-                    if inside || (0..K).all(|d| self.min[d] <= key[d] && key[d] <= self.max[d]) {
-                        return Some((key, value));
-                    }
-                }
-                Some((h, SlotRef::Sub(sub))) => {
-                    let mut child_prefix = prefix;
-                    hc::apply_addr(&mut child_prefix, h, post_len as u32);
-                    sub.read_infix_into(&mut child_prefix);
-                    clear_low(&mut child_prefix, sub.post_len as u32);
-                    if inside {
-                        self.push_node_inside(sub, child_prefix);
-                    } else {
-                        self.push_node(sub, child_prefix);
-                    }
-                }
-            }
-        }
+        let Ok(hit) = self.walk.next_entry();
+        hit.map(|(key, _, post)| (key, post.value))
     }
 }
 

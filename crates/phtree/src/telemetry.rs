@@ -23,9 +23,11 @@
 //!   intended sink is a `phmetrics` counter/histogram: one relaxed
 //!   atomic add).
 //!
-//! Only the const-generic [`crate::PhTree`] is instrumented; the
-//! dynamic-dimension mirror (`PhTreeDyn`) and the full-scan iterator
-//! are not on any serving path and report nothing.
+//! Only [`crate::PhTree`]'s own operations report. The traversals in
+//! [`crate::walk`] count the nodes they visit whoever runs them, but
+//! it is `PhTree::get` and the live [`crate::Query`] that hand the
+//! count to the sink; a packed tree walking the same code reports
+//! nothing here.
 //!
 //! This seam doubles as the request-tracing bridge: `phserve`'s
 //! `trace` feature installs a forwarding sink that adds each op's

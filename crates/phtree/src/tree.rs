@@ -10,6 +10,7 @@
 use crate::config::ReprMode;
 use crate::node::{BulkChild, Child, Node, Probe, SlotRef, W};
 use crate::telemetry::{self, TreeOp, Visits};
+use crate::walk;
 use phbits::{hc, num};
 use std::sync::Arc;
 
@@ -339,27 +340,10 @@ impl<V, const K: usize> PhTree<V, K> {
     #[inline]
     pub fn get(&self, key: &[u64; K]) -> Option<&V> {
         let mut vis = Visits::new();
-        let mut node = match self.root.as_deref() {
-            Some(n) => n,
-            None => {
-                telemetry::record_op(TreeOp::Get, vis);
-                return None;
-            }
-        };
-        let found = loop {
-            vis.bump();
-            if !node.infix_matches(key) {
-                break None;
-            }
-            let h = hc::addr(key, node.post_len as u32);
-            match node.get_slot(h) {
-                None => break None,
-                Some(SlotRef::Post { seg, pf_off, value }) => {
-                    break seg.postfix_matches(pf_off, key).then_some(value);
-                }
-                Some(SlotRef::Sub(sub)) => node = sub,
-            }
-        };
+        let found = self.root.as_deref().and_then(|root| {
+            let Ok(hit) = walk::descend_counted::<&Node<V, K>, K>(&root, key, &mut vis);
+            hit.map(|(_, post)| post.value)
+        });
         telemetry::record_op(TreeOp::Get, vis);
         found
     }

@@ -12,7 +12,7 @@
 //! and libtest runs separate tests on separate threads.
 
 use measure::alloc_track::{snapshot, CountingAlloc};
-use phtree::{PhTree, PhTreeDyn, ALLOC_OVERHEAD};
+use phtree::{PhTree, ALLOC_OVERHEAD};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -60,6 +60,16 @@ fn stats_match_measured_heap_exactly() {
     // Bulk-loaded: exact-size construction, zero slack by design.
     let bulk = PhTree::bulk_load(items.clone());
     let bulk_stats = bulk.stats();
+
+    // Reads own no heap: the point descent holds one node at a time and
+    // the window walker keeps its frames inline (one `Vec` per query
+    // before the walker was shared with the packed reader).
+    let before = snapshot();
+    let hits = items.iter().filter(|(k, _)| bulk.contains(k)).count();
+    let in_box = bulk.query(&[100; 3], &[1100; 3]).count();
+    assert_eq!(bulk.iter().count(), bulk.len());
+    assert_eq!(snapshot().allocs_since(&before), 0, "reads allocated");
+    assert!(hits == items.len() && in_box > 0);
     let (bytes, blocks) = measured_heap(bulk);
     assert_stats_exact("bulk", bulk_stats, bytes, blocks);
 
@@ -85,19 +95,4 @@ fn stats_match_measured_heap_exactly() {
     let (bytes, blocks) = measured_heap(shrunk);
     assert_stats_exact("shrunk", shrunk_stats, bytes, blocks);
     assert!(shrunk_stats.total_bytes <= seq_stats.total_bytes);
-
-    // Runtime-k tree, bulk and shrunk-sequential alike.
-    let dyn_items: Vec<(Vec<u64>, u64)> = items.iter().map(|&(k, v)| (k.to_vec(), v)).collect();
-    let dbulk: PhTreeDyn<u64> = PhTreeDyn::bulk_load(3, dyn_items.clone());
-    let dbulk_stats = dbulk.stats();
-    let (bytes, blocks) = measured_heap(dbulk);
-    assert_stats_exact("dyn bulk", dbulk_stats, bytes, blocks);
-    let mut dseq: PhTreeDyn<u64> = PhTreeDyn::new(3);
-    for (k, v) in &dyn_items {
-        dseq.insert(k, *v);
-    }
-    dseq.shrink_to_fit();
-    assert_eq!(dseq.stats(), dbulk_stats);
-    let (bytes, blocks) = measured_heap(dseq);
-    assert_stats_exact("dyn shrunk", dbulk_stats, bytes, blocks);
 }

@@ -2,40 +2,13 @@
 //! property makes the PH-tree suitable for concurrency; here we verify
 //! the read side — a built tree is safely shared across threads).
 
-use phtree::{PhTree, PhTreeDyn, PhTreeF64};
+use phtree::{PhTree, PhTreeF64};
 
 #[test]
 fn tree_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PhTree<u64, 3>>();
     assert_send_sync::<PhTreeF64<String, 2>>();
-    assert_send_sync::<PhTreeDyn<u64>>();
-}
-
-#[test]
-fn dyn_tree_parallel_readers() {
-    let mut tree: PhTreeDyn<u64> = PhTreeDyn::new(3);
-    for i in 0..20_000u64 {
-        tree.insert(&[i % 41, (i / 41) % 37, i / (41 * 37)], i);
-    }
-    let expected_len = tree.len();
-    let expected_window = tree.query_count(&[5, 5, 0], &[30, 30, 20]);
-    let tree = &tree;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                s.spawn(move || {
-                    let mut count = 0usize;
-                    tree.for_each(&mut |_k, _v| count += 1);
-                    assert_eq!(count, expected_len, "thread {t} full scan");
-                    tree.query_count(&[5, 5, 0], &[30, 30, 20])
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), expected_window);
-        }
-    });
 }
 
 #[test]

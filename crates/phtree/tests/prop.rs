@@ -273,62 +273,5 @@ proptest! {
             let qb: Vec<_> = seq.query(&min, &max).map(|(k, _)| k).collect();
             prop_assert_eq!(qa, qb);
         }
-        // The runtime-k tree gets the same guarantee.
-        let dyn_items: Vec<(Vec<u64>, u32)> =
-            items.iter().map(|&(k, v)| (k.to_vec(), v)).collect();
-        let dbulk: phtree::PhTreeDyn<u32> = phtree::PhTreeDyn::bulk_load(3, dyn_items.clone());
-        dbulk.check_invariants();
-        let mut dseq: phtree::PhTreeDyn<u32> = phtree::PhTreeDyn::new(3);
-        for (k, v) in &dyn_items {
-            dseq.insert(k, *v);
-        }
-        dseq.shrink_to_fit();
-        prop_assert_eq!(dbulk.len(), dseq.len());
-        prop_assert_eq!(dbulk.stats(), dseq.stats());
-        let mut pa = Vec::new();
-        dbulk.for_each(&mut |k, v| pa.push((k.to_vec(), *v)));
-        let mut pb = Vec::new();
-        dseq.for_each(&mut |k, v| pb.push((k.to_vec(), *v)));
-        prop_assert_eq!(pa, pb);
-    }
-
-    /// The dynamic (runtime-k) tree and the const-generic tree run the
-    /// same canonical algorithm: identical data must produce identical
-    /// structure, contents and statistics — under inserts AND removals.
-    #[test]
-    fn dynamic_tree_equals_static_tree(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let mut st: PhTree<u32, 3> = PhTree::new();
-        let mut dy: phtree::PhTreeDyn<u32> = phtree::PhTreeDyn::new(3);
-        for op in &ops {
-            match *op {
-                Op::Insert(k, v) => {
-                    prop_assert_eq!(st.insert(k, v), dy.insert(&k, v));
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(st.remove(&k), dy.remove(&k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(st.get(&k), dy.get(&k));
-                }
-            }
-        }
-        st.check_invariants();
-        dy.check_invariants();
-        prop_assert_eq!(st.len(), dy.len());
-        // Canonical structure: identical node counts, depths and reprs.
-        let (a, b) = (st.stats(), dy.stats());
-        prop_assert_eq!(a.nodes, b.nodes);
-        prop_assert_eq!(a.hc_nodes, b.hc_nodes);
-        prop_assert_eq!(a.max_depth, b.max_depth);
-        prop_assert_eq!(a.entries, b.entries);
-        prop_assert_eq!(a.bit_bytes, b.bit_bytes);
-        // Identical window query results.
-        let (min, max) = ([2u64, 0, 1], [14u64, 12, 30]);
-        let mut want: Vec<[u64; 3]> = st.query(&min, &max).map(|(k, _)| k).collect();
-        want.sort();
-        let mut got: Vec<[u64; 3]> = Vec::new();
-        dy.query_visit(&min, &max, &mut |k, _| got.push([k[0], k[1], k[2]]));
-        got.sort();
-        prop_assert_eq!(got, want);
     }
 }

@@ -6,13 +6,15 @@
 //! Each row of an `orders` table becomes one k-dimensional key: every
 //! column is a dimension, so *every* column is indexed at once and any
 //! combination of per-column range predicates becomes a single window
-//! query. The column count is runtime data, so this uses
-//! [`phtree::PhTreeDyn`].
+//! query. The dimension count `K` is a compile-time constant of
+//! [`phtree::PhTree`]: a fixed schema like this one names it once; a
+//! table whose column count is only known at run time would `match`
+//! over the monomorphised instances it supports.
 //!
 //! Run with: `cargo run --release -p ph-bench --example relational`
 
 use phtree::key::{f64_to_key, i64_to_key, key_to_f64};
-use phtree::PhTreeDyn;
+use phtree::PhTree;
 use std::time::Instant;
 
 /// Column schema: name + encoder into sortable u64 space.
@@ -33,9 +35,12 @@ impl Col {
     }
 }
 
+/// Column count of the `orders` table.
+const K: usize = 6;
+
 fn main() {
     // orders(order_id, customer, day, quantity, balance_delta, price)
-    let schema = [
+    let schema: [Col; K] = [
         Col::U64("order_id"),
         Col::U64("customer"),
         Col::U64("day"),
@@ -43,15 +48,14 @@ fn main() {
         Col::I64("balance_delta"),
         Col::F64("price"),
     ];
-    let k = schema.len();
     println!(
-        "schema: orders({}) — {k} columns, all indexed",
+        "schema: orders({}) — {K} columns, all indexed",
         schema.iter().map(Col::name).collect::<Vec<_>>().join(", ")
     );
 
     // Generate and load 300k rows. The row *is* the key; no payload.
     let n_rows = 300_000u64;
-    let mut table: PhTreeDyn<()> = PhTreeDyn::new(k);
+    let mut table: PhTree<(), K> = PhTree::new();
     let mut x = 42u64;
     let mut rng = move || {
         x = x
@@ -66,7 +70,7 @@ fn main() {
         let quantity = 1 + rng() % 50;
         let balance_delta = (rng() % 20_000) as i64 - 10_000;
         let price = (rng() % 100_000) as f64 / 100.0;
-        let row = vec![
+        let row = [
             order_id,
             customer,
             day,
@@ -74,7 +78,7 @@ fn main() {
             i64_to_key(balance_delta),
             f64_to_key(price),
         ];
-        table.insert(&row, ());
+        table.insert(row, ());
     }
     println!(
         "loaded {} rows in {:.0} ms",
@@ -86,7 +90,7 @@ fn main() {
         "table storage: {:.1} bytes/row ({} nodes) — raw row data is {} bytes/row",
         s.bytes_per_entry(),
         s.nodes,
-        k * 8
+        K * 8
     );
 
     // SELECT count(*) FROM orders
@@ -94,27 +98,26 @@ fn main() {
     //   AND day BETWEEN 50 AND 99
     //   AND price BETWEEN 100.00 AND 500.00
     // — one window query, no per-column secondary indexes needed.
-    let mut lo = vec![0u64; k];
-    let mut hi = vec![u64::MAX; k];
+    let mut lo = [0u64; K];
+    let mut hi = [u64::MAX; K];
     (lo[1], hi[1]) = (100, 199);
     (lo[2], hi[2]) = (50, 99);
     (lo[5], hi[5]) = (f64_to_key(100.0), f64_to_key(500.0));
     let t0 = Instant::now();
-    let mut revenue = 0.0;
-    let hits = table.query_visit(&lo, &hi, &mut |row, _| {
+    let (mut hits, mut revenue) = (0usize, 0.0);
+    for (row, _) in table.query(&lo, &hi) {
+        hits += 1;
         revenue += key_to_f64(row[5]) * row[3] as f64;
-    });
+    }
     let q_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("3-predicate query: {hits} rows, revenue {revenue:.2}, in {q_ms:.2} ms");
 
     // Verify against a full scan.
     let t0 = Instant::now();
-    let mut scan_hits = 0usize;
-    table.for_each(&mut |row, _| {
-        if (0..k).all(|d| lo[d] <= row[d] && row[d] <= hi[d]) {
-            scan_hits += 1;
-        }
-    });
+    let scan_hits = table
+        .iter()
+        .filter(|(row, _)| (0..K).all(|d| lo[d] <= row[d] && row[d] <= hi[d]))
+        .count();
     let scan_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(hits, scan_hits);
     println!(
@@ -123,15 +126,7 @@ fn main() {
     );
 
     // Point lookup by full row; deletes work too (an OLTP-ish update).
-    let probe = {
-        let mut p = None;
-        table.query_visit(&lo, &hi, &mut |row, _| {
-            if p.is_none() {
-                p = Some(row.to_vec());
-            }
-        });
-        p.unwrap()
-    };
+    let (probe, _) = table.query(&lo, &hi).next().expect("the query had hits");
     assert!(table.contains(&probe));
     assert_eq!(table.remove(&probe), Some(()));
     assert!(!table.contains(&probe));
