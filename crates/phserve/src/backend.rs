@@ -109,11 +109,13 @@ pub trait Backend<const K: usize>: Send + Sync + 'static {
     ///
     /// The default is the per-op loop, stopping at the first error (the
     /// ops after it are not attempted). It is also what the in-memory
-    /// tree keeps: a batch fanned out over its worker pool costs more
-    /// than the single writes it replaces. A backend that pays per
-    /// call — [`DurableSharded`] syncs its WAL — overrides this to pay
-    /// per run; its error covers the whole run, whose ops are then
-    /// outcome-unknown one by one (except `Overloaded`: none applied).
+    /// tree keeps: with nothing to sync, routing and partitioning a
+    /// run buys nothing over the single writes it replaces, each of
+    /// which locks one shard and publishes at once. A backend that
+    /// pays per call — [`DurableSharded`] syncs its WAL — overrides
+    /// this to pay per run; its error covers the whole run, whose ops
+    /// are then outcome-unknown one by one (except `Overloaded`: none
+    /// applied).
     fn write_run(&self, ops: Vec<Op<u64, K>>) -> (Vec<Option<u64>>, Result<(), ShardError>) {
         let mut prevs = Vec::with_capacity(ops.len());
         for op in ops {

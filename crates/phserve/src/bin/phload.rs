@@ -172,7 +172,7 @@ fn launch(
         .unwrap_or_else(|e| fail(&format!("bind: {e}")));
         (handle, reb, Some(dir))
     } else {
-        let backend = Arc::new(ShardedTree::<u64, K>::with_metrics(8, 2, &registry));
+        let backend = Arc::new(ShardedTree::<u64, K>::with_metrics(8, &registry));
         let reb = Rebalancer::spawn(Arc::clone(&backend), RebalancePolicy::default());
         let handle = spawn(
             Arc::clone(&backend),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! phserve [--addr 127.0.0.1:7070] [--metrics-addr 127.0.0.1:7071]
-//!         [--durable DIR | --packed DIR] [--shards 8] [--threads N]
+//!         [--durable DIR | --packed DIR] [--shards 8]
 //!         [--queue-cap 1024] [--batch-max 64] [--workers 1]
 //!         [--shed-wait-us 2000] [--op-delay-us 0] [--no-rebalance]
 //!         [--lru-pages N] [--trace] [--trace-sample 64] [--slow-us N]
@@ -48,7 +48,6 @@ struct Args {
     packed: Option<PathBuf>,
     lru_pages: Option<usize>,
     shards: usize,
-    threads: usize,
     cfg: ServerConfig,
     rebalance: bool,
     trace: bool,
@@ -59,7 +58,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: phserve [--addr A] [--metrics-addr A] [--durable DIR | --packed DIR] \
-         [--lru-pages N] [--shards N] [--threads N] [--queue-cap N] [--batch-max N] \
+         [--lru-pages N] [--shards N] [--queue-cap N] [--batch-max N] \
          [--workers N] [--shed-wait-us N] [--op-delay-us N] [--no-rebalance] \
          [--trace] [--trace-sample N] [--slow-us N]"
     );
@@ -74,7 +73,6 @@ fn parse_args() -> Args {
         packed: None,
         lru_pages: None,
         shards: 8,
-        threads: 0,
         cfg: ServerConfig::default(),
         rebalance: true,
         trace: false,
@@ -98,7 +96,6 @@ fn parse_args() -> Args {
                 args.lru_pages = Some(val("--lru-pages").parse().unwrap_or_else(|_| usage()))
             }
             "--shards" => args.shards = val("--shards").parse().unwrap_or_else(|_| usage()),
-            "--threads" => args.threads = val("--threads").parse().unwrap_or_else(|_| usage()),
             "--queue-cap" => {
                 args.cfg.queue_cap = val("--queue-cap").parse().unwrap_or_else(|_| usage())
             }
@@ -162,13 +159,6 @@ fn main() {
     }
 
     let registry = Registry::new();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        args.threads
-    };
 
     if args.packed.is_some() && args.durable.is_some() {
         eprintln!("phserve: --packed and --durable are mutually exclusive");
@@ -241,11 +231,7 @@ fn main() {
                 (handle, reb)
             }
             None => {
-                let backend = Arc::new(ShardedTree::<u64, K>::with_metrics(
-                    args.shards,
-                    threads,
-                    &registry,
-                ));
+                let backend = Arc::new(ShardedTree::<u64, K>::with_metrics(args.shards, &registry));
                 let reb = args
                     .rebalance
                     .then(|| Rebalancer::spawn(Arc::clone(&backend), RebalancePolicy::default()));

@@ -20,7 +20,7 @@ const K: usize = 3;
 
 fn mem_server(cfg: ServerConfig) -> phserve::ServerHandle {
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, 2, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, &registry));
     spawn(backend, "127.0.0.1:0", None, registry, cfg).expect("spawn server")
 }
 
@@ -90,7 +90,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 #[test]
 fn liveness_and_readiness_split() {
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, 2, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, &registry));
     let server = spawn(
         backend,
         "127.0.0.1:0",

@@ -41,7 +41,7 @@ fn metric_value(text: &str, name: &str) -> Option<f64> {
 #[test]
 fn metrics_endpoint_exposes_serving_instruments() {
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(4, 2, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(4, &registry));
     let server = spawn(
         backend,
         "127.0.0.1:0",
@@ -116,8 +116,8 @@ fn metrics_endpoint_exposes_serving_instruments() {
 
     // The backend's own instruments share the registry and the page.
     assert!(
-        body.contains("phshard_pool_queue_depth"),
-        "shard pool gauges should ride the same sidecar"
+        body.contains("phshard_root_swaps_total"),
+        "the shard engine's instruments should ride the same sidecar"
     );
 
     // /healthz answers; unknown paths 404.
@@ -132,7 +132,7 @@ fn metrics_endpoint_exposes_serving_instruments() {
 #[test]
 fn shed_counters_reach_the_scrape() {
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(4, 1, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(4, &registry));
     let queue_cap = 8;
     let server = spawn(
         backend,

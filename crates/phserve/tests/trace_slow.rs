@@ -49,7 +49,7 @@ fn slow_query_breakdown_reaches_debug_slow() {
     assert_eq!(phtrace::slow_threshold_ns(), 5_000_000);
 
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, 2, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, &registry));
     let cfg = ServerConfig {
         op_delay: Some(Duration::from_millis(25)),
         ..ServerConfig::default()

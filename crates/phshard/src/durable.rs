@@ -61,21 +61,20 @@
 //! integration test sweeps a crash through every byte of this write
 //! stream and asserts exactly that.
 
+use crate::engine::{CellState, Engine, SplitPlan};
 use crate::epoch::ShardMap;
 use crate::error::ShardError;
-use crate::lockstat::DataMutex;
-use crate::metrics::{RebalanceMetrics, SwapMetrics};
+use crate::metrics::{OpInstruments, Probes};
 use crate::sharded::SplitReport;
-use crate::snapshot::{Published, Snapshot, WriteClock, SNAPSHOT_SPIN};
-use crate::swap::Swap;
+use crate::snapshot::Snapshot;
 use phmetrics::Registry;
 use phstore::durable::shard_dir;
 use phstore::vfs::{StdVfs, Vfs};
 use phstore::{fnv1a, Corruption, Durable, DurableConfig, RecoveryStats, StoreError, ValueCodec};
 use phtree::{Op, PhTree};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Manifest file recording the routing topology of a sharded store
 /// directory.
@@ -258,6 +257,19 @@ fn scrub_shard_dir(vfs: &dyn Vfs, dir: &Path) {
     }
 }
 
+/// Runs `job` for every shard in `shards`, each on its own scoped
+/// thread (recovery and checkpoints are per-shard I/O); results come
+/// back in `shards` order.
+fn per_shard<T: Sync, R: Send>(shards: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = shards.iter().map(|s| scope.spawn(|| job(s))).collect();
+        let joined = spawned.into_iter().map(|h| h.join());
+        joined
+            .map(|r| r.expect("per-shard thread panicked"))
+            .collect()
+    })
+}
+
 /// Bounded queue of writes accepted while a slot's contents are being
 /// copied; drained onto the children at commit.
 struct Backlog<V, const K: usize> {
@@ -265,53 +277,54 @@ struct Backlog<V, const K: usize> {
     cap: usize,
 }
 
-/// One shard's durable cell: the store plus (while migrating) the
-/// write backlog, guarded together so backlog membership is exactly
-/// "journaled after the freeze-point snapshot".
-struct DurCellState<V: ValueCodec, const K: usize> {
+/// A durable cell's writer-side state: the store plus (while
+/// migrating) the write backlog, guarded together so backlog
+/// membership is exactly "journaled after the freeze-point snapshot".
+pub(crate) struct DurState<V: ValueCodec, const K: usize> {
     store: Durable<V, K>,
     backlog: Option<Backlog<V, K>>,
 }
 
-/// One shard's durable cell. Writers mutate `state` (journal + apply)
-/// under its lock and then publish an O(1) structural clone of the
-/// store's tree through `published`; readers only touch `published`
-/// (lock-free). `retired` flips inside the commit's write-clock
-/// bracket, *before* the successor state installs — see
-/// [`crate::sharded`] for why that order makes lock-free reads sound.
-struct DurCell<V: ValueCodec, const K: usize> {
-    retired: AtomicBool,
-    state: DataMutex<DurCellState<V, K>>,
-    published: Swap<Published<V, K>>,
+impl<V: ValueCodec, const K: usize> CellState<V, K> for DurState<V, K> {
+    fn tree(&self) -> &PhTree<V, K> {
+        self.store.tree()
+    }
 }
 
-impl<V: ValueCodec, const K: usize> DurCell<V, K> {
-    fn fresh(store: Durable<V, K>) -> Arc<Self> {
-        Arc::new(DurCell {
-            retired: AtomicBool::new(false),
-            published: Swap::new(Published::now(store.tree().clone())),
-            state: DataMutex::new(DurCellState {
-                store,
-                backlog: None,
+impl<V: ValueCodec + Clone, const K: usize> DurState<V, K> {
+    fn fresh(store: Durable<V, K>) -> Self {
+        DurState {
+            store,
+            backlog: None,
+        }
+    }
+
+    /// Admission: `n` more writes must fit the armed backlog, checked
+    /// **before** anything is journaled — a shed write is neither
+    /// durable nor applied, safe to retry.
+    fn admit(&self, slot: usize, n: usize) -> Result<(), ShardError> {
+        match &self.backlog {
+            Some(b) if b.ops.len() + n > b.cap => Err(ShardError::Overloaded {
+                slot,
+                backlog: b.cap,
             }),
-        })
+            _ => Ok(()),
+        }
     }
 
-    /// Publishes the store's current tree. Must be called under the
-    /// cell's state lock and inside a write-clock bracket.
-    fn publish(&self, cs: &DurCellState<V, K>, metrics: &SwapMetrics) {
-        self.published
-            .store(Published::now(cs.store.tree().clone()));
-        metrics.root_swaps.inc();
+    /// Journals and applies `ops` as one group commit (one WAL write,
+    /// one sync), queueing them on the backlog if a migration armed it.
+    fn apply(&mut self, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, StoreError> {
+        let queued = self.backlog.is_some().then(|| ops.clone());
+        let prevs = self.store.apply_batch(ops)?;
+        if let Some(b) = &mut self.backlog {
+            b.ops.extend(queued.unwrap_or_default());
+        }
+        Ok(prevs)
     }
 }
 
-/// An immutable routing snapshot: map + slot-indexed cells, swapped
-/// wholesale behind `Arc` at each committed split.
-struct DurInner<V: ValueCodec, const K: usize> {
-    map: Arc<ShardMap<K>>,
-    cells: Vec<Option<Arc<DurCell<V, K>>>>,
-}
+type DurPlan<'a, V, const K: usize> = SplitPlan<'a, DurState<V, K>, V, K>;
 
 /// A split prepared by [`DurableSharded::begin_split`]: children built
 /// and durable, backlog accepting writes, manifest carrying the
@@ -322,10 +335,7 @@ struct DurInner<V: ValueCodec, const K: usize> {
 /// (and eventually shedding) until the next reopen rolls the split
 /// back — always safe, never lossy, but don't.
 pub struct PendingSplit<'a, V: ValueCodec, const K: usize> {
-    _gate: MutexGuard<'a, u64>,
-    src: usize,
-    map2: ShardMap<K>,
-    child_slots: Vec<usize>,
+    plan: DurPlan<'a, V, K>,
     children: Vec<Durable<V, K>>,
     migrated: usize,
 }
@@ -333,12 +343,12 @@ pub struct PendingSplit<'a, V: ValueCodec, const K: usize> {
 impl<V: ValueCodec, const K: usize> PendingSplit<'_, V, K> {
     /// The slot being split.
     pub fn src(&self) -> usize {
-        self.src
+        self.plan.src
     }
 
     /// The child slots the commit will install.
     pub fn children(&self) -> &[usize] {
-        &self.child_slots
+        &self.plan.children
     }
 }
 
@@ -358,22 +368,23 @@ impl<V: ValueCodec, const K: usize> PendingSplit<'_, V, K> {
 /// keeps serving reads and accepting writes; only backlog overflow
 /// sheds (typed [`ShardError::Overloaded`], not journaled, safe to
 /// retry).
+///
+/// The cell, cut, retire and lock-order protocols are the shared
+/// engine's (`engine.rs`), the same code [`crate::ShardedTree`] runs
+/// on; what is this type's own is the manifest, backlog admission and
+/// shedding, the prepare/commit/rollback of a split, and checkpointing.
 pub struct DurableSharded<V: ValueCodec + Clone + Send + Sync, const K: usize> {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     config: DurableConfig,
-    state: Swap<DurInner<V, K>>,
-    /// Global write counter pair for the snapshot consistent-cut
-    /// protocol (see [`crate::snapshot`]).
-    clock: WriteClock,
-    /// Serialises splits; the guarded value is the manifest write
-    /// counter (`gen`), owned by whoever holds the gate.
-    split_gate: Mutex<u64>,
+    pub(crate) engine: Engine<DurState<V, K>, V, K>,
+    /// The manifest write counter; only touched under the engine's
+    /// split gate (a [`SplitPlan`] holds it) or before the store is
+    /// shared.
+    manifest_gen: AtomicU64,
     backlog_cap: AtomicUsize,
     recovery: Vec<RecoveryStats>,
     rolled_back: bool,
-    reb_metrics: RebalanceMetrics,
-    swap_metrics: SwapMetrics,
 }
 
 impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
@@ -396,43 +407,20 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         shards: usize,
         config: DurableConfig,
     ) -> Result<Self, StoreError> {
-        Self::open_observed_impl(
-            vfs,
-            dir,
-            shards,
-            config,
-            RebalanceMetrics::disabled(),
-            SwapMetrics::disabled(),
-        )
+        Self::open_observed(vfs, dir, shards, config, &Registry::disabled())
     }
 
-    /// [`DurableSharded::open_with`] wired to record rebalance
-    /// transitions into `registry` (`phshard_rebalance_*`,
-    /// `phshard_routing_epoch`, `phshard_migration_inflight`).
+    /// [`DurableSharded::open_with`] wired to record into `registry`
+    /// everything [`crate::ShardedTree::with_metrics`] does — the
+    /// engine under both is one — rebalance transitions and shed
+    /// writes (`phshard_rebalance_*`, `phshard_routing_epoch`,
+    /// `phshard_migration_inflight`) included.
     pub fn open_observed(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
         shards: usize,
         config: DurableConfig,
         registry: &Registry,
-    ) -> Result<Self, StoreError> {
-        Self::open_observed_impl(
-            vfs,
-            dir,
-            shards,
-            config,
-            RebalanceMetrics::new(registry),
-            SwapMetrics::new(registry),
-        )
-    }
-
-    fn open_observed_impl(
-        vfs: Arc<dyn Vfs>,
-        dir: &Path,
-        shards: usize,
-        config: DurableConfig,
-        reb_metrics: RebalanceMetrics,
-        swap_metrics: SwapMetrics,
     ) -> Result<Self, StoreError> {
         vfs.create_dir_all(dir)?;
         let mut rolled_back = false;
@@ -467,49 +455,31 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         };
 
         let live = manifest.map.live_slots();
-        let mut opened: Vec<Option<Result<Durable<V, K>, StoreError>>> =
-            (0..live.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(live.len());
-            for &slot in &live {
-                let vfs = Arc::clone(&vfs);
-                let config = config.clone();
-                let d = shard_dir(dir, slot);
-                handles.push(scope.spawn(move || Durable::open_with(vfs, &d, config)));
-            }
-            for (out, h) in opened.iter_mut().zip(handles) {
-                *out = Some(h.join().expect("shard recovery thread panicked"));
-            }
+        let opened = per_shard(&live, |&slot| {
+            Durable::open_with(Arc::clone(&vfs), &shard_dir(dir, slot), config.clone())
         });
-        let mut cells: Vec<Option<Arc<DurCell<V, K>>>> =
-            (0..manifest.map.slot_bound()).map(|_| None).collect();
+        let mut states = Vec::with_capacity(live.len());
         let mut recovery = Vec::with_capacity(live.len());
-        for (&slot, r) in live.iter().zip(opened.into_iter().flatten()) {
-            let d = r?;
+        for r in opened {
+            let d: Durable<V, K> = r?;
             recovery.push(d.recovery_stats());
-            cells[slot] = Some(DurCell::fresh(d));
+            states.push(DurState::fresh(d));
         }
-        reb_metrics.routing_epoch.set(manifest.map.epoch() as i64);
         Ok(DurableSharded {
             vfs,
             dir: dir.to_path_buf(),
             config,
-            state: Swap::new(Arc::new(DurInner {
-                map: Arc::new(manifest.map),
-                cells,
-            })),
-            clock: WriteClock::new(),
-            split_gate: Mutex::new(manifest.gen),
+            engine: Engine::new(manifest.map, states, Probes::new(registry)),
+            manifest_gen: AtomicU64::new(manifest.gen),
             backlog_cap: AtomicUsize::new(DEFAULT_BACKLOG_CAP),
             recovery,
             rolled_back,
-            reb_metrics,
-            swap_metrics,
         })
     }
 
-    fn load_state(&self) -> Arc<DurInner<V, K>> {
-        self.state.load()
+    /// The next manifest write counter (caller holds the split gate).
+    fn next_gen(&self) -> u64 {
+        self.manifest_gen.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Base directory of the store.
@@ -519,19 +489,19 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
 
     /// Number of live shards.
     pub fn shards(&self) -> usize {
-        self.load_state().map.shards()
+        self.router().shards()
     }
 
     /// The current routing snapshot (slot ids, shard boxes, query
     /// pruning). Splits installed later do not mutate it — re-call to
     /// observe the new epoch.
     pub fn router(&self) -> Arc<ShardMap<K>> {
-        Arc::clone(&self.load_state().map)
+        self.engine.router()
     }
 
     /// Current routing epoch (0 until the first committed split).
     pub fn epoch(&self) -> u64 {
-        self.load_state().map.epoch()
+        self.router().epoch()
     }
 
     /// What recovery found and did, per live shard (in
@@ -553,36 +523,19 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         self.backlog_cap.store(cap.max(1), Ordering::Relaxed);
     }
 
-    /// Routes `key` to its live cell and runs `f` under the cell's
-    /// state lock, re-routing if a split commit retired the cell while
-    /// we waited (the retired-cell retry loop). When `f` succeeds, the
-    /// store's new tree version is published (inside a write-clock
-    /// bracket) before the lock releases, so lock-free readers see the
-    /// write the moment it is acknowledged; a failed write (shed or
-    /// store error) publishes nothing.
-    fn with_cell_write<R>(
-        &self,
-        key: &[u64; K],
-        f: impl FnOnce(usize, &mut DurCellState<V, K>) -> Result<R, ShardError>,
-    ) -> Result<R, ShardError> {
-        let mut f = Some(f);
-        loop {
-            let inner = self.load_state();
-            let slot = inner.map.route(key);
-            let cell = inner.cells[slot]
-                .as_ref()
-                .expect("routing map addressed a missing cell");
-            let mut guard = cell.state.lock();
-            if cell.retired.load(Ordering::SeqCst) {
-                continue;
-            }
-            let out = (f.take().expect("write retried after completion"))(slot, &mut guard);
-            if out.is_ok() {
-                self.clock
-                    .bracket(|| cell.publish(&guard, &self.swap_metrics));
-            }
-            return out;
-        }
+    /// One journaled single-key write: admitted against the armed
+    /// backlog, then journaled and applied under the owning shard's
+    /// lock, published before the ack.
+    fn write_one(&self, w: Op<V, K>) -> Result<Option<V>, ShardError> {
+        let probes = &self.engine.probes;
+        let (op, key) = match &w {
+            Op::Insert { key, .. } => (&probes.ops.insert, *key),
+            Op::Remove { key } => (&probes.ops.remove, *key),
+        };
+        self.engine.with_cell_write(op, &key, |slot, cs| {
+            cs.admit(slot, 1).inspect_err(|_| probes.reb.shed.inc())?;
+            Ok(cs.apply(vec![w])?.pop().expect("one result per op"))
+        })
     }
 
     /// Inserts `key` → `value`: journaled on the owning shard's WAL
@@ -592,48 +545,13 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// write with [`ShardError::Overloaded`] *before* journaling, so a
     /// shed write is neither durable nor applied — safe to retry.
     pub fn insert(&self, key: [u64; K], value: V) -> Result<Option<V>, ShardError> {
-        self.with_cell_write(&key, |slot, cs| {
-            if let Some(b) = cs.backlog.as_ref() {
-                if b.ops.len() >= b.cap {
-                    self.reb_metrics.shed.inc();
-                    return Err(ShardError::Overloaded {
-                        slot,
-                        backlog: b.cap,
-                    });
-                }
-            }
-            let queued = cs.backlog.is_some().then(|| value.clone());
-            let prev = cs.store.insert(key, value)?;
-            if let Some(value) = queued {
-                cs.backlog
-                    .as_mut()
-                    .expect("backlog vanished under the cell lock")
-                    .ops
-                    .push(Op::Insert { key, value });
-            }
-            Ok(prev)
-        })
+        self.write_one(Op::Insert { key, value })
     }
 
     /// Removes `key`, journaled (and backlogged / shed) like
     /// [`DurableSharded::insert`].
     pub fn remove(&self, key: &[u64; K]) -> Result<Option<V>, ShardError> {
-        self.with_cell_write(key, |slot, cs| {
-            if let Some(b) = cs.backlog.as_ref() {
-                if b.ops.len() >= b.cap {
-                    self.reb_metrics.shed.inc();
-                    return Err(ShardError::Overloaded {
-                        slot,
-                        backlog: b.cap,
-                    });
-                }
-            }
-            let prev = cs.store.remove(key)?;
-            if let Some(b) = cs.backlog.as_mut() {
-                b.ops.push(Op::Remove { key: *key });
-            }
-            Ok(prev)
-        })
+        self.write_one(Op::Remove { key: *key })
     }
 
     /// Applies `f` to the value at `key` in the current published
@@ -641,21 +559,7 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// During a migration this still reads the (fully current) source
     /// shard — reads never degrade.
     pub fn get_with<R>(&self, key: &[u64; K], f: impl FnOnce(&V) -> R) -> Option<R> {
-        loop {
-            let inner = self.load_state();
-            let slot = inner.map.route(key);
-            let cell = inner.cells[slot]
-                .as_ref()
-                .expect("routing map addressed a missing cell");
-            let published = cell.published.load();
-            if !cell.retired.load(Ordering::SeqCst) {
-                self.swap_metrics.note_root_age(&published.stamp);
-                return published.tree.get(key).map(f);
-            }
-            // A split commit retired this cell; its successor state
-            // installs within the same clock bracket.
-            std::hint::spin_loop();
-        }
+        self.engine.get_with(key, f)
     }
 
     /// Whether `key` is present.
@@ -685,48 +589,7 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// live stores' trees copy-on-write. The snapshot covers applied
     /// state — exactly the acknowledged writes up to its cut.
     pub fn snapshot(&self) -> Snapshot<V, K> {
-        // Optimistic: collect between two quiet observations of the
-        // write clock; never blocks writers.
-        for _ in 0..SNAPSHOT_SPIN {
-            let Some(begun) = self.clock.stable() else {
-                std::hint::spin_loop();
-                continue;
-            };
-            let inner = self.load_state();
-            let roots: Vec<Option<Arc<Published<V, K>>>> = inner
-                .cells
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.published.load()))
-                .collect();
-            if self.clock.begun() == begun {
-                return Snapshot::new(Arc::clone(&inner.map), roots, self.swap_metrics.clone());
-            }
-        }
-        // Sustained write pressure: freeze the cut under every live
-        // cell's state lock, in ascending slot order — the order of
-        // apply_run's multi-acquisition, so no deadlock. (`live_slots`
-        // is in Z-order, which stops being slot order at the first
-        // split.)
-        'retry: loop {
-            let inner = self.load_state();
-            let mut live = inner.map.live_slots();
-            live.sort_unstable();
-            let mut guards = Vec::with_capacity(live.len());
-            for &s in &live {
-                let cell = inner.cells[s].as_ref().expect("live slot without a cell");
-                let guard = cell.state.lock();
-                if cell.retired.load(Ordering::SeqCst) {
-                    continue 'retry;
-                }
-                guards.push(guard);
-            }
-            let roots: Vec<Option<Arc<Published<V, K>>>> = inner
-                .cells
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.published.load()))
-                .collect();
-            return Snapshot::new(Arc::clone(&inner.map), roots, self.swap_metrics.clone());
-        }
+        self.engine.snapshot()
     }
 
     /// Collects all entries in the window `[min, max]`, in global
@@ -742,6 +605,12 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// fresh snapshot.
     pub fn knn(&self, center: &[u64; K], n: usize) -> Vec<([u64; K], V, f64)> {
         self.snapshot().knn(center, n)
+    }
+
+    /// Counts entries in the window `[min, max]` without materialising
+    /// them, against one consistent snapshot.
+    pub fn query_count(&self, min: &[u64; K], max: &[u64; K]) -> usize {
+        self.snapshot().query_count(min, max)
     }
 
     /// Applies a run of inserts and removes as one group commit per
@@ -774,103 +643,54 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// publishes nothing; an I/O error publishes the applied, durable
     /// partitions before surfacing.)
     pub fn apply_run(&self, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, ShardError> {
-        'retry: loop {
-            let inner = self.load_state();
-            let bound = inner.map.slot_bound();
-            let route: Vec<usize> = ops.iter().map(|op| inner.map.route(op.key())).collect();
-            let mut involved = vec![false; bound];
-            route.iter().for_each(|&slot| involved[slot] = true);
-            let slots: Vec<usize> = (0..bound).filter(|&slot| involved[slot]).collect();
-            // Lock every involved cell, ascending slot order (every
-            // other lock holder in this crate holds at most one cell
-            // lock at a time or locks in the same ascending order, so
-            // an ordered multi-acquisition cannot deadlock). A retired
-            // cell means a split committed since the state load: drop
-            // everything and re-route.
-            let cells: Vec<&Arc<DurCell<V, K>>> = slots
-                .iter()
-                .map(|&s| inner.cells[s].as_ref().expect("live slot without a cell"))
-                .collect();
-            let mut guards = Vec::with_capacity(cells.len());
-            for cell in &cells {
-                let guard = cell.state.lock();
-                if cell.retired.load(Ordering::SeqCst) {
-                    continue 'retry;
-                }
-                guards.push(guard);
-            }
-            // Partition by slot, in run order.
-            let mut parts: Vec<Vec<Op<V, K>>> = (0..bound).map(|_| Vec::new()).collect();
-            for (op, &slot) in ops.into_iter().zip(&route) {
-                parts[slot].push(op);
-            }
+        self.run(&self.engine.probes.ops.apply_run, ops)
+    }
+
+    /// [`DurableSharded::apply_run`], recorded as `op`. The engine
+    /// routes, locks (ascending slot order) and partitions; this is
+    /// what happens to the locked partitions.
+    fn run(&self, op: &OpInstruments, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, ShardError> {
+        self.engine.write_run(op, ops, Op::key, |route, parts| {
             // Admission: every partition must fit its armed backlog
             // before anything is journaled — all-or-nothing shedding
             // (and nothing published: the trees never changed).
-            for (&slot, cs) in slots.iter().zip(guards.iter()) {
-                if let Some(b) = cs.backlog.as_ref() {
-                    if b.ops.len() + parts[slot].len() > b.cap {
-                        self.reb_metrics.shed.add(route.len() as u64);
-                        return Err(ShardError::Overloaded {
-                            slot,
-                            backlog: b.cap,
-                        });
-                    }
+            for p in parts.iter() {
+                if let Err(shed) = p.state.admit(p.slot, p.items.len()) {
+                    self.engine.probes.reb.shed.add(route.len() as u64);
+                    return (false, Err(shed));
                 }
             }
-            let mut prevs: Vec<_> = (0..bound).map(|_| Vec::new().into_iter()).collect();
-            let mut failure = None;
-            for (&slot, cs) in slots.iter().zip(guards.iter_mut()) {
-                let part = std::mem::take(&mut parts[slot]);
-                let queued = cs.backlog.is_some().then(|| part.clone());
-                match cs.store.apply_batch(part) {
-                    Ok(p) => prevs[slot] = p.into_iter(),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-                if let Some(queued) = queued {
-                    cs.backlog
-                        .as_mut()
-                        .expect("backlog vanished under the cell lock")
-                        .ops
-                        .extend(queued);
+            let mut prevs = Vec::with_capacity(parts.len());
+            for p in parts.iter_mut() {
+                match p.state.apply(std::mem::take(&mut p.items)) {
+                    Ok(prev) => prevs.push(prev.into_iter()),
+                    // Publish the applied (journaled, durable)
+                    // partitions, then surface.
+                    Err(e) => return (true, Err(e.into())),
                 }
             }
-            // One bracket covering every involved cell: readers and
-            // snapshots see the run land atomically. On failure this
-            // publishes the applied (journaled, durable) partitions.
-            self.clock.bracket(|| {
-                for (cell, cs) in cells.iter().zip(guards.iter()) {
-                    cell.publish(cs, &self.swap_metrics);
-                }
-            });
-            return match failure {
-                Some(e) => Err(e.into()),
-                None => Ok(route
-                    .iter()
-                    .map(|&slot| prevs[slot].next().expect("one result per op"))
-                    .collect()),
-            };
-        }
+            let in_run_order = route.iter().map(|&part| prevs[part].next());
+            let out = in_run_order.map(|p| p.expect("one result per op"));
+            (true, Ok(out.collect()))
+        })
     }
 
-    /// Bulk-inserts `items` as one [`DurableSharded::apply_run`] (same
-    /// admission, durability and publication contract). Returns the
-    /// number of *new* keys (duplicates overwrite, last write wins).
+    /// Bulk-inserts `items` as one run (same admission, durability and
+    /// publication contract as [`DurableSharded::apply_run`]). Returns
+    /// the number of *new* keys (duplicates overwrite, last write
+    /// wins).
     pub fn bulk_load(&self, items: Vec<([u64; K], V)>) -> Result<usize, ShardError> {
         let ops = items
             .into_iter()
             .map(|(key, value)| Op::Insert { key, value })
             .collect();
-        Ok(self.apply_run(ops)?.iter().filter(|p| p.is_none()).count())
+        let prevs = self.run(&self.engine.probes.ops.bulk_load, ops)?;
+        Ok(prevs.iter().filter(|p| p.is_none()).count())
     }
 
-    /// Per-shard statistics (slot ids, entry counts, epoch) shaped
-    /// like [`crate::ShardStats`] minus the in-memory-only counters —
-    /// this is what the rebalancer's skew watch reads. Served from one
-    /// consistent [`Snapshot`], lock-free.
+    /// Per-shard statistics (slot ids, entry counts, epoch, pruning
+    /// counters) — this is what the rebalancer's skew watch reads.
+    /// Served from one consistent [`Snapshot`], lock-free.
     pub fn stats(&self) -> crate::ShardStats {
         self.snapshot().stats()
     }
@@ -887,41 +707,19 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// have advanced, which is safe, and a subsequent reopen recovers
     /// every shard from whatever generation it reached.
     pub fn checkpoint_all(&self) -> Result<Vec<(usize, u64)>, ShardError> {
-        let inner = self.load_state();
-        let live = inner.map.live_slots();
-        let mut gens: Vec<Option<Result<u64, StoreError>>> =
-            (0..live.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(live.len());
-            for &slot in &live {
-                let cell = Arc::clone(inner.cells[slot].as_ref().expect("live slot"));
-                handles.push(scope.spawn(move || cell.state.lock().store.checkpoint()));
-            }
-            for (out, h) in gens.iter_mut().zip(handles) {
-                *out = Some(h.join().expect("checkpoint thread panicked"));
-            }
+        let live = self.engine.live_cells();
+        let gens = per_shard(&live, |(_, cell)| cell.lock().store.checkpoint());
+        let tagged = live.iter().zip(gens).map(|(&(slot, _), r)| match r {
+            Ok(gen) => Ok((slot, gen)),
+            Err(source) => Err(ShardError::Checkpoint { slot, source }),
         });
-        let mut out = Vec::with_capacity(live.len());
-        for (&slot, r) in live.iter().zip(gens.into_iter().flatten()) {
-            match r {
-                Ok(g) => out.push((slot, g)),
-                Err(source) => return Err(ShardError::Checkpoint { slot, source }),
-            }
-        }
-        Ok(out)
+        tagged.collect()
     }
 
     /// Durability barrier on every live shard's WAL.
     pub fn sync_all(&self) -> Result<(), StoreError> {
-        let inner = self.load_state();
-        for s in inner.map.live_slots() {
-            inner.cells[s]
-                .as_ref()
-                .expect("live slot without a cell")
-                .state
-                .lock()
-                .store
-                .sync()?;
+        for (_, cell) in self.engine.live_cells() {
+            cell.lock().store.sync()?;
         }
         Ok(())
     }
@@ -947,39 +745,26 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         slot: usize,
         bits: u32,
     ) -> Result<PendingSplit<'_, V, K>, ShardError> {
-        let mut gate = self.split_gate.lock().unwrap();
-        let inner = self.load_state();
-        let cell = inner
-            .cells
-            .get(slot)
-            .and_then(|c| c.as_ref())
-            .filter(|c| !c.retired.load(Ordering::SeqCst))
-            .cloned()
-            .ok_or(ShardError::UnknownSlot { slot })
-            .inspect_err(|_| self.reb_metrics.split_failures.inc())?;
-        let (map2, child_slots) = inner
-            .map
-            .split(slot, bits)
-            .inspect_err(|_| self.reb_metrics.split_failures.inc())?;
+        let plan = self.engine.plan_split(slot, bits)?;
+        let reb = &self.engine.probes.reb;
 
         // Phase 1 — prepare: persist the migration record before any
         // child bytes exist, so every later crash finds the record and
         // knows what to scrub.
-        *gate += 1;
         let prepared = Manifest {
-            map: (*inner.map).clone(),
-            gen: *gate,
+            map: (*plan.routing.map).clone(),
+            gen: self.next_gen(),
             migration: Some(MigrationRecord {
                 src: slot as u32,
                 bits,
-                children: child_slots.iter().map(|&c| c as u32).collect(),
+                children: plan.children.iter().map(|&c| c as u32).collect(),
             }),
         };
         if let Err(e) = write_manifest(self.vfs.as_ref(), &self.dir, &prepared) {
-            self.reb_metrics.split_failures.inc();
+            reb.split_failures.inc();
             return Err(e.into());
         }
-        self.reb_metrics.migration_inflight.add(1);
+        reb.migration_inflight.add(1);
 
         // Freeze point: under the cell's state lock, snapshot the tree
         // and arm the backlog. Every write ordered after this lock
@@ -988,7 +773,7 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         // structural clone (versions share nodes copy-on-write), not
         // the rebuild.
         let snap = {
-            let mut cs = cell.state.lock();
+            let mut cs = plan.cell.lock();
             debug_assert!(cs.backlog.is_none(), "split gate admitted two migrations");
             cs.backlog = Some(Backlog {
                 ops: Vec::new(),
@@ -1002,37 +787,21 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         // store (snapshot written atomically, fresh WAL). No locks
         // held: reads and writes keep flowing.
         let migrated = snap.len();
-        let base = child_slots[0];
-        let mut parts: Vec<Vec<([u64; K], V)>> =
-            (0..child_slots.len()).map(|_| Vec::new()).collect();
-        for (k, v) in snap.iter() {
-            parts[map2.route(&k) - base].push((k, v.clone()));
-        }
+        let parts = plan.partition(&snap);
         drop(snap);
-        let mut children = Vec::with_capacity(child_slots.len());
-        for (i, part) in parts.into_iter().enumerate() {
-            let d = shard_dir(&self.dir, base + i);
-            match Durable::create_with_tree(
-                Arc::clone(&self.vfs),
-                &d,
-                PhTree::bulk_load(part),
-                self.config.clone(),
-            ) {
+        let mut children = Vec::with_capacity(parts.len());
+        for (&child, part) in plan.children.iter().zip(parts) {
+            let d = shard_dir(&self.dir, child);
+            let tree = PhTree::bulk_load(part);
+            match Durable::create_with_tree(Arc::clone(&self.vfs), &d, tree, self.config.clone()) {
                 Ok(c) => children.push(c),
-                Err(e) => {
-                    // Build failed: roll back in place (same steps
-                    // recovery would take) and disarm the backlog.
-                    self.rollback_in_place(&cell, &child_slots, &inner.map, &mut gate);
-                    self.reb_metrics.split_failures.inc();
-                    return Err(e.into());
-                }
+                // Build failed: roll back in place (same steps
+                // recovery would take) and disarm the backlog.
+                Err(e) => return Err(self.fail_split(&plan, e)),
             }
         }
         Ok(PendingSplit {
-            _gate: gate,
-            src: slot,
-            map2,
-            child_slots,
+            plan,
             children,
             migrated,
         })
@@ -1041,39 +810,33 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// Phase 3 of a split: under the source's write lock, drains the
     /// backlog into the children's WALs, syncs them, then atomically
     /// rewrites the manifest with the successor map — the commit point
-    /// — and installs the new routing epoch. On any error before the
-    /// manifest rename the split rolls back in place (children
-    /// scrubbed, backlog disarmed, record cleared); acknowledged
-    /// writes are in the source's WAL either way.
+    /// — and has the engine install the new routing epoch (retire,
+    /// then install, in one clock bracket, still under that lock). On
+    /// any error before the manifest rename the split rolls back in
+    /// place (children scrubbed, backlog disarmed, record cleared);
+    /// acknowledged writes are in the source's WAL either way.
     pub fn commit_split(&self, pending: PendingSplit<'_, V, K>) -> Result<SplitReport, ShardError> {
         let PendingSplit {
-            mut _gate,
-            src,
-            map2,
-            child_slots,
+            plan,
             mut children,
             migrated,
         } = pending;
-        let inner = self.load_state();
-        let cell = Arc::clone(inner.cells[src].as_ref().expect("pending split src cell"));
-        let mut cs = cell.state.lock();
+        let cell = Arc::clone(&plan.cell);
+        let mut cs = cell.lock();
         let backlog = cs
             .backlog
             .take()
             .expect("pending split lost its backlog")
             .ops;
         let drained = backlog.len();
-        let base = child_slots[0];
+        let base = plan.children[0];
         let drain = || -> Result<(), StoreError> {
             for op in backlog {
+                let child = &mut children[plan.map2.route(op.key()) - base];
                 match op {
-                    Op::Insert { key, value } => {
-                        children[map2.route(&key) - base].insert(key, value)?;
-                    }
-                    Op::Remove { key } => {
-                        children[map2.route(&key) - base].remove(&key)?;
-                    }
-                }
+                    Op::Insert { key, value } => child.insert(key, value)?,
+                    Op::Remove { key } => child.remove(&key)?,
+                };
             }
             if !self.config.sync_writes {
                 for c in children.iter_mut() {
@@ -1082,114 +845,64 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
             }
             Ok(())
         };
-        if let Err(e) = drain() {
-            drop(cs);
-            self.rollback_in_place(&cell, &child_slots, &inner.map, &mut _gate);
-            self.reb_metrics.split_failures.inc();
-            return Err(e.into());
-        }
-
         // Commit point: one atomic rename flips recovery from
         // "roll back to source" to "serve from children".
-        *_gate += 1;
-        let committed = Manifest {
-            map: map2.clone(),
-            gen: *_gate,
-            migration: None,
-        };
-        if let Err(e) = write_manifest(self.vfs.as_ref(), &self.dir, &committed) {
-            drop(cs);
-            self.rollback_in_place(&cell, &child_slots, &inner.map, &mut _gate);
-            self.reb_metrics.split_failures.inc();
-            return Err(e.into());
-        }
-
-        // Install the new epoch while still holding the source's state
-        // lock. The retire flag flips *before* the successor state
-        // installs, both inside one write-clock bracket: a lock-free
-        // reader that loaded the old state either sees retired=false —
-        // in which case the source's published root is still complete
-        // for its region — or sees retired=true and re-routes onto the
-        // successor; and a snapshot can never cut between the two.
-        // Each child's initial publication counts as a root swap.
-        let epoch = map2.epoch();
-        let mut cells = inner.cells.clone();
-        cells.resize(map2.slot_bound(), None);
-        cells[src] = None;
-        for (i, child) in children.into_iter().enumerate() {
-            cells[base + i] = Some(DurCell::fresh(child));
-            self.swap_metrics.root_swaps.inc();
-        }
-        self.clock.bracket(|| {
-            cell.retired.store(true, Ordering::SeqCst);
-            self.state.store(Arc::new(DurInner {
-                map: Arc::new(map2),
-                cells,
-            }));
+        let committed = drain().and_then(|()| {
+            let manifest = Manifest {
+                map: plan.map2.clone(),
+                gen: self.next_gen(),
+                migration: None,
+            };
+            write_manifest(self.vfs.as_ref(), &self.dir, &manifest)
         });
-        drop(cs);
+        if let Err(e) = committed {
+            drop(cs);
+            return Err(self.fail_split(&plan, e));
+        }
 
+        let src = plan.src;
+        let children = children.into_iter().map(DurState::fresh).collect();
+        let report = self
+            .engine
+            .install_split(plan, cs, children, migrated, drained);
         // The source directory is now unreferenced; scrub best-effort
         // (a crash here just leaves garbage bytes).
         scrub_shard_dir(self.vfs.as_ref(), &shard_dir(&self.dir, src));
-
-        self.reb_metrics.migration_inflight.add(-1);
-        self.reb_metrics.splits.inc();
-        self.reb_metrics.migrated_entries.add(migrated as u64);
-        self.reb_metrics.backlog_drained.add(drained as u64);
-        self.reb_metrics.routing_epoch.set(epoch as i64);
-        Ok(SplitReport {
-            src,
-            children: child_slots,
-            migrated,
-            backlog_drained: drained,
-            epoch,
-        })
+        Ok(report)
     }
 
     /// Abandons a prepared split: scrubs the children, disarms the
     /// backlog, clears the manifest record. The store is back in the
     /// pre-migration state with every acknowledged write intact.
     pub fn abort_split(&self, pending: PendingSplit<'_, V, K>) -> Result<(), ShardError> {
-        let PendingSplit {
-            mut _gate,
-            src,
-            child_slots,
-            children,
-            ..
-        } = pending;
-        drop(children);
-        let inner = self.load_state();
-        let cell = Arc::clone(inner.cells[src].as_ref().expect("pending split src cell"));
-        self.rollback_in_place(&cell, &child_slots, &inner.map, &mut _gate);
+        drop(pending.children);
+        self.rollback_in_place(&pending.plan);
         Ok(())
+    }
+
+    /// A split that failed after its prepare: rolled back in place,
+    /// counted, and surfaced.
+    fn fail_split(&self, plan: &DurPlan<'_, V, K>, e: StoreError) -> ShardError {
+        self.rollback_in_place(plan);
+        self.engine.probes.reb.split_failures.inc();
+        e.into()
     }
 
     /// Shared rollback: scrub child files, clear the migration record
     /// (best-effort — recovery redoes both if the VFS is already
     /// dead), disarm the backlog. Ordering matters: files first, then
     /// the record, so a crash between the two re-runs the scrub.
-    fn rollback_in_place(
-        &self,
-        cell: &Arc<DurCell<V, K>>,
-        child_slots: &[usize],
-        old_map: &ShardMap<K>,
-        gate: &mut u64,
-    ) {
-        for &c in child_slots {
+    fn rollback_in_place(&self, plan: &DurPlan<'_, V, K>) {
+        for &c in &plan.children {
             scrub_shard_dir(self.vfs.as_ref(), &shard_dir(&self.dir, c));
         }
-        *gate += 1;
-        let _ = write_manifest(
-            self.vfs.as_ref(),
-            &self.dir,
-            &Manifest {
-                map: old_map.clone(),
-                gen: *gate,
-                migration: None,
-            },
-        );
-        cell.state.lock().backlog = None;
-        self.reb_metrics.migration_inflight.add(-1);
+        let restored = Manifest {
+            map: (*plan.routing.map).clone(),
+            gen: self.next_gen(),
+            migration: None,
+        };
+        let _ = write_manifest(self.vfs.as_ref(), &self.dir, &restored);
+        plan.cell.lock().backlog = None;
+        self.engine.probes.reb.migration_inflight.add(-1);
     }
 }

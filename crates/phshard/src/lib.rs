@@ -6,28 +6,37 @@
 //! tree branches on exactly the bit stream a Z-order prefix router
 //! uses. This crate exploits that:
 //!
-//! * [`ShardedTree`] partitions the key space into `S = 2^s` shards by
-//!   the first `s` bits of each key's Z-order interleaving
-//!   ([`Router`]). Every shard owns an axis-aligned hypercube prefix
-//!   region, so a window query prunes non-matching shards with the
-//!   *same* `mL`/`mU` masks the in-node range iterator uses.
+//! * [`ShardedTree`] partitions the key space into shards by a prefix
+//!   of each key's Z-order interleaving — a routing trie
+//!   ([`ShardMap`]; the first `s` bits for the `S = 2^s` shards it
+//!   starts with, one more level wherever a hot shard was split).
+//!   Every shard owns an axis-aligned hypercube prefix region, so a
+//!   window query prunes non-matching shards with the *same*
+//!   `mL`/`mU` masks the in-node range iterator uses.
 //! * The read path is **lock-free** (MVCC-lite): every write publishes
 //!   an immutable tree version — an O(1) structural clone, versions
 //!   share nodes copy-on-write — through an atomic swap cell, and
 //!   `get`/`query`/`knn` serve from published versions without
 //!   acquiring any lock (pinned by a debug-mode lock counter,
-//!   [`data_lock_acquisitions`]). Writes lock one shard; window
-//!   queries / bulk loads fan out across a std-only [`WorkerPool`]
-//!   (no rayon — the workspace builds offline) and merge results;
-//!   kNN is one best-first search over all shard roots
-//!   ([`phtree::knn`]).
+//!   [`data_lock_acquisitions`]). A single-key write locks one shard;
+//!   a run or bulk load locks the shards it touches in ascending slot
+//!   order (asserted in debug builds) and publishes them together.
 //! * [`ShardedTree::snapshot`] / [`DurableSharded::snapshot`] pin a
-//!   [`Snapshot`]: a consistent cut across all shards, so cross-shard
-//!   scans are snapshot reads instead of read-committed.
+//!   [`Snapshot`]: a consistent cut across all shards. Every
+//!   cross-shard read of a live store (`query`, `query_count`, `knn`,
+//!   `len`, `stats`) is that read on a fresh snapshot, on the calling
+//!   thread: a window scans the shards its masks admit and
+//!   concatenates them in Z-order; kNN is one best-first search over
+//!   all shard roots ([`phtree::knn`]).
 //! * [`DurableSharded`] gives every shard its own [`phstore::Durable`]
 //!   write-ahead log in `base/shard-NNN/`, so journaling never
 //!   serialises across shards and crash recovery replays all shards in
 //!   parallel.
+//! * Both stores are thin fronts over **one engine** (`engine.rs`,
+//!   private): the cell (writer state + published version + retire
+//!   flag), the lock-free point read, the retired-cell retry, the
+//!   consistent cut, the multi-cell lock order and the split install
+//!   are written once, generic over what a cell keeps under its lock.
 //! * Both layers **split hot shards online**: [`ShardMap`] is a routing
 //!   trie that deepens one leaf's Z-prefix into `2^bits` children while
 //!   serving continues, and the durable layer makes the migration
@@ -45,7 +54,7 @@
 //! ```
 //! use phshard::ShardedTree;
 //!
-//! // 4 shards, pool sized to the host (0 extra threads on 1 core).
+//! // 4 shards.
 //! let t: ShardedTree<u32, 3> = ShardedTree::new(4);
 //! t.insert([1, 2, 3], 10);
 //! t.insert([u64::MAX, 0, 7], 20);
@@ -58,12 +67,12 @@
 #![warn(missing_docs)]
 
 mod durable;
+mod engine;
 mod epoch;
 mod error;
 mod lockstat;
 mod metrics;
 mod packed;
-mod pool;
 mod rebalance;
 mod route;
 mod sharded;
@@ -75,11 +84,9 @@ pub use epoch::{ShardMap, MAX_DEPTH};
 pub use error::ShardError;
 #[cfg(debug_assertions)]
 pub use lockstat::data_lock_acquisitions;
-pub use metrics::PoolMetrics;
 pub use packed::{
     write_packed_checkpoint, PackedCheckpoint, PackedShards, PACKED_MANIFEST, PACKED_SHARDS_MAGIC,
 };
-pub use pool::WorkerPool;
 pub use rebalance::{RebalancePolicy, Rebalancer, SkewReport, Splittable};
 pub use route::{Router, MAX_SHARDS};
 pub use sharded::{ShardStats, ShardedTree, SplitReport};
@@ -137,5 +144,4 @@ const _: () = {
     send_sync::<DurableSharded<String, 3>>();
     send_sync::<Snapshot<String, 3>>();
     send_sync::<Router<3>>();
-    send_sync::<WorkerPool>();
 };

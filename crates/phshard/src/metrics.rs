@@ -1,29 +1,29 @@
 //! Instrument wiring for the sharded serving layer.
 //!
 //! All instruments are issued by a [`phmetrics::Registry`] passed to
-//! [`crate::ShardedTree::with_metrics`] / [`crate::WorkerPool::with_metrics`].
-//! Trees built without a registry carry no-op handles, so every record
-//! call below compiles to a branch on a null `Option` — the layer is
+//! [`crate::ShardedTree::with_metrics`] /
+//! [`crate::DurableSharded::open_observed`] and recorded by the one
+//! engine under both stores, so both report the same families. Stores
+//! built without a registry carry no-op handles, so every record call
+//! below compiles to a branch on a null `Option` — the layer is
 //! instrumented unconditionally and the handles decide.
 //!
 //! Instrument catalogue (Prometheus names):
 //!
 //! * `phshard_ops_total{op=...}` — counter per operation type
 //!   (`insert`, `remove`, `get`, `query`, `query_count`, `knn`,
-//!   `bulk_load`).
+//!   `bulk_load`, `apply_run`). The cross-shard reads are counted on
+//!   the [`crate::Snapshot`] that serves them, whether a store pinned
+//!   it for one call or a server for a whole run.
 //! * `phshard_op_latency_ns{op=...}` — log₂ latency histogram per
-//!   operation type, measured at the `ShardedTree` API boundary.
-//! * `phshard_shard_ops_total{shard=N}` — keys routed to shard `N`
-//!   (single-key ops count 1, `bulk_load` counts its partition size);
-//!   the live counterpart of [`crate::ShardStats::skew`].
+//!   operation type, measured at the store's API boundary.
+//! * `phshard_shard_ops_total{shard=N}` — keys routed to slot `N`
+//!   (single-key ops count 1, a run or bulk load counts its partition
+//!   size); the live counterpart of [`crate::ShardStats::skew`]. A
+//!   split registers its children's counters as it installs them.
 //! * `phshard_query_fanout` — histogram of shards a read touched: per
 //!   window query the shards surviving prefix-mask pruning, per kNN
 //!   the shards whose root the search entered.
-//! * `phshard_pool_queue_depth` (+`_peak`) — fan-out pool queue depth.
-//! * `phshard_pool_tasks_total` — jobs submitted to the pool.
-//! * `phshard_pool_task_panics_total` — jobs that panicked (caught;
-//!   the worker survives).
-//! * `phshard_pool_busy_ns_total` — cumulative worker busy time.
 //!
 //! Rebalancing instruments (`phshard_rebalance_*` and friends):
 //!
@@ -42,6 +42,8 @@
 //!   (gauge; 0 or 1 per slot, splits are serialised).
 
 use phmetrics::{Counter, Gauge, Histogram, OpTimer, Registry};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Instruments of the MVCC-lite publication machinery, shared by the
@@ -54,7 +56,6 @@ use std::time::Instant;
 /// * `phshard_root_age_ns` — log₂ histogram of the age of the
 ///   published root at the moment a reader served from it (how stale
 ///   lock-free reads actually run).
-#[derive(Clone)]
 pub(crate) struct SwapMetrics {
     pub(crate) root_swaps: Counter,
     pub(crate) snapshot_live: Gauge,
@@ -62,15 +63,7 @@ pub(crate) struct SwapMetrics {
 }
 
 impl SwapMetrics {
-    pub(crate) fn disabled() -> Self {
-        SwapMetrics {
-            root_swaps: Counter::noop(),
-            snapshot_live: Gauge::noop(),
-            root_age_ns: Histogram::noop(),
-        }
-    }
-
-    pub(crate) fn new(reg: &Registry) -> Self {
+    fn new(reg: &Registry) -> Self {
         SwapMetrics {
             root_swaps: reg.counter("phshard_root_swaps_total"),
             snapshot_live: reg.gauge("phshard_snapshot_live"),
@@ -90,20 +83,12 @@ impl SwapMetrics {
 }
 
 /// Handles for one operation type: total counter + latency histogram.
-#[derive(Clone)]
 pub(crate) struct OpInstruments {
     total: Counter,
     latency_ns: Histogram,
 }
 
 impl OpInstruments {
-    fn noop() -> Self {
-        OpInstruments {
-            total: Counter::noop(),
-            latency_ns: Histogram::noop(),
-        }
-    }
-
     fn new(reg: &Registry, op: &str) -> Self {
         OpInstruments {
             total: reg.counter(&format!("phshard_ops_total{{op=\"{op}\"}}")),
@@ -125,8 +110,8 @@ impl OpInstruments {
     }
 }
 
-/// Every instrument recorded by [`crate::ShardedTree`].
-#[derive(Clone)]
+/// Per-operation instruments, recorded by the engine (writes, point
+/// reads) and by [`crate::Snapshot`] (cross-shard reads).
 pub(crate) struct ShardMetrics {
     pub(crate) insert: OpInstruments,
     pub(crate) remove: OpInstruments,
@@ -135,26 +120,12 @@ pub(crate) struct ShardMetrics {
     pub(crate) query_count: OpInstruments,
     pub(crate) knn: OpInstruments,
     pub(crate) bulk_load: OpInstruments,
+    pub(crate) apply_run: OpInstruments,
     pub(crate) fanout: Histogram,
-    per_shard_ops: Vec<Counter>,
 }
 
 impl ShardMetrics {
-    pub(crate) fn disabled() -> Self {
-        ShardMetrics {
-            insert: OpInstruments::noop(),
-            remove: OpInstruments::noop(),
-            get: OpInstruments::noop(),
-            query: OpInstruments::noop(),
-            query_count: OpInstruments::noop(),
-            knn: OpInstruments::noop(),
-            bulk_load: OpInstruments::noop(),
-            fanout: Histogram::noop(),
-            per_shard_ops: Vec::new(),
-        }
-    }
-
-    pub(crate) fn new(reg: &Registry, shards: usize) -> Self {
+    fn new(reg: &Registry) -> Self {
         ShardMetrics {
             insert: OpInstruments::new(reg, "insert"),
             remove: OpInstruments::new(reg, "remove"),
@@ -163,19 +134,8 @@ impl ShardMetrics {
             query_count: OpInstruments::new(reg, "query_count"),
             knn: OpInstruments::new(reg, "knn"),
             bulk_load: OpInstruments::new(reg, "bulk_load"),
+            apply_run: OpInstruments::new(reg, "apply_run"),
             fanout: reg.histogram("phshard_query_fanout"),
-            per_shard_ops: (0..shards)
-                .map(|s| reg.counter(&format!("phshard_shard_ops_total{{shard=\"{s}\"}}")))
-                .collect(),
-        }
-    }
-
-    /// Counts `n` keys routed to shard `s` (no-op when disabled: the
-    /// vector is empty).
-    #[inline]
-    pub(crate) fn add_shard_ops(&self, s: usize, n: u64) {
-        if let Some(c) = self.per_shard_ops.get(s) {
-            c.add(n);
         }
     }
 }
@@ -185,7 +145,6 @@ impl ShardMetrics {
 /// [`crate::DurableSharded::split_shard`], and the write-shedding
 /// path). Disabled handles are no-ops, so the transitions are
 /// instrumented unconditionally.
-#[derive(Clone)]
 pub(crate) struct RebalanceMetrics {
     pub(crate) splits: Counter,
     pub(crate) split_failures: Counter,
@@ -197,19 +156,7 @@ pub(crate) struct RebalanceMetrics {
 }
 
 impl RebalanceMetrics {
-    pub(crate) fn disabled() -> Self {
-        RebalanceMetrics {
-            splits: Counter::noop(),
-            split_failures: Counter::noop(),
-            shed: Counter::noop(),
-            migrated_entries: Counter::noop(),
-            backlog_drained: Counter::noop(),
-            routing_epoch: Gauge::noop(),
-            migration_inflight: Gauge::noop(),
-        }
-    }
-
-    pub(crate) fn new(reg: &Registry) -> Self {
+    fn new(reg: &Registry) -> Self {
         RebalanceMetrics {
             splits: reg.counter("phshard_rebalance_splits_total"),
             split_failures: reg.counter("phshard_rebalance_split_failures_total"),
@@ -222,36 +169,51 @@ impl RebalanceMetrics {
     }
 }
 
-/// Instruments for a [`crate::WorkerPool`] (see the module docs for
-/// the catalogue). Built from a registry via
-/// [`PoolMetrics::from_registry`]; [`PoolMetrics::disabled`] is the
-/// no-op default every plain `WorkerPool::new` ships with.
-#[derive(Clone)]
-pub struct PoolMetrics {
-    pub(crate) queue_depth: Gauge,
-    pub(crate) tasks: Counter,
-    pub(crate) panics: Counter,
-    pub(crate) busy_ns: Counter,
+/// Everything one store records, shared (behind one `Arc`) by its
+/// engine and every [`crate::Snapshot`] pinned from it. Built from a
+/// disabled registry, every handle is a no-op; the two pruning tallies
+/// behind [`crate::ShardStats`] are plain atomics and always count.
+pub(crate) struct Probes {
+    pub(crate) ops: ShardMetrics,
+    pub(crate) swaps: SwapMetrics,
+    pub(crate) reb: RebalanceMetrics,
+    scanned: AtomicU64,
+    pruned: AtomicU64,
+    registry: Registry,
 }
 
-impl PoolMetrics {
-    /// No-op handles; records nothing.
-    pub fn disabled() -> Self {
-        PoolMetrics {
-            queue_depth: Gauge::noop(),
-            tasks: Counter::noop(),
-            panics: Counter::noop(),
-            busy_ns: Counter::noop(),
-        }
+impl Probes {
+    pub(crate) fn new(reg: &Registry) -> Arc<Self> {
+        Arc::new(Probes {
+            ops: ShardMetrics::new(reg),
+            swaps: SwapMetrics::new(reg),
+            reb: RebalanceMetrics::new(reg),
+            scanned: AtomicU64::new(0),
+            pruned: AtomicU64::new(0),
+            registry: reg.clone(),
+        })
     }
 
-    /// Pool instruments registered under `phshard_pool_*`.
-    pub fn from_registry(reg: &Registry) -> Self {
-        PoolMetrics {
-            queue_depth: reg.gauge("phshard_pool_queue_depth"),
-            tasks: reg.counter("phshard_pool_tasks_total"),
-            panics: reg.counter("phshard_pool_task_panics_total"),
-            busy_ns: reg.counter("phshard_pool_busy_ns_total"),
-        }
+    /// The routed-keys counter of slot `slot`; each cell holds its own,
+    /// so a split's children are counted from their first op.
+    pub(crate) fn shard_ops(&self, slot: usize) -> Counter {
+        self.registry
+            .counter(&format!("phshard_shard_ops_total{{shard=\"{slot}\"}}"))
+    }
+
+    /// Records a window read that scanned `matched` of `shards` shards.
+    pub(crate) fn note_window(&self, shards: usize, matched: usize) {
+        self.scanned.fetch_add(matched as u64, Ordering::Relaxed);
+        self.pruned
+            .fetch_add((shards - matched) as u64, Ordering::Relaxed);
+        self.ops.fanout.record(matched as u64);
+    }
+
+    /// `(shards scanned, shards pruned)` by window reads so far.
+    pub(crate) fn pruning(&self) -> (u64, u64) {
+        (
+            self.scanned.load(Ordering::Relaxed),
+            self.pruned.load(Ordering::Relaxed),
+        )
     }
 }

@@ -265,14 +265,13 @@ impl<V: ValueCodec, const K: usize> PackedShards<V, K> {
             .collect())
     }
 
-    /// Per-shard statistics shaped like [`ShardStats`] (pool and
-    /// pruning counters are zero: a packed checkpoint has neither).
+    /// Per-shard statistics shaped like [`ShardStats`] (the pruning
+    /// counters are zero: a packed checkpoint keeps no tally).
     pub fn stats(&self) -> ShardStats {
         let live_slots = self.map.live_slots();
         let per_shard: Vec<usize> = live_slots.iter().map(|&s| self.tree(s).len()).collect();
         ShardStats {
             shards: self.map.shards(),
-            threads: 0,
             entries: per_shard.iter().sum(),
             per_shard,
             live_slots,

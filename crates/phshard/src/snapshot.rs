@@ -25,11 +25,11 @@
 //!
 //! Under sustained writes the optimistic loop could starve, so after a
 //! bounded number of attempts the slow path locks every live cell's
-//! writer lock in slot order (publications happen under the cell
-//! writer lock, so holding all of them freezes the cut), collects, and
-//! releases. Readers therefore never block writers; a snapshot under
-//! heavy write pressure briefly blocks writers instead — the
-//! deliberate trade.
+//! writer lock in ascending slot order — the engine's one lock order —
+//! (publications happen under the cell writer lock, so holding all of
+//! them freezes the cut), collects, and releases. Readers therefore
+//! never block writers; a snapshot under heavy write pressure briefly
+//! blocks writers instead — the deliberate trade.
 //!
 //! Splits bracket their whole topology flip (retire parent + install
 //! successor state) in one `begun`/`done` pair while holding the
@@ -39,7 +39,7 @@
 //! its published root.
 
 use crate::epoch::ShardMap;
-use crate::metrics::SwapMetrics;
+use crate::metrics::Probes;
 use crate::ShardStats;
 use phtree::{knn, Distance, IntEuclidean, PhTree};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,10 +62,6 @@ impl<V, const K: usize> Published<V, K> {
         })
     }
 }
-
-/// How many optimistic attempts [`crate::ShardedTree::snapshot`] makes
-/// before falling back to locking the cells.
-pub(crate) const SNAPSHOT_SPIN: usize = 64;
 
 /// The global write counter pair backing the consistent-cut protocol
 /// (see module docs).
@@ -120,25 +116,25 @@ impl WriteClock {
 /// captured versions alive; nodes unchanged since the capture are
 /// shared with the live trees, so the marginal cost is the writes that
 /// happened since (path copies), not a full second index.
+///
+/// Cross-shard reads (`query`, `query_count`, `knn`) record into the
+/// instruments of the store the snapshot was pinned from — a store's
+/// own cross-shard reads are exactly these, on a fresh snapshot.
 pub struct Snapshot<V, const K: usize> {
     map: Arc<ShardMap<K>>,
     /// Slot-indexed; `None` for slots not live in this epoch.
     roots: Vec<Option<Arc<Published<V, K>>>>,
-    metrics: SwapMetrics,
+    probes: Arc<Probes>,
 }
 
 impl<V, const K: usize> Snapshot<V, K> {
     pub(crate) fn new(
         map: Arc<ShardMap<K>>,
         roots: Vec<Option<Arc<Published<V, K>>>>,
-        metrics: SwapMetrics,
+        probes: Arc<Probes>,
     ) -> Self {
-        metrics.snapshot_live.add(1);
-        Snapshot {
-            map,
-            roots,
-            metrics,
-        }
+        probes.swaps.snapshot_live.add(1);
+        Snapshot { map, roots, probes }
     }
 
     /// The routing map of the snapshot's epoch.
@@ -194,45 +190,58 @@ impl<V, const K: usize> Snapshot<V, K> {
         self.get(key).is_some()
     }
 
+    /// The shards whose region meets `[min, max]`, in Z-order; the
+    /// rest are pruned by the routing map's mask walk, and counted.
+    fn matching(&self, min: &[u64; K], max: &[u64; K]) -> Vec<usize> {
+        let matching = self.map.matching_shards(min, max);
+        self.probes.note_window(self.map.shards(), matching.len());
+        matching
+    }
+
     /// Counts entries in the window `[min, max]` without materialising
     /// them, pruning shards by prefix mask.
     pub fn query_count(&self, min: &[u64; K], max: &[u64; K]) -> usize {
-        self.map
-            .matching_shards(min, max)
+        let t = self.probes.ops.query_count.start();
+        let out = self
+            .matching(min, max)
             .into_iter()
             .map(|s| self.root(s).tree.query(min, max).count())
-            .sum()
+            .sum();
+        self.probes.ops.query_count.finish(t);
+        out
     }
 
-    /// Per-shard statistics of the pinned versions, shaped like
-    /// [`ShardStats`] (pool/pruning counters are zero: a snapshot has
-    /// neither).
+    /// Per-shard statistics of the pinned versions; the pruning
+    /// counters are the owning store's running totals.
     pub fn stats(&self) -> ShardStats {
         let live_slots = self.map.live_slots();
         let per_shard: Vec<usize> = live_slots
             .iter()
             .map(|&s| self.root(s).tree.len())
             .collect();
+        let (shards_scanned, shards_pruned) = self.probes.pruning();
         ShardStats {
             shards: self.map.shards(),
-            threads: 0,
             entries: per_shard.iter().sum(),
             per_shard,
             live_slots,
             epoch: self.map.epoch(),
-            shards_scanned: 0,
-            shards_pruned: 0,
+            shards_scanned,
+            shards_pruned,
         }
     }
 }
 
 impl<V: Clone, const K: usize> Snapshot<V, K> {
     /// All entries in the window `[min, max]` (inclusive corners), in
-    /// global Z-order. Runs sequentially on the calling thread;
-    /// [`crate::ShardedTree::query`] is the pooled variant (it scans a
-    /// snapshot too — same consistency, fanned out).
+    /// global Z-order, on the calling thread. Shards whose prefix
+    /// region is disjoint from the window are pruned; because shard
+    /// regions are Z-order prefixes and the survivors come in Z-order,
+    /// concatenating their results yields exactly the order a single
+    /// unsharded tree's query iterator produces.
     pub fn query(&self, min: &[u64; K], max: &[u64; K]) -> Vec<([u64; K], V)> {
-        let matching = self.map.matching_shards(min, max);
+        let t = self.probes.ops.query.start();
+        let matching = self.matching(min, max);
         let fan = phtrace::span(phtrace::Phase::FanOut);
         phtrace::add(phtrace::PayloadCounter::Fanout, matching.len() as u64);
         let mut out = Vec::new();
@@ -246,6 +255,7 @@ impl<V: Clone, const K: usize> Snapshot<V, K> {
             );
         }
         drop(fan);
+        self.probes.ops.query.finish(t);
         out
     }
 
@@ -255,15 +265,7 @@ impl<V: Clone, const K: usize> Snapshot<V, K> {
     /// search over all pinned shard roots ([`phtree::knn`]): a shard
     /// whose region lies beyond the results found is never entered.
     pub fn knn(&self, center: &[u64; K], n: usize) -> Vec<([u64; K], V, f64)> {
-        self.knn_counted(center, n).0
-    }
-
-    /// [`Snapshot::knn`] plus the number of shards the search entered.
-    pub(crate) fn knn_counted(
-        &self,
-        center: &[u64; K],
-        n: usize,
-    ) -> (Vec<([u64; K], V, f64)>, usize) {
+        let t = self.probes.ops.knn.start();
         let _d = phtrace::span(phtrace::Phase::Descent);
         let trees = self.map.shard_boxes().into_iter().map(|(s, lo, hi)| {
             let dist = Distance::<K>::to_box(&IntEuclidean, center, &lo, &hi);
@@ -271,16 +273,18 @@ impl<V: Clone, const K: usize> Snapshot<V, K> {
         });
         let (hits, seen) = knn::forest(trees, center, n, f64::INFINITY, &IntEuclidean);
         phtrace::add(phtrace::PayloadCounter::Fanout, seen.roots as u64);
+        self.probes.ops.fanout.record(seen.roots as u64);
         let out = hits
             .into_iter()
             .map(|nb| (nb.key, nb.value.clone(), nb.dist))
             .collect();
-        (out, seen.roots)
+        self.probes.ops.knn.finish(t);
+        out
     }
 }
 
 impl<V, const K: usize> Drop for Snapshot<V, K> {
     fn drop(&mut self) {
-        self.metrics.snapshot_live.add(-1);
+        self.probes.swaps.snapshot_live.add(-1);
     }
 }

@@ -22,7 +22,7 @@ fn sharded_tree_is_send_and_sync() {
 fn concurrent_writers_and_readers() {
     const WRITERS: usize = 4;
     const PER_WRITER: u64 = 2_000;
-    let tree: Arc<ShardedTree<u64, 3>> = Arc::new(ShardedTree::with_threads(8, 2));
+    let tree: Arc<ShardedTree<u64, 3>> = Arc::new(ShardedTree::new(8));
 
     std::thread::scope(|s| {
         for w in 0..WRITERS as u64 {
@@ -79,7 +79,7 @@ fn concurrent_writers_and_readers() {
 /// always either the old or the new state, never garbage.
 #[test]
 fn concurrent_remove_and_get() {
-    let tree: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::with_threads(4, 2));
+    let tree: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::new(4));
     let n = 4_000u64;
     for i in 0..n {
         let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -209,7 +209,7 @@ fn scans_never_observe_torn_batches() {
     };
 
     // ---- in-memory: co-routed batches + splits ----
-    let tree: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::with_threads(4, 2));
+    let tree: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::new(4));
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         {
@@ -304,7 +304,7 @@ fn read_under_write_stress() {
     use std::time::{Duration, Instant};
 
     const B: u64 = 8;
-    let tree: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::with_threads(4, 2));
+    let tree: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::new(4));
     let policy = RebalancePolicy {
         max_skew: 1.5,
         min_entries: 256,

@@ -2,15 +2,247 @@
 //! shard counts 1, 2 and 8), a plain [`PhTree`] and a `BTreeMap` oracle
 //! — all three must agree at every step: routing must never change
 //! what a key maps to, only where it lives.
+//!
+//! Both live stores run on one engine, so what is checked of the engine
+//! is checked through one body ([`Store`]): the conformance walk
+//! ([`conformance`]) and the snapshot-at-cut property
+//! ([`snapshot_frozen_at_cut`]) are each written once and instantiated
+//! for [`ShardedTree`] and for [`DurableSharded`] on a `MemVfs`.
 
-use phshard::{DurableSharded, ShardedTree};
+use phmetrics::Registry;
+use phshard::{DurableSharded, ShardStats, ShardedTree, Snapshot, SplitReport};
 use phstore::vfs::MemVfs;
 use phstore::DurableConfig;
-use phtree::PhTree;
+use phtree::{Distance, IntEuclidean, PhTree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
+
+type Key = [u64; 3];
+type Model = BTreeMap<Key, u32>;
+
+/// The store surface the engine serves, spelled the same for both
+/// stores (the durable one's writes are fallible; on a healthy
+/// `MemVfs` with no migration armed they never fail).
+trait Store: Sized {
+    fn open(shards: usize, registry: &Registry) -> Self;
+    fn insert(&self, k: Key, v: u32) -> Option<u32>;
+    fn remove(&self, k: &Key) -> Option<u32>;
+    fn get(&self, k: &Key) -> Option<u32>;
+    fn window(&self, lo: &Key, hi: &Key) -> Vec<(Key, u32)>;
+    fn count(&self, lo: &Key, hi: &Key) -> usize;
+    fn knn(&self, c: &Key, n: usize) -> Vec<(Key, u32, f64)>;
+    fn bulk(&self, items: Vec<(Key, u32)>) -> usize;
+    fn split(&self, slot: usize, bits: u32) -> SplitReport;
+    fn snapshot(&self) -> Snapshot<u32, 3>;
+    fn len(&self) -> usize;
+    fn stats(&self) -> ShardStats;
+}
+
+impl Store for ShardedTree<u32, 3> {
+    fn open(shards: usize, registry: &Registry) -> Self {
+        ShardedTree::with_metrics(shards, registry)
+    }
+    fn insert(&self, k: Key, v: u32) -> Option<u32> {
+        ShardedTree::insert(self, k, v)
+    }
+    fn remove(&self, k: &Key) -> Option<u32> {
+        ShardedTree::remove(self, k)
+    }
+    fn get(&self, k: &Key) -> Option<u32> {
+        self.get_with(k, |v| *v)
+    }
+    fn window(&self, lo: &Key, hi: &Key) -> Vec<(Key, u32)> {
+        self.query(lo, hi)
+    }
+    fn count(&self, lo: &Key, hi: &Key) -> usize {
+        self.query_count(lo, hi)
+    }
+    fn knn(&self, c: &Key, n: usize) -> Vec<(Key, u32, f64)> {
+        ShardedTree::knn(self, c, n)
+    }
+    fn bulk(&self, items: Vec<(Key, u32)>) -> usize {
+        self.bulk_load(items)
+    }
+    fn split(&self, slot: usize, bits: u32) -> SplitReport {
+        self.split_shard(slot, bits).unwrap()
+    }
+    fn snapshot(&self) -> Snapshot<u32, 3> {
+        ShardedTree::snapshot(self)
+    }
+    fn len(&self) -> usize {
+        ShardedTree::len(self)
+    }
+    fn stats(&self) -> ShardStats {
+        ShardedTree::stats(self)
+    }
+}
+
+impl Store for DurableSharded<u32, 3> {
+    fn open(shards: usize, registry: &Registry) -> Self {
+        let config = DurableConfig {
+            checkpoint_bytes: u64::MAX,
+            sync_writes: false,
+            retry: None,
+        };
+        let vfs = Arc::new(MemVfs::new());
+        DurableSharded::open_observed(vfs, Path::new("/db"), shards, config, registry).unwrap()
+    }
+    fn insert(&self, k: Key, v: u32) -> Option<u32> {
+        DurableSharded::insert(self, k, v).unwrap()
+    }
+    fn remove(&self, k: &Key) -> Option<u32> {
+        DurableSharded::remove(self, k).unwrap()
+    }
+    fn get(&self, k: &Key) -> Option<u32> {
+        self.get_with(k, |v| *v)
+    }
+    fn window(&self, lo: &Key, hi: &Key) -> Vec<(Key, u32)> {
+        self.query(lo, hi)
+    }
+    fn count(&self, lo: &Key, hi: &Key) -> usize {
+        self.query_count(lo, hi)
+    }
+    fn knn(&self, c: &Key, n: usize) -> Vec<(Key, u32, f64)> {
+        DurableSharded::knn(self, c, n)
+    }
+    fn bulk(&self, items: Vec<(Key, u32)>) -> usize {
+        self.bulk_load(items).unwrap()
+    }
+    fn split(&self, slot: usize, bits: u32) -> SplitReport {
+        self.split_shard(slot, bits).unwrap()
+    }
+    fn snapshot(&self) -> Snapshot<u32, 3> {
+        DurableSharded::snapshot(self)
+    }
+    fn len(&self) -> usize {
+        DurableSharded::len(self)
+    }
+    fn stats(&self) -> ShardStats {
+        DurableSharded::stats(self)
+    }
+}
+
+const FULL: (Key, Key) = ([0; 3], [u64::MAX; 3]);
+
+/// Everything readable through `s` agrees with `model`.
+fn assert_reads_match<S: Store>(s: &S, model: &Model, what: &str) {
+    assert_eq!(s.len(), model.len(), "{what}: len");
+    let all: Model = s.window(&FULL.0, &FULL.1).into_iter().collect();
+    assert_eq!(&all, model, "{what}: full window");
+    for (k, v) in model {
+        assert_eq!(s.get(k), Some(*v), "{what}: get {k:?}");
+    }
+    // A window over the low octant, and its count.
+    let (lo, hi) = ([0; 3], [u64::MAX >> 1; 3]);
+    let inside = |k: &Key| (0..3).all(|d| lo[d] <= k[d] && k[d] <= hi[d]);
+    let want: Model = model
+        .iter()
+        .filter(|(k, _)| inside(k))
+        .map(|(k, v)| (*k, *v))
+        .collect();
+    assert_eq!(s.window(&lo, &hi).into_iter().collect::<Model>(), want);
+    assert_eq!(s.count(&lo, &hi), want.len(), "{what}: query_count");
+    // kNN: the distance profile of a brute-force scan.
+    let center = [5, 1 << 62, u64::MAX];
+    let dist = |k: &Key| Distance::<3>::point(&IntEuclidean, &center, k);
+    let mut want: Vec<f64> = model.keys().map(dist).collect();
+    want.sort_by(f64::total_cmp);
+    want.truncate(4);
+    let got: Vec<f64> = s.knn(&center, 4).into_iter().map(|e| e.2).collect();
+    assert_eq!(got, want, "{what}: knn distance profile");
+}
+
+/// The engine conformance walk: every engine path once, in an order
+/// that crosses a split, checked against a `BTreeMap` — and that the
+/// store's instruments saw it.
+fn conformance<S: Store>() {
+    let reg = Registry::new();
+    let s = S::open(4, &reg);
+    let mut model = Model::new();
+    // Keys in every shard: the top bit of each dimension picks it.
+    let key = |i: u64| {
+        [
+            ((i % 8) << 61) | i,
+            ((i % 3) << 62) | (i * 7),
+            ((i % 5) << 61) | (i * 13),
+        ]
+    };
+
+    // insert / overwrite / remove / get_with.
+    for i in 0..40u64 {
+        assert_eq!(s.insert(key(i), i as u32), model.insert(key(i), i as u32));
+    }
+    for i in (0..40u64).step_by(3) {
+        assert_eq!(s.insert(key(i), 1000), model.insert(key(i), 1000));
+    }
+    for i in (0..40u64).step_by(4) {
+        assert_eq!(s.remove(&key(i)), model.remove(&key(i)));
+        assert_eq!(s.remove(&key(i)), None);
+        assert_eq!(s.get(&key(i)), None);
+    }
+    assert_reads_match(&s, &model, "after single-key writes");
+
+    // A snapshot pinned across a split keeps its cut.
+    let frozen = model.clone();
+    let snap = s.snapshot();
+    let hot = s.stats().hottest().unwrap().0;
+    let report = s.split(hot, 1);
+    assert_eq!((report.src, report.epoch), (hot, 1));
+    assert!(!s.stats().live_slots.contains(&hot));
+    assert_reads_match(&s, &model, "after the split");
+
+    // bulk_load into non-empty shards (children included), then into a
+    // store whose shards are all empty.
+    let batch: Vec<(Key, u32)> = (30..60u64).map(|i| (key(i), 7)).collect();
+    let fresh = batch.iter().filter(|(k, _)| !model.contains_key(k)).count();
+    assert_eq!(s.bulk(batch.clone()), fresh);
+    model.extend(batch.iter().copied());
+    assert_reads_match(&s, &model, "after bulk_load into non-empty shards");
+    let empty = S::open(4, &Registry::disabled());
+    assert_eq!(empty.bulk(batch.clone()), batch.len());
+    assert_reads_match(&empty, &batch.iter().copied().collect(), "bulk into empty");
+
+    assert_eq!(snap.epoch(), 0);
+    assert_eq!(snap.len(), frozen.len());
+    let pinned: Model = snap.query(&FULL.0, &FULL.1).into_iter().collect();
+    assert_eq!(pinned, frozen, "snapshot pinned across the split");
+
+    // One set of instruments, whichever store: op counters and
+    // latencies, and the pruning tallies behind `stats()`.
+    let m = reg.snapshot();
+    for (op, n) in [("insert", 54), ("remove", 20), ("bulk_load", 1)] {
+        let name = format!("phshard_ops_total{{op=\"{op}\"}}");
+        assert_eq!(m.counter(&name), Some(n), "{name}");
+        let lat = m.histogram(&format!("phshard_op_latency_ns{{op=\"{op}\"}}"));
+        assert_eq!(lat.map(|h| h.count()), Some(n), "{op} latency samples");
+    }
+    for op in ["get", "query", "query_count", "knn"] {
+        let name = format!("phshard_ops_total{{op=\"{op}\"}}");
+        assert!(m.counter(&name).unwrap_or(0) > 0, "{name}");
+    }
+    let before = s.stats();
+    assert!(before.shards_scanned > 0 && before.shards_pruned > 0);
+    // Five live shards; the box below the hot shard's split plane
+    // meets few of them.
+    s.count(&[0; 3], &[1; 3]);
+    let after = s.stats();
+    let scanned = after.shards_scanned - before.shards_scanned;
+    let pruned = after.shards_pruned - before.shards_pruned;
+    assert_eq!(scanned + pruned, 5, "every live shard scanned or pruned");
+    assert!(scanned >= 1 && pruned >= 1);
+}
+
+#[test]
+fn engine_conformance_in_memory() {
+    conformance::<ShardedTree<u32, 3>>();
+}
+
+#[test]
+fn engine_conformance_durable() {
+    conformance::<DurableSharded<u32, 3>>();
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -47,8 +279,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120),
     ) {
         for shards in [1usize, 2, 8] {
-            // threads=2 exercises the pool even under proptest.
-            let sharded: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 2);
+            let sharded: ShardedTree<u32, 3> = ShardedTree::new(shards);
             let mut plain: PhTree<u32, 3> = PhTree::new();
             let mut oracle: BTreeMap<[u64; 3], u32> = BTreeMap::new();
             for op in &ops {
@@ -96,7 +327,7 @@ proptest! {
         }
         let want: Vec<([u64; 3], u32)> = plain.query(&min, &max).map(|(k, &v)| (k, v)).collect();
         for shards in [1usize, 2, 8] {
-            let sharded: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 2);
+            let sharded: ShardedTree<u32, 3> = ShardedTree::new(shards);
             for (i, &k) in keys.iter().enumerate() {
                 sharded.insert(k, i as u32);
             }
@@ -131,7 +362,7 @@ proptest! {
         }
         let want: Vec<f64> = plain.knn(&center, n).into_iter().map(|nb| nb.dist).collect();
         for shards in [1usize, 2, 8] {
-            let sharded: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 2);
+            let sharded: ShardedTree<u32, 3> = ShardedTree::new(shards);
             for (i, &k) in keys.iter().enumerate() {
                 sharded.insert(k, i as u32);
             }
@@ -156,7 +387,7 @@ proptest! {
             keys.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
         let split = split.min(items.len());
         for shards in [1usize, 2, 8] {
-            let bulk: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 2);
+            let bulk: ShardedTree<u32, 3> = ShardedTree::new(shards);
             // Pre-populate a prefix one by one, then bulk the rest:
             // shards untouched by the prefix take the bottom-up path,
             // the others the insert-loop fallback.
@@ -167,7 +398,7 @@ proptest! {
                 }
             }
             new += bulk.bulk_load(items[split..].to_vec());
-            let seq: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 0);
+            let seq: ShardedTree<u32, 3> = ShardedTree::new(shards);
             let mut fresh = 0;
             for (k, v) in items.clone() {
                 if seq.insert(k, v).is_none() {
@@ -183,91 +414,66 @@ proptest! {
         }
     }
 
-    /// Snapshot consistency on the in-memory layer: a snapshot pinned
-    /// mid-op-stream equals the model frozen at exactly that point — no
-    /// later write, remove or batch leaks in, across shard counts.
+    /// Snapshot consistency on the in-memory store (see
+    /// [`snapshot_frozen_at_cut`]).
     #[test]
     fn snapshot_equals_model_frozen_at_cut(
         ops in proptest::collection::vec(op_strategy(), 1..80),
         cut in 0usize..80,
     ) {
-        let cut = cut.min(ops.len());
-        for shards in [1usize, 2, 8] {
-            let sharded: ShardedTree<u32, 3> = ShardedTree::with_threads(shards, 2);
-            let mut oracle: BTreeMap<[u64; 3], u32> = BTreeMap::new();
-            for op in &ops[..cut] {
-                match *op {
-                    Op::Insert(k, v) => { oracle.insert(k, v); sharded.insert(k, v); }
-                    Op::Remove(k) => { oracle.remove(&k); sharded.remove(&k); }
-                    Op::Get(_) => {}
-                }
-            }
-            let frozen = oracle.clone();
-            let snap = sharded.snapshot();
-            for op in &ops[cut..] {
-                match *op {
-                    Op::Insert(k, v) => { oracle.insert(k, v); sharded.insert(k, v); }
-                    Op::Remove(k) => { oracle.remove(&k); sharded.remove(&k); }
-                    Op::Get(k) => {
-                        prop_assert_eq!(sharded.get(&k), oracle.get(&k).copied());
-                    }
-                }
-            }
-            prop_assert_eq!(snap.len(), frozen.len(), "S={} snapshot len", shards);
-            let seen: BTreeMap<[u64; 3], u32> =
-                snap.query(&[0; 3], &[u64::MAX; 3]).into_iter().collect();
-            prop_assert_eq!(&seen, &frozen, "S={} snapshot contents", shards);
-            for op in &ops {
-                let k = match *op { Op::Insert(k, _) | Op::Remove(k) | Op::Get(k) => k };
-                prop_assert_eq!(snap.get(&k).copied(), frozen.get(&k).copied(),
-                    "S={} snapshot get {:?}", shards, k);
-            }
-            // The live tree kept moving past the pinned cut.
-            prop_assert_eq!(sharded.len(), oracle.len(), "S={} live len", shards);
-        }
+        snapshot_frozen_at_cut::<ShardedTree<u32, 3>>(&ops, cut)?;
     }
 
-    /// The same snapshot-at-cut property on the durable layer (WAL-
-    /// backed cells publish through the same machinery).
+    /// The same property, same body, on the durable store (WAL-backed
+    /// cells publish through the same engine).
     #[test]
     fn durable_snapshot_equals_model_frozen_at_cut(
         ops in proptest::collection::vec(op_strategy(), 1..50),
         cut in 0usize..50,
     ) {
-        let cut = cut.min(ops.len());
-        let config = DurableConfig {
-            checkpoint_bytes: u64::MAX,
-            sync_writes: false,
-            retry: None,
-        };
-        for shards in [1usize, 2, 8] {
-            let vfs = Arc::new(MemVfs::new());
-            let store: DurableSharded<u32, 3> =
-                DurableSharded::open_with(vfs, Path::new("/db"), shards, config.clone()).unwrap();
-            let mut oracle: BTreeMap<[u64; 3], u32> = BTreeMap::new();
-            for op in &ops[..cut] {
-                match *op {
-                    Op::Insert(k, v) => { oracle.insert(k, v); store.insert(k, v).unwrap(); }
-                    Op::Remove(k) => { oracle.remove(&k); store.remove(&k).unwrap(); }
-                    Op::Get(_) => {}
-                }
-            }
-            let frozen = oracle.clone();
-            let snap = store.snapshot();
-            for op in &ops[cut..] {
-                match *op {
-                    Op::Insert(k, v) => { oracle.insert(k, v); store.insert(k, v).unwrap(); }
-                    Op::Remove(k) => { oracle.remove(&k); store.remove(&k).unwrap(); }
-                    Op::Get(k) => {
-                        prop_assert_eq!(store.get_with(&k, |v| *v), oracle.get(&k).copied());
-                    }
-                }
-            }
-            prop_assert_eq!(snap.len(), frozen.len(), "S={} snapshot len", shards);
-            let seen: BTreeMap<[u64; 3], u32> =
-                snap.query(&[0; 3], &[u64::MAX; 3]).into_iter().collect();
-            prop_assert_eq!(&seen, &frozen, "S={} snapshot contents", shards);
-            prop_assert_eq!(store.len(), oracle.len(), "S={} live len", shards);
-        }
+        snapshot_frozen_at_cut::<DurableSharded<u32, 3>>(&ops, cut)?;
     }
+}
+
+/// Applies `op` to the store and the oracle; they must answer alike.
+fn step<S: Store>(store: &S, oracle: &mut Model, op: &Op) -> Result<(), TestCaseError> {
+    match *op {
+        Op::Insert(k, v) => prop_assert_eq!(store.insert(k, v), oracle.insert(k, v)),
+        Op::Remove(k) => prop_assert_eq!(store.remove(&k), oracle.remove(&k)),
+        Op::Get(k) => prop_assert_eq!(store.get(&k), oracle.get(&k).copied()),
+    }
+    Ok(())
+}
+
+/// A snapshot pinned mid-op-stream equals the model frozen at exactly
+/// that point — no later write, remove or batch leaks in — across
+/// shard counts, while the live store keeps moving past the cut.
+fn snapshot_frozen_at_cut<S: Store>(ops: &[Op], cut: usize) -> Result<(), TestCaseError> {
+    let cut = cut.min(ops.len());
+    for shards in [1usize, 2, 8] {
+        let store = S::open(shards, &Registry::disabled());
+        let mut oracle = Model::new();
+        for op in &ops[..cut] {
+            step(&store, &mut oracle, op)?;
+        }
+        let (snap, frozen) = (store.snapshot(), oracle.clone());
+        for op in &ops[cut..] {
+            step(&store, &mut oracle, op)?;
+        }
+        prop_assert_eq!(snap.len(), frozen.len(), "S={} snapshot len", shards);
+        let seen: Model = snap.query(&FULL.0, &FULL.1).into_iter().collect();
+        prop_assert_eq!(&seen, &frozen, "S={} snapshot contents", shards);
+        for op in ops {
+            let (Op::Insert(k, _) | Op::Remove(k) | Op::Get(k)) = *op;
+            prop_assert_eq!(
+                snap.get(&k),
+                frozen.get(&k),
+                "S={} snapshot get {:?}",
+                shards,
+                k
+            );
+        }
+        prop_assert_eq!(store.len(), oracle.len(), "S={} live len", shards);
+    }
+    Ok(())
 }

@@ -88,7 +88,7 @@ fn check<const K: usize>(
         same(&got, want, "PhTree")?;
     }
     for shards in [1usize, 4, 8] {
-        let sharded: ShardedTree<u64, K> = ShardedTree::with_threads(shards, 0);
+        let sharded: ShardedTree<u64, K> = ShardedTree::new(shards);
         for (i, k) in keys.iter().enumerate() {
             sharded.insert(*k, i as u64);
         }

@@ -2,7 +2,11 @@
 //! the `ShardStats::skew` routing diagnostic.
 
 use phmetrics::Registry;
-use phshard::ShardedTree;
+use phshard::{DurableSharded, ShardedTree};
+use phstore::vfs::MemVfs;
+use phstore::DurableConfig;
+use std::path::Path;
+use std::sync::Arc;
 
 #[test]
 fn clustered_keys_provably_skew_the_router() {
@@ -11,7 +15,7 @@ fn clustered_keys_provably_skew_the_router() {
     // pattern 0...0, so every one of them routes to shard 0 — the
     // router's provable worst case.
     let shards = 8;
-    let t: ShardedTree<u32, 2> = ShardedTree::with_threads(shards, 0);
+    let t: ShardedTree<u32, 2> = ShardedTree::new(shards);
     for i in 0..400u64 {
         t.insert([i, i * 31 % 997], i as u32); // all far below 2^63
     }
@@ -22,7 +26,7 @@ fn clustered_keys_provably_skew_the_router() {
     // Spreading keys across all top-bit prefixes balances the router:
     // one key per 3-bit Z-prefix per round. For K=2 the first three
     // interleaved bits are (d0 bit63, d1 bit63, d0 bit62).
-    let u: ShardedTree<u32, 2> = ShardedTree::with_threads(shards, 0);
+    let u: ShardedTree<u32, 2> = ShardedTree::new(shards);
     for i in 0..400u64 {
         let p = i % 8;
         let d0 = ((p >> 2) & 1) << 63 | (p & 1) << 62;
@@ -38,14 +42,14 @@ fn clustered_keys_provably_skew_the_router() {
     assert_eq!(stats.skew(), 1.0);
 
     // Empty tree: skew defined as 1.0 (no imbalance).
-    let e: ShardedTree<u32, 2> = ShardedTree::with_threads(shards, 0);
+    let e: ShardedTree<u32, 2> = ShardedTree::new(shards);
     assert_eq!(e.stats().skew(), 1.0);
 }
 
 #[test]
 fn sharded_tree_records_into_registry() {
     let reg = Registry::new();
-    let t: ShardedTree<u64, 3> = ShardedTree::with_metrics(4, 2, &reg);
+    let t: ShardedTree<u64, 3> = ShardedTree::with_metrics(4, &reg);
 
     for i in 0..100u64 {
         t.insert([i, i * 7, i * 13], i);
@@ -104,12 +108,6 @@ fn sharded_tree_records_into_registry() {
         .sum();
     assert_eq!(routed, 100 + 50 + 1 + 100);
 
-    // The pool ran the fan-out tasks and never panicked.
-    assert!(snap.counter("phshard_pool_tasks_total").unwrap_or(0) > 0);
-    assert_eq!(snap.counter("phshard_pool_task_panics_total"), Some(0));
-    let depth = snap.gauge("phshard_pool_queue_depth").expect("queue depth");
-    assert!(depth.high_water >= 0);
-
     // The exposition renders every instrument family.
     let text = reg.render_prometheus();
     for needle in [
@@ -117,8 +115,6 @@ fn sharded_tree_records_into_registry() {
         "# TYPE phshard_op_latency_ns histogram",
         "# TYPE phshard_shard_ops_total counter",
         "# TYPE phshard_query_fanout histogram",
-        "# TYPE phshard_pool_queue_depth gauge",
-        "phshard_pool_queue_depth_peak",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
@@ -126,13 +122,13 @@ fn sharded_tree_records_into_registry() {
 
 #[test]
 fn unmetered_tree_still_works_and_registry_stays_empty() {
-    let t: ShardedTree<u8, 2> = ShardedTree::with_threads(4, 1);
+    let t: ShardedTree<u8, 2> = ShardedTree::new(4);
     t.insert([1, 2], 3);
     assert_eq!(t.get(&[1, 2]), Some(3));
     assert_eq!(t.query(&[0, 0], &[10, 10]).len(), 1);
     // A disabled registry hands out no-op handles and renders nothing.
     let reg = Registry::disabled();
-    let d: ShardedTree<u8, 2> = ShardedTree::with_metrics(2, 0, &reg);
+    let d: ShardedTree<u8, 2> = ShardedTree::with_metrics(2, &reg);
     d.insert([5, 5], 9);
     assert_eq!(d.get(&[5, 5]), Some(9));
     assert_eq!(reg.render_prometheus(), "");
@@ -145,7 +141,7 @@ fn unmetered_tree_still_works_and_registry_stays_empty() {
 #[test]
 fn mvcc_instruments_record_and_render() {
     let reg = Registry::new();
-    let t: ShardedTree<u64, 2> = ShardedTree::with_metrics(4, 0, &reg);
+    let t: ShardedTree<u64, 2> = ShardedTree::with_metrics(4, &reg);
 
     // 10 single-key writes → 10 root publications.
     for i in 0..10u64 {
@@ -191,15 +187,7 @@ fn mvcc_instruments_record_and_render() {
 
     // The durable layer publishes through the same instruments.
     let dreg = Registry::new();
-    let vfs = std::sync::Arc::new(phstore::vfs::MemVfs::new());
-    let cfg = phstore::DurableConfig {
-        checkpoint_bytes: u64::MAX,
-        sync_writes: false,
-        retry: None,
-    };
-    let store: phshard::DurableSharded<u64, 2> =
-        phshard::DurableSharded::open_observed(vfs, std::path::Path::new("/m"), 2, cfg, &dreg)
-            .unwrap();
+    let store = durable(2, &dreg);
     for i in 0..4u64 {
         store.insert([i << 62, i], i).unwrap();
     }
@@ -210,4 +198,60 @@ fn mvcc_instruments_record_and_render() {
         dsnap.histogram("phshard_root_age_ns").map(|h| h.count()),
         Some(1)
     );
+}
+
+fn durable(shards: usize, reg: &Registry) -> DurableSharded<u64, 2> {
+    let cfg = DurableConfig {
+        checkpoint_bytes: u64::MAX,
+        sync_writes: false,
+        retry: None,
+    };
+    DurableSharded::open_observed(Arc::new(MemVfs::new()), Path::new("/m"), shards, cfg, reg)
+        .unwrap()
+}
+
+fn shard_ops(reg: &Registry, slot: usize) -> u64 {
+    let name = format!("phshard_shard_ops_total{{shard=\"{slot}\"}}");
+    reg.snapshot().counter(&name).unwrap_or(0)
+}
+
+/// The per-shard op counters used to be sized once at construction, so
+/// keys routed to a split's children were never counted. The engine's
+/// split install registers the children's counters — on both stores.
+#[test]
+fn shard_op_counters_follow_a_split() {
+    // Low keys: slot 0 of 4, then (one more Z-bit) its first child.
+    let low = |i: u64| [i, i * 3];
+    let check = |reg: &Registry, children: &[usize], issued: u64| {
+        assert_eq!(shard_ops(reg, children[0]), 5, "child counter moved");
+        let bound = children[1] + 1;
+        let total: u64 = (0..bound).map(|s| shard_ops(reg, s)).sum();
+        assert_eq!(total, issued, "family total == ops issued");
+    };
+
+    let reg = Registry::new();
+    let mem: ShardedTree<u64, 2> = ShardedTree::with_metrics(4, &reg);
+    for i in 0..10 {
+        mem.insert(low(i), i);
+    }
+    let children = mem.split_shard(0, 1).unwrap().children;
+    assert_eq!(shard_ops(&reg, children[0]), 0);
+    for i in 10..13 {
+        mem.insert(low(i), i);
+    }
+    assert_eq!(mem.get(&low(11)), Some(11));
+    assert_eq!(mem.remove(&low(12)), Some(12));
+    check(&reg, &children, 10 + 5);
+
+    let reg = Registry::new();
+    let dur = durable(4, &reg);
+    for i in 0..10 {
+        dur.insert(low(i), i).unwrap();
+    }
+    let children = dur.split_shard(0, 1).unwrap().children;
+    dur.bulk_load((10..13).map(|i| (low(i), i)).collect())
+        .unwrap();
+    assert_eq!(dur.get_with(&low(11), |v| *v), Some(11));
+    assert_eq!(dur.remove(&low(12)).unwrap(), Some(12));
+    check(&reg, &children, 10 + 5);
 }

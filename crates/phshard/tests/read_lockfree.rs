@@ -5,8 +5,7 @@
 //! is a regression this test turns into a failure.
 //!
 //! The counter ([`phshard::data_lock_acquisitions`]) is a global,
-//! debug-only tally of shard state-lock acquisitions — it counts pool
-//! workers too, so a fan-out that sneaks a lock in a task is caught.
+//! debug-only tally of shard cell-lock acquisitions on every thread.
 //! Because the counter is global, this file holds exactly ONE `#[test]`
 //! fn: a second test running in parallel would pollute the delta.
 

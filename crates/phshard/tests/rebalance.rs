@@ -286,7 +286,7 @@ fn abort_split_restores_pre_split_serving() {
 #[test]
 fn rebalancer_splits_hot_shard_under_traffic() {
     let registry = Registry::new();
-    let t: Arc<ShardedTree<u32, 2>> = Arc::new(ShardedTree::with_metrics(4, 0, &registry));
+    let t: Arc<ShardedTree<u32, 2>> = Arc::new(ShardedTree::with_metrics(4, &registry));
     let policy = RebalancePolicy {
         max_skew: 1.5,
         min_entries: 64,

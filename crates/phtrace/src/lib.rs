@@ -63,8 +63,9 @@ pub enum Phase {
     /// popped batch: everything between admission and the worker
     /// starting this request's own work.
     Queue = 0,
-    /// Cross-shard scan: scatter + merge (or the sequential per-shard
-    /// loop on a pinned snapshot). Encloses per-shard `Descent` spans.
+    /// Cross-shard work: the per-shard loop of a window on a pinned
+    /// snapshot (encloses per-shard `Descent` spans), or a write run
+    /// over its locked partitions.
     FanOut = 1,
     /// One shard's tree traversal. Carries the shard slot; the
     /// `nodes_visited` counter arrives via the `phtree` `TreeSink`

@@ -2,11 +2,11 @@
 //! bulk loader.
 //!
 //! Generates a 3-D CUBE dataset, partitions it once by the shard
-//! router's Z-prefix and bulk-loads every shard in parallel on the
-//! worker pool (each shard runs the O(n) bottom-up builder since it
-//! starts empty). Prints the per-shard partition sizes and standalone
-//! build times, the parallel wall-clock of the real sharded load, and
-//! the sequential-insert time for comparison.
+//! router's Z-prefix and bulk-loads every shard in turn (each shard
+//! runs the O(n) bottom-up builder since it starts empty; the batch
+//! becomes visible to snapshots all at once). Prints the per-shard
+//! partition sizes and standalone build times, the wall-clock of the
+//! real sharded load, and the sequential-insert time for comparison.
 //!
 //! Run: `cargo run --release -p ph-bench --example bulk_ingest`
 
@@ -50,11 +50,11 @@ fn main() {
         );
     }
 
-    // The real thing: one call, partitions once, loads shards in
-    // parallel on the worker pool.
+    // The real thing: one call, partitions once, loads each shard
+    // bottom-up, publishes them together.
     let (new, us) = measure::time_us(|| index.bulk_load(items.clone()));
     println!(
-        "\nsharded bulk_load: {new} new keys in {:.1} µs ({:.3} µs/entry, parallel)",
+        "\nsharded bulk_load: {new} new keys in {:.1} µs ({:.3} µs/entry)",
         us,
         us / new.max(1) as f64
     );

@@ -9,7 +9,7 @@
 //!   get/insert/query, HC↔LHC representation switches) via the
 //!   `phtree::telemetry` sink (cargo feature `metrics`),
 //! * `phshard_*` — per-op latency histograms, per-shard routing
-//!   counters, fan-out widths, pool queue depth / busy time,
+//!   counters, fan-out widths, root publications and snapshot pins,
 //! * `phstore_*` — WAL append volume, fsync latency, checkpoints,
 //!   recovery telemetry.
 //!
@@ -92,7 +92,7 @@ fn main() {
     telemetry::set_sink(Box::leak(Box::new(RegistrySink::new(&registry))));
 
     const SHARDS: usize = 8;
-    let index: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::with_metrics(SHARDS, 2, &registry));
+    let index: Arc<ShardedTree<u64, 2>> = Arc::new(ShardedTree::with_metrics(SHARDS, &registry));
 
     // Durable store in a temp dir, observed by the same registry.
     let dir = std::env::temp_dir().join(format!("phmetrics-demo-{}", std::process::id()));

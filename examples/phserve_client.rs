@@ -29,7 +29,7 @@ fn main() {
     // A server exactly like the `phserve` binary's: in-memory sharded
     // backend, metrics registry, Prometheus sidecar.
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, 2, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(8, &registry));
     let server = spawn(
         Arc::clone(&backend),
         "127.0.0.1:0",
@@ -125,7 +125,7 @@ fn main() {
     // the server answers `Overloaded` — typed, bounded, retryable —
     // rather than queueing without limit.
     let registry = Registry::new();
-    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(4, 1, &registry));
+    let backend: Arc<ShardedTree<u64, K>> = Arc::new(ShardedTree::with_metrics(4, &registry));
     let server = spawn(
         backend,
         "127.0.0.1:0",
