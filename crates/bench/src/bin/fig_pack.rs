@@ -20,6 +20,9 @@
 //!   and per kNN(10) on the descent-ordered layout.
 //! * **kNN** — µs per kNN(10), packed (resident) against the live tree:
 //!   the same search over two node representations.
+//! * **Cold gets** — µs per `get` through an LRU holding a tenth of the
+//!   data pages: mostly page faults, so this is what a fault costs
+//!   (read + checksum + cache bookkeeping) on top of the descent.
 //!
 //! Acceptance checks are hard-asserted at the reference point
 //! (n ≥ 20 000, K = 8): packed open ≥ 10× faster than WAL replay,
@@ -238,12 +241,32 @@ fn main() {
             centres.iter().map(|c| live.knn(c, 10).len()).sum()
         });
 
+    // --- Cold gets: keys spread over the whole artifact, paged through
+    // an LRU of a tenth of its pages. ---
+    let cold_budget = (packed.data_pages() as usize / 10).max(1);
+    let cold = PackedTree::<u64, K>::open(&pack_path, CacheMode::Lru { pages: cold_budget })
+        .expect("open packed lru");
+    let cold_keys: Vec<[u64; K]> = items
+        .iter()
+        .step_by((items.len() / 2048).max(1))
+        .map(|(k, _)| *k)
+        .collect();
+    let cold_get_us = 1000.0 / cold_keys.len() as f64
+        * best_ms(repeats, || {
+            cold_keys
+                .iter()
+                .filter(|k| cold.get(k).expect("cold get").is_some())
+                .count()
+        });
+    let faults_per_get = cold.cache_stats().misses as f64 / (repeats * cold_keys.len()) as f64;
+
     println!(
         "fig_pack k={K}: n={entries} open wal {wal_ms:.3} ms, snapshot {snap_ms:.3} ms, \
          packed {packed_ms:.3} ms ({:.1}x vs wal); bytes/e packed {packed_bpe:.1} vs live \
          {live_bpe:.1}; {allocs} allocs / {ops:.0} warmed ops; {touches_per_query:.1} \
          page-touches/query, {touches_per_knn:.1} /kNN ({} data pages); kNN(10) packed \
-         {knn_packed_us:.1} us vs live {knn_live_us:.1} us",
+         {knn_packed_us:.1} us vs live {knn_live_us:.1} us; cold get {cold_get_us:.2} us at \
+         {faults_per_get:.2} faults/get (lru {cold_budget} pages)",
         wal_ms / packed_ms,
         packed.data_pages()
     );
@@ -258,6 +281,7 @@ fn main() {
             ("packed B/e", Some(packed_bpe)),
             ("live B/e", Some(live_bpe)),
             ("touches/query", Some(touches_per_query)),
+            ("cold get us", Some(cold_get_us)),
         ],
     );
     print!("{}", table.render_text());
@@ -274,6 +298,7 @@ fn main() {
             ("fig_pack_page_touches_per_knn", touches_per_knn),
             ("fig_pack_knn_packed_us", knn_packed_us),
             ("fig_pack_knn_live_us", knn_live_us),
+            ("fig_pack_cold_get_us", cold_get_us),
             ("host_cores", ph_bench::host_cores() as f64),
         ] {
             match ph_bench::perfjson::record(path, name, v) {

@@ -11,17 +11,19 @@
 //!   needing OS-specific mapping: the file is read once, sequentially).
 //! * [`LruCache`] — a pinned-LRU cache over a `Read`/`Seek`-style
 //!   [`VfsFile`] for artifacts larger than RAM. Pages are fetched and
-//!   verified on demand into `Arc<[u8]>` entries; a cache hit is one
-//!   hash probe plus an `Arc` clone (no allocation), and entries handed
-//!   out stay alive through their `Arc` even after eviction — readers
-//!   never observe a page disappearing under them (automatic pinning).
+//!   verified on demand into `Arc<[u8]>` entries: a hit is one hash
+//!   probe, an O(1) relink and an `Arc` clone (no allocation); a miss
+//!   one allocation, one read into it, a word-parallel [`page_sum`] per
+//!   page and an O(1) eviction. Entries handed out stay alive through
+//!   their `Arc` even after eviction — readers never observe a page
+//!   disappearing under them (automatic pinning).
 //!
 //! Both count *page touches* (pages requested, hits included): the
 //! locality probe the `fig_pack` benchmark reports as touches/query.
 
-use crate::format::PAGE_SIZE;
+use crate::format::{page_sum, PAGE_SIZE};
 use phstore::vfs::VfsFile;
-use phstore::{fnv1a, Corruption, StoreError};
+use phstore::{Corruption, StoreError};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -156,27 +158,99 @@ impl PageCache for SliceCache {
 
 // ------------------------------------------------------------------ LRU
 
-struct Entry {
-    buf: Arc<[u8]>,
+/// "No slot" in the recency list's links.
+const NIL: u32 = u32::MAX;
+
+/// One cached extent, a node of the recency list (a doubly linked list
+/// threaded through `LruState::slots` by index).
+struct Slot {
+    first: u32,
     pages: u32,
-    stamp: u64,
+    /// `None` only while the slot sits on the free list.
+    buf: Option<Arc<[u8]>>,
+    newer: u32,
+    older: u32,
 }
 
 struct LruState {
-    map: HashMap<u32, Entry>,
-    tick: u64,
+    /// First page of a cached extent → its slot.
+    map: HashMap<u32, u32>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    newest: u32,
+    oldest: u32,
     resident: u64,
+}
+
+impl LruState {
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let Slot { newer, older, .. } = self.slots[i as usize];
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Links slot `i` in as the most recently used.
+    fn link_newest(&mut self, i: u32) {
+        let was = std::mem::replace(&mut self.newest, i);
+        (self.slots[i as usize].newer, self.slots[i as usize].older) = (NIL, was);
+        match was {
+            NIL => self.oldest = i,
+            w => self.slots[w as usize].newer = i,
+        }
+    }
+
+    /// Drops slot `i`'s entry (its bytes live on through any handle
+    /// still holding the `Arc`).
+    fn discard(&mut self, i: u32) {
+        self.unlink(i);
+        let slot = &mut self.slots[i as usize];
+        slot.buf = None;
+        self.resident -= slot.pages as u64;
+        self.map.remove(&slot.first);
+        self.free.push(i);
+    }
+
+    /// Caches `buf` as the newest entry, in a recycled slot if any.
+    fn insert(&mut self, first: u32, pages: u32, buf: Arc<[u8]>) {
+        let slot = Slot {
+            first,
+            pages,
+            buf: Some(buf),
+            newer: NIL,
+            older: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() as u32 - 1
+            }
+        };
+        self.map.insert(first, i);
+        self.resident += pages as u64;
+        self.link_newest(i);
+    }
 }
 
 /// Demand-paged cache over a file handle, for artifacts larger than the
 /// memory budget. Extents are keyed by their first page; eviction is
-/// oldest-stamp-first but entries stay alive through outstanding
-/// [`PageBytes`] handles (`Arc` pinning), so eviction can never
-/// invalidate bytes a walker is reading.
+/// exact LRU in O(1) per hit and per eviction, but entries stay alive
+/// through outstanding [`PageBytes`] handles (`Arc` pinning), so
+/// eviction can never invalidate bytes a walker is reading.
 pub struct LruCache {
     file: Mutex<Box<dyn VfsFile>>,
     data_pages: u32,
-    /// Per-data-page FNV-1a sums (index 0 = page 1), verified at open
+    /// Per-data-page [`page_sum`]s (index 0 = page 1), verified at open
     /// against the table CRC.
     sums: Box<[u64]>,
     /// Resident-page budget. At least one entry is always kept, so a
@@ -202,7 +276,10 @@ impl LruCache {
             cap_pages: cap_pages.max(1) as u64,
             state: Mutex::new(LruState {
                 map: HashMap::new(),
-                tick: 0,
+                slots: Vec::new(),
+                free: Vec::new(),
+                newest: NIL,
+                oldest: NIL,
                 resident: 0,
             }),
             touches: AtomicU64::new(0),
@@ -222,16 +299,15 @@ impl PageCache for LruCache {
         phtrace::add_pages(count as u64);
         let len = count as usize * PAGE_SIZE;
         let mut state = self.state.lock().expect("lru state poisoned");
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(e) = state.map.get_mut(&first) {
-            if e.pages >= count {
-                e.stamp = tick;
-                return Ok(PageBytes::Cached {
-                    buf: Arc::clone(&e.buf),
-                    len,
-                });
+        let cached = state.map.get(&first).copied();
+        if let Some(i) = cached.filter(|&i| state.slots[i as usize].pages >= count) {
+            if state.newest != i {
+                state.unlink(i);
+                state.link_newest(i);
             }
+            let buf = state.slots[i as usize].buf.as_ref();
+            let buf = Arc::clone(buf.expect("a mapped slot holds its bytes"));
+            return Ok(PageBytes::Cached { buf, len });
         }
         // Miss (or a cached extent too short): read and verify. The
         // state lock is held across the read so concurrent readers do
@@ -240,49 +316,31 @@ impl PageCache for LruCache {
         // the packed-page cost a slow-query breakdown attributes.
         self.misses.fetch_add(1, Relaxed);
         let _p = phtrace::span(phtrace::Phase::Page);
-        let mut buf = vec![0u8; len];
+        // The bytes are read into the allocation that gets cached
+        // (collecting an exact-size iterator allocates the `Arc` once).
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let bytes = Arc::get_mut(&mut buf).expect("a fresh Arc is unshared");
         {
             let mut file = self.file.lock().expect("lru file poisoned");
-            file.read_exact_at(&mut buf, first as u64 * PAGE_SIZE as u64)?;
+            file.read_exact_at(bytes, first as u64 * PAGE_SIZE as u64)?;
         }
-        for i in 0..count {
-            let s = &buf[i as usize * PAGE_SIZE..][..PAGE_SIZE];
-            if fnv1a(s) != self.sums[(first + i) as usize - 1] {
+        for (i, s) in bytes.chunks_exact(PAGE_SIZE).enumerate() {
+            if page_sum(s) != self.sums[first as usize - 1 + i] {
                 return Err(Corruption::new("page checksum mismatch")
-                    .at_page((first + i) as u64)
+                    .at_page(first as u64 + i as u64)
                     .into());
             }
         }
-        let buf: Arc<[u8]> = buf.into();
-        if let Some(old) = state.map.insert(
-            first,
-            Entry {
-                buf: Arc::clone(&buf),
-                pages: count,
-                stamp: tick,
-            },
-        ) {
-            state.resident -= old.pages as u64;
+        // Replace a shorter entry on the same key, then evict oldest
+        // first until the new one fits the budget or is alone.
+        if let Some(short) = cached {
+            state.discard(short);
         }
-        state.resident += count as u64;
-        // Evict oldest-first down to budget, never the entry just
-        // inserted. The scan is O(entries); budgets are small enough
-        // (hundreds of entries) that a heap would not pay for itself.
-        while state.resident > self.cap_pages && state.map.len() > 1 {
-            let victim = state
-                .map
-                .iter()
-                .filter(|(k, _)| **k != first)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    let e = state.map.remove(&k).expect("victim vanished");
-                    state.resident -= e.pages as u64;
-                }
-                None => break,
-            }
+        while state.resident + count as u64 > self.cap_pages && state.oldest != NIL {
+            let oldest = state.oldest;
+            state.discard(oldest);
         }
+        state.insert(first, count, Arc::clone(&buf));
         Ok(PageBytes::Cached { buf, len })
     }
 
@@ -299,25 +357,27 @@ impl PageCache for LruCache {
 mod tests {
     use super::*;
     use phstore::vfs::{MemVfs, Vfs};
+    use proptest::prelude::*;
     use std::path::Path;
 
-    fn page_of(byte: u8) -> Vec<u8> {
-        vec![byte; PAGE_SIZE]
+    /// Page `p`'s content: starts with `p`, differs from every other
+    /// page's in every byte.
+    fn page_of(p: u8) -> Vec<u8> {
+        (0..PAGE_SIZE).map(|j| p ^ (j / 16) as u8).collect()
     }
 
-    /// Builds a fake 4-data-page file (superblock page left zero) and
-    /// returns (vfs, sums).
-    fn fake_file(vfs: &MemVfs, path: &Path) -> Box<[u64]> {
+    /// Builds a fake file of `pages` data pages (superblock page left
+    /// zero) and returns their sums.
+    fn fake_file(vfs: &MemVfs, path: &Path, pages: u8) -> Box<[u64]> {
         let mut f = vfs.create(path).unwrap();
-        let mut sums = Vec::new();
-        f.write_all_at(&page_of(0), 0).unwrap();
-        for i in 0..4u8 {
-            let p = page_of(i + 1);
-            sums.push(fnv1a(&p));
-            f.write_all_at(&p, (i as u64 + 1) * PAGE_SIZE as u64)
-                .unwrap();
-        }
-        sums.into_boxed_slice()
+        f.write_all_at(&[0u8; PAGE_SIZE], 0).unwrap();
+        (1..=pages)
+            .map(|p| {
+                f.write_all_at(&page_of(p), p as u64 * PAGE_SIZE as u64)
+                    .unwrap();
+                page_sum(&page_of(p))
+            })
+            .collect()
     }
 
     #[test]
@@ -342,7 +402,7 @@ mod tests {
     fn lru_cache_hits_misses_and_evicts() {
         let vfs = MemVfs::new();
         let path = Path::new("/m/a.phk");
-        let sums = fake_file(&vfs, path);
+        let sums = fake_file(&vfs, path, 4);
         let c = LruCache::new(vfs.open(path).unwrap(), 4, sums, 2);
         // Miss, then hit.
         let a = c.extent(1, 1).unwrap();
@@ -367,7 +427,7 @@ mod tests {
     fn lru_multi_page_extent_replaces_short_entry() {
         let vfs = MemVfs::new();
         let path = Path::new("/m/b.phk");
-        let sums = fake_file(&vfs, path);
+        let sums = fake_file(&vfs, path, 4);
         let c = LruCache::new(vfs.open(path).unwrap(), 4, sums, 8);
         c.extent(2, 1).unwrap();
         let e = c.extent(2, 3).unwrap();
@@ -386,11 +446,101 @@ mod tests {
     fn lru_detects_corrupt_page() {
         let vfs = MemVfs::new();
         let path = Path::new("/m/c.phk");
-        let sums = fake_file(&vfs, path);
+        let sums = fake_file(&vfs, path, 4);
         assert!(vfs.corrupt(path, 2 * PAGE_SIZE as u64 + 17, 0xFF));
-        let c = LruCache::new(vfs.open(path).unwrap(), 4, sums, 8);
+        let c = LruCache::new(vfs.open(path).unwrap(), 4, sums, 1);
         assert!(c.extent(1, 1).is_ok());
         let err = c.extent(2, 1).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(c) if c.page == Some(2)));
+        // Verified once is not verified for good: page 1 is evicted,
+        // damaged on disk, and caught when it is faulted again.
+        assert!(c.extent(3, 1).is_ok());
+        assert!(vfs.corrupt(path, PAGE_SIZE as u64 + 4000, 0x01));
+        let err = c.extent(1, 1).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(c) if c.page == Some(1)));
+    }
+
+    /// What `LruCache` must be indistinguishable from: `(first, pages)`
+    /// entries, most recently used first.
+    struct Model {
+        entries: Vec<(u32, u32)>,
+        cap: u64,
+    }
+
+    impl Model {
+        fn resident(&self) -> u64 {
+            self.entries.iter().map(|e| e.1 as u64).sum()
+        }
+
+        /// Serves a request; whether it was a hit.
+        fn extent(&mut self, first: u32, count: u32) -> bool {
+            let at = self.entries.iter().position(|e| e.0 == first);
+            let hit = at.is_some_and(|i| self.entries[i].1 >= count);
+            let entry = match at.map(|i| self.entries.remove(i)) {
+                Some(e) if hit => e,
+                _ => (first, count),
+            };
+            self.entries.insert(0, entry);
+            while self.resident() > self.cap && self.entries.len() > 1 {
+                self.entries.pop();
+            }
+            hit
+        }
+    }
+
+    const MODEL_PAGES: u8 = 12;
+
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Random extents — single pages, runs, a short entry outgrown
+        /// on its own key — with handles held across evictions, step by
+        /// step against the model.
+        #[test]
+        fn lru_is_the_vec_model(
+            cap in 1usize..8,
+            ops in proptest::collection::vec((1u32..=MODEL_PAGES as u32, 1u32..4, any::<bool>()), 1..80),
+        ) {
+            let vfs = MemVfs::new();
+            let path = Path::new("/m/model.phk");
+            let sums = fake_file(&vfs, path, MODEL_PAGES);
+            let c = LruCache::new(vfs.open(path).unwrap(), MODEL_PAGES as u32, sums, cap);
+            let mut model = Model { entries: Vec::new(), cap: cap as u64 };
+            let want = |first: u32, count: u32| -> Vec<u8> {
+                (first..first + count).flat_map(|p| page_of(p as u8)).collect()
+            };
+            let mut held: Vec<(u32, u32, PageBytes<'_>)> = Vec::new();
+            let mut touches = 0;
+            for (first, count, hold) in ops {
+                let count = count.min(MODEL_PAGES as u32 + 1 - first);
+                let before = c.stats().misses;
+                let got = c.extent(first, count).unwrap();
+                let hit = c.stats().misses == before;
+                touches += count as u64;
+                prop_assert_eq!(hit, model.extent(first, count), "extent({}, {})", first, count);
+                prop_assert_eq!(&got[..], &want(first, count)[..]);
+                let stats = c.stats();
+                prop_assert_eq!(stats.resident_pages, model.resident());
+                prop_assert_eq!(stats.touches, touches);
+                prop_assert!(stats.resident_pages <= cap as u64 || model.entries.len() == 1);
+                if hold {
+                    held.push((first, count, got));
+                    if held.len() > 5 {
+                        held.remove(0);
+                    }
+                }
+                // Evicted or not, a held handle still reads its pages.
+                for (first, count, bytes) in &held {
+                    prop_assert_eq!(&bytes[..], &want(*first, *count)[..]);
+                }
+            }
+        }
     }
 }

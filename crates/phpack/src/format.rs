@@ -1,12 +1,13 @@
-//! Byte-exact definition of the packed artifact format (`PHPACK01`).
+//! Byte-exact definition of the packed artifact format (`PHPACK01`
+//! magic, format version 2).
 //!
 //! A packed file is a sequence of [`PAGE_SIZE`] pages:
 //!
 //! ```text
 //! page 0              superblock (shared phstore codec, PACK_MAGIC)
 //! pages 1 ..= D       data pages: node records in descent order
-//! pages D+1 ..        checksum table: one FNV-1a u64 LE per data page,
-//!                     zero-padded to whole pages
+//! pages D+1 ..        checksum table: one [`page_sum`] u64 LE per data
+//!                     page, zero-padded to whole pages
 //! ```
 //!
 //! The superblock metadata blob ([`Meta`]) is a fixed 42-byte record;
@@ -16,6 +17,20 @@
 //! unbroken byte runs); the table region — padding included — is
 //! covered by `table_crc` in the metadata. Every byte of the file is
 //! therefore pinned by exactly one checksum.
+//!
+//! Both the table entries and `table_crc` are [`page_sum`]: four
+//! independent lanes each absorbing every fourth little-endian `u64`,
+//! so verifying a faulted page costs about what copying it costs (a
+//! byte-serial FNV-1a took ~5 µs per page — more than the read it
+//! guards). Each word enters its lane through a bijection of the lane
+//! state, and the lanes and the length are folded through the same
+//! bijection, so damage confined to one aligned 8-byte word — every
+//! single-bit and single-byte flip — always changes the sum, the
+//! guarantee FNV-1a gave per byte. The function *is* the format: its
+//! golden vectors are pinned by unit tests below. Version 1 files
+//! (FNV-1a sums) are refused by version, not read: a packed artifact
+//! is regenerated from the store that cut it, so there is one checksum
+//! and no version switch on the read path.
 //!
 //! A node record is addressed by a [`PackedRef`] (absolute page index +
 //! in-page byte offset) and laid out as:
@@ -46,8 +61,13 @@ use phstore::{Corruption, StoreError};
 
 pub use phstore::superblock::{PACK_MAGIC, PAGE_SIZE};
 
-/// Format version stored in the superblock metadata.
-pub const VERSION: u16 = 1;
+/// Format version stored in the superblock metadata. Version 2 sums
+/// pages with [`page_sum`]; version 1 (FNV-1a) is refused, not read.
+pub const VERSION: u16 = 2;
+
+/// What [`Meta::decode`] answers any other version with (the version
+/// found rides in the error's `offset`).
+const BAD_VERSION: &str = "unsupported packed format version (this build reads only version 2)";
 
 /// Node record header size in bytes.
 pub const REC_HDR: usize = 24;
@@ -64,6 +84,58 @@ pub const FLAG_HC: u8 = 1 << 0;
 /// Record flag: all encoded values have the same byte length, so value
 /// `pr` starts at `pr * (values_len / n_values)` — O(1) indexing.
 pub const FLAG_UNIFORM: u8 = 1 << 1;
+
+/// Odd multiplier of [`page_sum`]'s absorb step (2^64 / golden ratio).
+const SUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Distinct non-zero lane seeds (hex digits of pi), so no lane is a
+/// copy of another and an all-zero input never parks a lane at zero.
+const SUM_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One absorb step: xor the word in, multiply by an odd constant (so
+/// low bits reach high ones), xorshift (so high bits reach low ones).
+/// All three are bijections of the state, hence so is the step for any
+/// fixed `word` — two states never merge, and a changed word always
+/// changes the state.
+#[inline(always)]
+fn absorb(state: u64, word: u64) -> u64 {
+    let s = (state ^ word).wrapping_mul(SUM_MUL);
+    s ^ (s >> 32)
+}
+
+/// The 64-bit checksum of PHPACK version 2, over per-page table
+/// entries and the table region alike.
+///
+/// The input is read as little-endian `u64` words (a trailing partial
+/// word is zero-padded); word `i` is absorbed by lane `i % 4`, so four
+/// multiplies are in flight at once instead of each waiting on the
+/// last. The result folds the byte length and then the four lanes
+/// through the same absorb step. Changing a single word changes
+/// exactly one lane, and every later step is a bijection of that
+/// lane's state: such damage is detected with certainty, not with
+/// probability 1 − 2⁻⁶⁴.
+pub fn page_sum(bytes: &[u8]) -> u64 {
+    let mut lanes = SUM_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = absorb(*lane, u64::from_le_bytes(word.try_into().unwrap()));
+        }
+    }
+    for (lane, tail) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        *lane = absorb(*lane, u64::from_le_bytes(word));
+    }
+    lanes
+        .into_iter()
+        .fold(absorb(SUM_MUL, bytes.len() as u64), absorb)
+}
 
 /// Address of a node record: absolute page index (page 1 is the first
 /// data page; 0 is the superblock and never holds a record) plus the
@@ -108,7 +180,8 @@ pub struct Meta {
     pub data_bytes: u64,
     /// Root record, absent iff `len == 0` (encoded as page 0).
     pub root: Option<PackedRef>,
-    /// FNV-1a over the *whole* checksum-table region, padding included.
+    /// [`page_sum`] over the *whole* checksum-table region, padding
+    /// included.
     pub table_crc: u64,
 }
 
@@ -140,8 +213,9 @@ impl Meta {
         }
         let version = u16::from_le_bytes(buf[0..2].try_into().unwrap());
         if version != VERSION {
-            return Err(Corruption::new("unsupported packed format version")
+            return Err(Corruption::new(BAD_VERSION)
                 .at_page(0)
+                .at_offset(version as u64)
                 .into());
         }
         let k = u16::from_le_bytes(buf[2..4].try_into().unwrap());
@@ -256,6 +330,137 @@ impl RecordHdr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deterministic filler for the checksum tests.
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The format is defined by `page_sum`: these values may only change
+    /// together with `VERSION`. (Cross-checked against an independent
+    /// implementation of the doc comment's definition.)
+    #[test]
+    fn page_sum_golden_vectors() {
+        let ramp: Vec<u8> = (0..PAGE_SIZE).map(|i| i as u8).collect();
+        assert_eq!(page_sum(&[]), 0xAFA6_F88D_CE90_E636);
+        assert_eq!(page_sum(&[0u8; PAGE_SIZE]), 0x65D1_03F6_9E4D_9D7B);
+        assert_eq!(page_sum(&ramp), 0x985C_D8F1_DFC1_15AC);
+        assert_eq!(page_sum(&noise(3 * PAGE_SIZE, 1)), 0x522C_BD78_2588_9AE8);
+        // Not a whole number of words, nor of four-word blocks.
+        assert_eq!(
+            page_sum(b"PHPACK version 2: word-parallel page sums"),
+            0x7B60_9EBF_7460_76B2
+        );
+    }
+
+    /// Word `i` goes to lane `i % 4`, a trailing partial word is
+    /// zero-padded: the blocked loop against the definition, at every
+    /// length around the block and word boundaries.
+    #[test]
+    fn page_sum_matches_its_definition_at_every_tail_length() {
+        let data = noise(200, 2);
+        for len in 0..=data.len() {
+            let mut lanes = SUM_SEEDS;
+            for (i, chunk) in data[..len].chunks(8).enumerate() {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                lanes[i % 4] = absorb(lanes[i % 4], u64::from_le_bytes(word));
+            }
+            let want = lanes.into_iter().fold(absorb(SUM_MUL, len as u64), absorb);
+            assert_eq!(page_sum(&data[..len]), want, "length {len}");
+        }
+    }
+
+    /// Damage confined to one word is detected with certainty; all
+    /// 32 768 single-bit flips of a page are the cheap exhaustive case.
+    #[test]
+    fn every_single_bit_flip_of_a_page_changes_its_sum() {
+        let mut page = noise(PAGE_SIZE, 3);
+        let clean = page_sum(&page);
+        for bit in 0..PAGE_SIZE * 8 {
+            page[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(page_sum(&page), clean, "bit {bit}");
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert_eq!(page_sum(&page), clean);
+    }
+
+    #[test]
+    fn page_sum_hashes_the_length() {
+        for page in [vec![0u8; PAGE_SIZE], noise(PAGE_SIZE, 4)] {
+            let mut longer = page.clone();
+            longer.extend_from_slice(&[0u8; 8]);
+            assert_ne!(page_sum(&page), page_sum(&longer));
+        }
+        assert_ne!(page_sum(&[]), page_sum(&[0u8; 8]));
+        assert_ne!(page_sum(&[0u8; 3]), page_sum(&[0u8; 5]));
+    }
+
+    /// Writer and reader sum the same bytes: the last data page is
+    /// summed with its zero padding, the table with its own.
+    #[test]
+    fn writer_and_reader_agree_on_a_zero_padded_last_page() {
+        use crate::{pack_tree_in, CacheMode, PackedTree};
+        use phstore::vfs::MemVfs;
+        use std::path::Path;
+
+        let mut live: phtree::PhTree<u64, 3> = phtree::PhTree::new();
+        for i in 0..700u64 {
+            live.insert([i * 7 % 512, i * 13 % 512, i * 29 % 512], i);
+        }
+        let vfs = MemVfs::new();
+        let path = Path::new("/m/pad.phk");
+        let stats = pack_tree_in(&live, &vfs, path).unwrap();
+        let d = stats.data_pages as usize;
+        assert!(d >= 2 && stats.data_bytes % PAGE_SIZE as u64 != 0);
+
+        let file = vfs.read_file(path).unwrap();
+        let (_, meta) = phstore::superblock::decode(PACK_MAGIC, &file[..PAGE_SIZE]).unwrap();
+        let meta = Meta::decode(&meta).unwrap();
+        let table = &file[(1 + d) * PAGE_SIZE..];
+        assert_eq!(meta.table_crc, page_sum(table));
+        let last = &file[d * PAGE_SIZE..(1 + d) * PAGE_SIZE];
+        let pad = (stats.data_bytes % PAGE_SIZE as u64) as usize;
+        assert!(last[pad..].iter().all(|&b| b == 0));
+        assert_eq!(
+            u64::from_le_bytes(table[(d - 1) * 8..d * 8].try_into().unwrap()),
+            page_sum(last)
+        );
+        for mode in [CacheMode::Resident, CacheMode::Lru { pages: 1 }] {
+            let p: PackedTree<u64, 3> = PackedTree::open_in(&vfs, path, mode).unwrap();
+            assert_eq!(p.query_count(&[0; 3], &[u64::MAX; 3]).unwrap(), live.len());
+        }
+    }
+
+    #[test]
+    fn other_versions_are_refused_with_found_and_supported() {
+        assert!(BAD_VERSION.contains(&format!("version {VERSION}")));
+        let mut enc = Meta {
+            k: 3,
+            len: 0,
+            data_pages: 0,
+            data_bytes: 0,
+            root: None,
+            table_crc: 0,
+        }
+        .encode();
+        for found in [0u16, 1, 3] {
+            enc[..2].copy_from_slice(&found.to_le_bytes());
+            match Meta::decode(&enc) {
+                Err(StoreError::Corrupt(c)) => {
+                    assert_eq!((c.what, c.offset), (BAD_VERSION, Some(found as u64)));
+                }
+                other => panic!("version {found}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn meta_roundtrip() {

@@ -12,10 +12,12 @@
 //! * node records laid out in **descent order** (parent before
 //!   children), addressed by `(page, offset)` pairs instead of
 //!   pointers;
-//! * an out-of-line FNV-1a checksum table pinning every data page, the
-//!   table itself pinned by a CRC in the metadata — every byte of the
-//!   file is covered by exactly one checksum, so any single corrupted
-//!   byte surfaces as a typed [`phstore::StoreError::Corrupt`].
+//! * an out-of-line checksum table pinning every data page (one
+//!   word-parallel [`format::page_sum`] each, cheap enough to verify on
+//!   every page fault), the table itself pinned by a sum in the
+//!   metadata — every byte of the file is covered by exactly one
+//!   checksum, so any single corrupted byte surfaces as a typed
+//!   [`phstore::StoreError::Corrupt`].
 //!
 //! Reading goes through a tiny [`cache::PageCache`] trait with two
 //! backends: [`cache::SliceCache`] (whole artifact resident, verified

@@ -26,11 +26,11 @@
 //! ([`crate::view`]) underneath the shared code.
 
 use crate::cache::{CacheMode, CacheStats, LruCache, PageCache, SliceCache};
-use crate::format::{Meta, PackedRef, PACK_MAGIC, PAGE_SIZE};
+use crate::format::{page_sum, Meta, PackedRef, PACK_MAGIC, PAGE_SIZE};
 use crate::view::{NodeView, PSlot, PackedPost};
 use phbits::hc;
 use phstore::vfs::{StdVfs, Vfs};
-use phstore::{fnv1a, superblock, Corruption, StoreError, ValueCodec};
+use phstore::{superblock, Corruption, StoreError, ValueCodec};
 use phtree::knn::{self, Expanded, Hit};
 use phtree::raw::{build_node, RawNode};
 use phtree::walk::{self, NodeRead, Slot, SlotOf, Window};
@@ -95,7 +95,7 @@ impl<V, const K: usize> PackedTree<V, K> {
 
         let mut table = vec![0u8; (table_pages as usize) * PAGE_SIZE];
         file.read_exact_at(&mut table, (1 + d) * PAGE_SIZE as u64)?;
-        if fnv1a(&table) != meta.table_crc {
+        if page_sum(&table) != meta.table_crc {
             return Err(Corruption::new("checksum table corrupt")
                 .at_page(1 + d)
                 .into());
@@ -111,7 +111,7 @@ impl<V, const K: usize> PackedTree<V, K> {
                     file.read_exact_at(&mut data, PAGE_SIZE as u64)?;
                 }
                 for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
-                    if fnv1a(chunk) != sums[i] {
+                    if page_sum(chunk) != sums[i] {
                         return Err(Corruption::new("page checksum mismatch")
                             .at_page(1 + i as u64)
                             .into());

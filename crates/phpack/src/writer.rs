@@ -19,9 +19,11 @@
 //! file, fsync, rename, directory fsync — the same crash discipline as
 //! the record store's snapshot save.
 
-use crate::format::{Meta, PackedRef, RecordHdr, PACK_MAGIC, PAGE_SIZE, REC_HDR, REF_BYTES};
+use crate::format::{
+    page_sum, Meta, PackedRef, RecordHdr, PACK_MAGIC, PAGE_SIZE, REC_HDR, REF_BYTES,
+};
 use phstore::vfs::{StdVfs, Vfs};
-use phstore::{fnv1a, superblock, Corruption, StoreError, ValueCodec};
+use phstore::{superblock, Corruption, StoreError, ValueCodec};
 use phtree::raw::NodeRef;
 use phtree::PhTree;
 use std::path::Path;
@@ -165,15 +167,15 @@ pub fn pack_tree_in<V: ValueCodec, const K: usize>(
     let data_pages = data_bytes.div_ceil(PAGE_SIZE as u64);
     p.data.resize(data_pages as usize * PAGE_SIZE, 0);
 
-    // Out-of-line checksum table: one FNV-1a per data page, the whole
+    // Out-of-line checksum table: one page_sum per data page, the whole
     // region (padding included) pinned by table_crc in the metadata.
     let mut table = Vec::with_capacity(data_pages as usize * 8);
     for chunk in p.data.chunks(PAGE_SIZE) {
-        table.extend_from_slice(&fnv1a(chunk).to_le_bytes());
+        table.extend_from_slice(&page_sum(chunk).to_le_bytes());
     }
     let table_pages = (table.len() as u64).div_ceil(PAGE_SIZE as u64);
     table.resize(table_pages as usize * PAGE_SIZE, 0);
-    let table_crc = fnv1a(&table);
+    let table_crc = page_sum(&table);
 
     let n_pages = 1 + data_pages + table_pages;
     let meta = Meta {

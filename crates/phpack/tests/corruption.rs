@@ -179,3 +179,38 @@ fn knn_meets_a_corrupt_page_under_a_deferred_child() {
         "the near kNN read every page: nothing was deferred"
     );
 }
+
+/// A version-1 artifact (FNV-1a sums) is a different format, not a
+/// damaged version-2 one: it is turned away on its version field, before
+/// the table or any data page is looked at — here both are damaged too,
+/// and neither is what the error names.
+#[test]
+fn a_version_1_artifact_is_refused_by_version_not_by_checksum() {
+    use phpack::format::{PACK_MAGIC, PAGE_SIZE, VERSION};
+    use phstore::superblock;
+    let vfs = MemVfs::new();
+    let path = Path::new("/m/v1.phk");
+    build(&vfs, path);
+
+    // Re-seal the superblock around a metadata blob that says version 1.
+    let mut file = vfs.read_file(path).unwrap();
+    let (n_pages, mut meta) = superblock::decode(PACK_MAGIC, &file[..PAGE_SIZE]).unwrap();
+    assert_eq!(u16::from_le_bytes([meta[0], meta[1]]), VERSION);
+    meta[..2].copy_from_slice(&1u16.to_le_bytes());
+    file[..PAGE_SIZE].copy_from_slice(&superblock::encode(PACK_MAGIC, n_pages, &meta));
+    let last = file.len() - 1;
+    file[PAGE_SIZE + 5] ^= 0xFF; // first data page
+    file[last - PAGE_SIZE + 1] ^= 0xFF; // checksum table
+    vfs.write_file(path, file);
+
+    for mode in [CacheMode::Resident, CacheMode::Lru { pages: 2 }] {
+        match PackedTree::<V, K>::open_in(&vfs, path, mode) {
+            Err(StoreError::Corrupt(c)) => {
+                assert!(c.what.contains("version"), "{mode:?}: refused as {c:?}");
+                assert_eq!((c.page, c.offset), (Some(0), Some(1)), "found version 1");
+            }
+            Err(e) => panic!("{mode:?}: expected a version refusal, got {e:?}"),
+            Ok(_) => panic!("{mode:?}: a version-1 artifact opened"),
+        }
+    }
+}

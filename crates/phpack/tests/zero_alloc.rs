@@ -1,7 +1,8 @@
 //! Zero-allocation guarantee for the packed read path, enforced with a
 //! counting global allocator: after warm-up, `get`, window `query` and
 //! `knn_into` perform **zero** heap allocations per operation, on both
-//! cache backends.
+//! cache backends — and a read that does fault a page through the LRU
+//! allocates exactly the buffer that gets cached, once.
 //!
 //! Everything lives in ONE `#[test]`: the allocator counters are
 //! process-global and libtest runs separate tests on separate threads.
@@ -102,4 +103,24 @@ fn warmed_read_ops_allocate_nothing() {
             }
         });
     }
+    // A cold LRU (two pages for the whole artifact): every get faults,
+    // and each fault is one allocation — the `Arc` the file is read into
+    // and the cache keeps.
+    let cold: PackedTree<u64, K> =
+        PackedTree::open_in(&vfs, path, CacheMode::Lru { pages: 2 }).unwrap();
+    let cold_gets = || {
+        for k in &probes {
+            assert!(black_box(cold.get(k).unwrap()).is_some());
+        }
+    };
+    cold_gets();
+    let (faults, before) = (cold.cache_stats().misses, snapshot());
+    cold_gets();
+    let faults = cold.cache_stats().misses - faults;
+    assert!(faults >= probes.len() as u64, "{faults} faults: not cold");
+    assert_eq!(
+        snapshot().allocs_since(&before) as u64,
+        faults,
+        "lru-cold/get: allocations per page fault"
+    );
 }
