@@ -3,7 +3,7 @@
 //! through, plus the range-query address successor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use phbits::{hc, BitBuf};
+use phbits::{hc, BitBuf, BitRead, BitWrite};
 
 fn bench_bitbuf(c: &mut Criterion) {
     let mut g = c.benchmark_group("bitbuf");

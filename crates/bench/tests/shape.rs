@@ -61,24 +61,30 @@ fn table1_shape_space_ordering() {
     let kd1_b = kd1.memory_bytes() as f64 / kd1.len() as f64;
     let cb1_b = cb1.memory_bytes() as f64 / cb1.len() as f64;
     assert!(ph_b < cb1_b, "PH {ph_b:.1} must beat CB1 {cb1_b:.1}");
-    // The paper has PH well below the (Java) kD-trees; our Rust KD1 is
-    // leaner, and our nodes carry a per-node Arc header (+refcount) to
-    // support copy-on-write snapshot reads, so assert rough parity
-    // rather than dominance.
-    assert!(ph_b < kd1_b * 1.7, "PH {ph_b:.1} ≈ KD1 {kd1_b:.1}");
+    assert!(ph_b < kd1_b, "PH {ph_b:.1} must beat KD1 {kd1_b:.1}");
+    // The paper's Table 1 has 46 B/entry on 3-D CUBE.
+    assert!(ph_b <= 50.0, "PH {ph_b:.1} B/entry on 3-D CUBE");
 }
 
-/// Fig. 10 / Sect. 4.3.6: the PH-tree's bytes/entry *drops* from k=2 to
-/// k=4 (more dimensions per node amortise structure), which no other
-/// tested structure does.
+/// Fig. 10 / Sect. 4.3.6: the PH-tree's bytes/entry *drops* as k grows
+/// from 2 (more dimensions per node amortise structure), which no
+/// other tested structure does. Where the curve turns up again depends
+/// on what a node costs beyond its bits: at k = 4–5 with the paper's
+/// Java objects, at k = 3 on CUBE and k = 4 on CLUSTER0.4 with one
+/// 24-byte header per node.
 #[test]
 fn fig10_shape_space_dip_at_low_k() {
-    let b2 = ph_stats::<2>("cube", 100_000).bytes_per_entry();
-    let b4 = ph_stats::<4>("cube", 100_000).bytes_per_entry();
-    assert!(
-        b4 < b2,
-        "4-D entries must be cheaper per entry than 2-D: {b4:.1} vs {b2:.1}"
-    );
+    for (data, k_min) in [("cube", 3), ("cluster0.4", 4)] {
+        let b2 = ph_stats::<2>(data, 100_000).bytes_per_entry();
+        let b = match k_min {
+            3 => ph_stats::<3>(data, 100_000).bytes_per_entry(),
+            _ => ph_stats::<4>(data, 100_000).bytes_per_entry(),
+        };
+        assert!(
+            b < b2,
+            "{data}: {k_min}-D entries must be cheaper per entry than 2-D: {b:.1} vs {b2:.1}"
+        );
+    }
 }
 
 /// Fig. 14's divergence: at high k CLUSTER0.5 costs much more space than

@@ -24,6 +24,7 @@
 //! essentially the whole trie and is measured separately to demonstrate
 //! exactly that.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cb1;

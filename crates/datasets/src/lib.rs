@@ -21,6 +21,7 @@
 //! All generators are deterministic given a seed. Query workload
 //! builders for the point- and range-query experiments live here too.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

@@ -22,6 +22,7 @@
 //! The [`naive`] module provides the two non-index storage yardsticks of
 //! Sect. 4.3.5 (`double[]` and `object[]`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod kd1;

@@ -62,7 +62,7 @@ pub fn read_bits(buf: &[u8], off: usize, nbits: u32) -> u64 {
 }
 
 /// Counts set bits in the `n`-bit run starting at `off` (word-chunked
-/// popcount, the sibling of [`crate::BitBuf::count_ones`]).
+/// popcount, the sibling of [`crate::BitRead::count_ones`]).
 pub fn count_ones(buf: &[u8], off: usize, n: usize) -> usize {
     let mut total = 0usize;
     let mut done = 0usize;
@@ -77,7 +77,7 @@ pub fn count_ones(buf: &[u8], off: usize, n: usize) -> usize {
 /// Gathers `key.len()` fields of `width` bits each from the packed run
 /// at `off` (field `d` at `off + d*width`) into bits
 /// `shift..shift + width` of `key[d]`, preserving the other bits —
-/// the byte-slice sibling of [`crate::BitBuf::read_key_into`].
+/// the byte-slice sibling of [`crate::BitRead::read_key_into`].
 /// Requires `width + shift <= 64` (debug-asserted).
 #[inline]
 pub fn read_key_into(buf: &[u8], off: usize, width: u32, shift: u32, key: &mut [u64]) {
@@ -98,7 +98,7 @@ pub fn read_key_into(buf: &[u8], off: usize, width: u32, shift: u32, key: &mut [
 /// Compares `key.len()` fields of `width` bits each in the packed run
 /// at `off` against bits `shift..shift + width` of `key[d]`, exiting on
 /// the first mismatch — the byte-slice sibling of
-/// [`crate::BitBuf::eq_key`]. Requires `width + shift <= 64`
+/// [`crate::BitRead::eq_key`]. Requires `width + shift <= 64`
 /// (debug-asserted).
 #[inline]
 pub fn eq_key(buf: &[u8], off: usize, width: u32, shift: u32, key: &[u64]) -> bool {
@@ -119,7 +119,7 @@ pub fn eq_key(buf: &[u8], off: usize, width: u32, shift: u32, key: &[u64]) -> bo
 
 /// Three-way compare of the `nbits`-bit run at `off` against the
 /// packed little-endian bit string in `key` (the byte-slice sibling of
-/// [`crate::BitBuf::cmp_range`]): runs are compared word-by-word from
+/// [`crate::BitRead::cmp_range`]): runs are compared word-by-word from
 /// the low end, with the **higher** bit positions more significant.
 pub fn cmp_range(buf: &[u8], off: usize, key: &[u64], nbits: usize) -> std::cmp::Ordering {
     // Compare from the most-significant chunk down.
@@ -144,7 +144,7 @@ pub fn cmp_range(buf: &[u8], off: usize, key: &[u64], nbits: usize) -> std::cmp:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitBuf;
+    use crate::{BitBuf, BitRead, BitWrite};
 
     /// Serialises a BitBuf the way the packed format stores bit
     /// strings: backing words little-endian, truncated to whole bytes.

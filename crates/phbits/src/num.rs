@@ -54,8 +54,8 @@ pub fn low_mask(nbits: u32) -> u64 {
 /// `out` are fully overwritten; since `width <= 63`, a `[u64; K]`
 /// scratch always suffices for `K` dimensions.
 ///
-/// [`BitBuf::eq_range`]: crate::BitBuf::eq_range
-/// [`BitBuf::cmp_range`]: crate::BitBuf::cmp_range
+/// [`BitBuf::eq_range`]: crate::BitRead::eq_range
+/// [`BitBuf::cmp_range`]: crate::BitRead::cmp_range
 ///
 /// # Panics
 ///
@@ -96,6 +96,7 @@ pub fn pack_key(key: &[u64], shift: u32, width: u32, out: &mut [u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BitRead, BitWrite};
 
     #[test]
     fn diverging_bit_basic() {

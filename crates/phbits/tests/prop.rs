@@ -1,7 +1,7 @@
 //! Property-based tests for the bit buffer and hypercube helpers, checked
 //! against naive `Vec<bool>` / filter-scan models.
 
-use phbits::{hc, num, BitBuf};
+use phbits::{hc, num, BitBuf, BitRead, BitWrite};
 use proptest::prelude::*;
 
 /// Reference model: a plain vector of bools.

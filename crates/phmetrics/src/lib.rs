@@ -38,6 +38,7 @@
 //! assert!(r.render_prometheus().contains("myapp_ops_total 1"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;

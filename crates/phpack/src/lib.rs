@@ -48,6 +48,7 @@
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

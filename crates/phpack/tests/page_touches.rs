@@ -40,6 +40,20 @@ fn packed_tree(vfs: &MemVfs) -> (&'static Path, Vec<[u64; K]>) {
     (path, centres)
 }
 
+/// A packed artifact holds each node's logical form in descent order:
+/// its bytes depend on the tree's contents, never on how the live
+/// nodes were laid out in memory. Recorded before nodes became single
+/// heap blocks.
+#[test]
+fn packed_bytes_are_golden() {
+    let vfs = MemVfs::new();
+    let (path, _) = packed_tree(&vfs);
+    assert_eq!(
+        phstore::fnv1a(&vfs.read_file(path).unwrap()),
+        5389609329144008752
+    );
+}
+
 #[test]
 fn a_batch_of_knn_touches_no_more_pages_than_recorded() {
     let vfs = MemVfs::new();

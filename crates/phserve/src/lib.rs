@@ -38,6 +38,7 @@
 //!
 //! Binaries: `phserve` (the server) and `phload` (the load generator).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

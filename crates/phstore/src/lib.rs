@@ -53,6 +53,7 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

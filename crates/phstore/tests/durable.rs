@@ -154,3 +154,40 @@ proptest! {
         prop_assert!(matched, "recovered state is not a prefix ≥ acked={} (budget {budget})", acked);
     }
 }
+
+/// The bytes on disk are a function of the op stream alone: the
+/// PHSTORE1 snapshot writes each node's logical form and the WAL
+/// frames never see a node, so however nodes are laid out in memory
+/// these two hashes (recorded before nodes became single heap blocks)
+/// stand.
+#[test]
+fn snapshot_and_wal_bytes_are_golden() {
+    let vfs = MemVfs::new();
+    let mut d = open(&vfs, u64::MAX);
+    let mut x = 11u64;
+    let mut step = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 33
+    };
+    for i in 0..3000u32 {
+        let key = [step() % 512, step() % 512];
+        if i % 4 == 3 {
+            d.remove(&key).unwrap();
+        } else {
+            d.insert(key, i).unwrap();
+        }
+        if i == 2000 {
+            d.checkpoint().unwrap();
+        }
+    }
+    drop(d);
+    let hash = |file: &str| phstore::fnv1a(&vfs.read_file(&Path::new("/db").join(file)).unwrap());
+    assert_eq!(
+        hash("snapshot.pht"),
+        17665626112098622357,
+        "PHSTORE1 bytes changed"
+    );
+    assert_eq!(hash("wal.log"), 9192631073042061449, "WAL bytes changed");
+}

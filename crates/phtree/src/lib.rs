@@ -49,8 +49,11 @@
 //! For raw integer keys (or anything convertible to sortable `u64`s via
 //! [`key`]), use [`PhTree`] directly.
 
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
+mod block;
 mod config;
 mod float;
 mod impls;

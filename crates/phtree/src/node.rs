@@ -17,14 +17,16 @@
 //!   `[infix | 2-bit slot kinds: 2·2^K bits | postfixes at fixed
 //!   stride]` — O(1) lookup, no bit shifting on update.
 //!
-//! The only data outside the bit string are the things that cannot be
-//! bits: child nodes (`subs`, a vector in address order) and user
-//! values (`values`, likewise; zero-sized value types occupy no heap at
-//! all). Both vectors grow geometrically, so a node absorbing entries
-//! pays an amortised O(1) allocations per child instead of an exact-fit
-//! reallocate-and-copy on every structural update; a shrink pass
-//! ([`Node::shrink_subtree`]) releases the slack, and bulk construction
-//! ([`Node::from_children`]) allocates at exact final size up front.
+//! Nothing is outside the block: the things that cannot be bits — the
+//! child nodes (handles, in address order) and the user values
+//! (likewise; zero-sized value types occupy no bytes at all) — follow
+//! the bit string's words in the *same* heap allocation
+//! ([`crate::block`]: `[header | words | child handles | values]`), so
+//! a node costs one 24-byte header, one allocation and one run of
+//! cache lines. The block grows by an eighth when an edit outgrows it;
+//! a shrink pass ([`Node::shrink_subtree`]) releases the slack, and
+//! bulk construction ([`Node::from_children`]) allocates at exact final
+//! size up front.
 //! Dense ranks ("how many postfix entries precede address h") are
 //! answered by word-wise popcounts over the packed kind bits.
 //!
@@ -44,7 +46,7 @@
 //!   `[infix | children: 32 bits | postfix entries: 32 bits | fence
 //!   addresses: S·K bits]` in `bits`, holds no values, and its `subs`
 //!   are the `S ≥ 2` *segments* in address order;
-//! * a **segment** is an ordinary LHC node behind its own `Arc`, with
+//! * a **segment** is an ordinary LHC node in its own block, with
 //!   the outer node's `post_len` and `infix_len = 0`, holding a
 //!   contiguous, non-empty run of the children (their values and
 //!   sub-nodes included). Fence `i` is the first address of segment
@@ -78,10 +80,11 @@
 //! it, so stored bytes never show paging. Where the segment boundaries
 //! fall depends on the order of updates.
 
+use crate::block::{Meta, Repr};
+pub(crate) use crate::block::{Node, NodePtr};
 use crate::config::ReprMode;
-use phbits::{hc, BitBuf};
+use phbits::{hc, BitBuf, BitRead, BitWrite};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Bits per dimension; the paper's `w`. Fixed to 64 in this
 /// implementation (the experiments all use 64-bit values).
@@ -113,18 +116,6 @@ const _: () = assert!(PAGE_BITS / 4 > 64 + 1 + 63 * 64);
 const KIND_EMPTY: u64 = 0;
 const KIND_POST: u64 = 1;
 const KIND_SUB: u64 = 2;
-
-/// Physical representation of a node (see the module docs). One byte,
-/// so the node struct is as large as when this was a `bool`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Repr {
-    /// Linear hypercube; also what every segment of a paged node is.
-    Lhc,
-    /// Full hypercube.
-    Hc,
-    /// LHC cut into address-ordered segments.
-    Paged,
-}
 
 /// A child extracted from a node (used when merging one-child nodes).
 pub(crate) enum Child<V, const K: usize> {
@@ -163,32 +154,6 @@ pub(crate) enum SlotRef<'a, V, const K: usize> {
     Sub(&'a Node<V, K>),
 }
 
-/// A PH-tree node. See the module docs for the storage layout.
-#[derive(Clone)]
-pub(crate) struct Node<V, const K: usize> {
-    /// Number of key bits per dimension below this node's split bit;
-    /// also the split bit position itself (0 = LSB).
-    pub post_len: u8,
-    /// Number of prefix bits per dimension stored in this node's infix.
-    pub infix_len: u8,
-    /// Which of the three layouts `bits`, `subs` and `values` are in.
-    repr: Repr,
-    /// The packed bit string (see module docs).
-    pub bits: BitBuf,
-    /// Sub-node children in hypercube-address order (in paged form: the
-    /// segments), each behind an `Arc` so whole subtrees are
-    /// structurally shared between tree versions (copy-on-write:
-    /// mutation goes through [`Arc::make_mut`], which copies a node
-    /// only while another version still references it). Capacity may
-    /// exceed the length (amortised growth); [`Node::shrink_subtree`]
-    /// releases the slack.
-    pub subs: Vec<Arc<Node<V, K>>>,
-    /// Values of postfix entries in hypercube-address order (in paged
-    /// form: empty, the segments hold them). Capacity may exceed the
-    /// length, as for `subs`.
-    pub values: Vec<V>,
-}
-
 /// A finished child handed to [`Node::from_children`] during bottom-up
 /// bulk construction.
 pub(crate) enum BulkChild<V, const K: usize> {
@@ -209,6 +174,27 @@ impl<V, const K: usize> BulkChild<V, K> {
     }
 }
 
+/// A node reads and edits its bit string — the words region of its
+/// block — with the kernels of [`phbits`].
+impl<V, const K: usize> BitRead for Node<V, K> {
+    #[inline]
+    fn words(&self) -> &[u64] {
+        Node::words(self)
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.bits_len()
+    }
+}
+
+impl<V, const K: usize> BitWrite for Node<V, K> {
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        Node::words_mut(self)
+    }
+}
+
 impl<V, const K: usize> Node<V, K> {
     /// Reassembles a node from serialised parts (see [`crate::raw`]):
     /// its *logical* form, HC or one LHC bit string, which is paged
@@ -220,21 +206,73 @@ impl<V, const K: usize> Node<V, K> {
         post_len: u8,
         infix_len: u8,
         hc: bool,
-        bits: BitBuf,
-        subs: Vec<Arc<Node<V, K>>>,
-        values: Vec<V>,
+        bits: &BitBuf,
+        subs: Vec<NodePtr<V, K>>,
+        vals: Vec<V>,
     ) -> Result<Self, &'static str> {
-        let mut n = Node {
-            post_len,
-            infix_len,
-            repr: if hc { Repr::Hc } else { Repr::Lhc },
-            bits,
-            subs,
-            values,
-        };
+        let meta = Meta::new(post_len, infix_len, if hc { Repr::Hc } else { Repr::Lhc });
+        let mut n = Self::zeroed(meta, bits.len(), subs.len(), vals.len());
+        n.words_mut().copy_from_slice(bits.words());
+        subs.into_iter().for_each(|sub| n.push_sub(sub));
+        vals.into_iter().for_each(|value| n.push_val(value));
         n.validate_local()?;
         n.page_if_oversized();
         Ok(n)
+    }
+
+    /// A node with a bit string of `bits` zero bits and no children yet,
+    /// in a block of exactly the size it takes with `subs` sub-nodes
+    /// and `vals` values.
+    fn zeroed(meta: Meta, bits: usize, subs: usize, vals: usize) -> Self {
+        let mut n = Node::with_capacity(meta, bits, subs, vals);
+        n.bits_resize(bits);
+        n
+    }
+
+    /// Replaces the bit string.
+    fn set_bits(&mut self, bits: &BitBuf) {
+        self.bits_resize(bits.len());
+        self.words_mut().copy_from_slice(bits.words());
+    }
+
+    /// Opens zero gaps in the bit string ([`BitBuf::insert_gaps`]).
+    fn insert_gaps(&mut self, gaps: &[(usize, usize)]) {
+        let old_len = self.bits_len();
+        self.bits_resize(old_len + gaps.iter().map(|&(_, g)| g).sum::<usize>());
+        self.open_gaps(gaps, old_len);
+    }
+
+    /// Cuts ranges out of the bit string ([`BitBuf::remove_ranges`]).
+    fn remove_ranges(&mut self, ranges: &[(usize, usize)]) {
+        let new_len = self.close_ranges(ranges);
+        self.bits_resize(new_len);
+    }
+
+    /// Appends a sub-node (or segment) behind the last.
+    fn push_sub(&mut self, sub: impl Into<NodePtr<V, K>>) {
+        self.subs_insert(self.subs().len(), sub.into());
+    }
+
+    /// Appends a value behind the last.
+    fn push_val(&mut self, value: V) {
+        self.vals_insert(self.values().len(), value);
+    }
+
+    /// Moves all sub-nodes out, in order: from the back, so nothing
+    /// slides — take the values first where there are both.
+    fn take_subs(&mut self) -> Vec<NodePtr<V, K>> {
+        let back_to_front = (0..self.subs().len()).rev();
+        let mut subs: Vec<_> = back_to_front.map(|i| self.subs_remove(i)).collect();
+        subs.reverse();
+        subs
+    }
+
+    /// Moves all values out, in order.
+    fn take_vals(&mut self) -> Vec<V> {
+        let back_to_front = (0..self.values().len()).rev();
+        let mut vals: Vec<_> = back_to_front.map(|i| self.vals_remove(i)).collect();
+        vals.reverse();
+        vals
     }
 
     /// Checks every *local* structural invariant of this node (plus the
@@ -253,7 +291,7 @@ impl<V, const K: usize> Node<V, K> {
             return Err("split/infix bits exceed key width");
         }
         let n = self.local_children();
-        let posts = self.values.len();
+        let posts = self.values().len();
         let ib = self.infix_bits();
         // Bit-length formula must hold for the claimed representation
         // before anything below reads kinds or addresses out of `bits`.
@@ -262,7 +300,7 @@ impl<V, const K: usize> Node<V, K> {
                 if K > MAX_HC_K {
                     return Err("HC representation beyond dimension limit");
                 }
-                if self.bits.len() != ib + (1usize << K) * (2 + self.post_bits()) {
+                if self.bits_len() != ib + (1usize << K) * (2 + self.post_bits()) {
                     return Err("HC bit-string length mismatch");
                 }
                 let mut seen_posts = 0;
@@ -275,12 +313,12 @@ impl<V, const K: usize> Node<V, K> {
                         _ => return Err("invalid HC slot kind"),
                     }
                 }
-                if seen_posts != posts || seen_subs != self.subs.len() {
+                if seen_posts != posts || seen_subs != self.subs().len() {
                     return Err("HC kind table disagrees with child counts");
                 }
             }
             Repr::Lhc => {
-                if self.bits.len() != ib + n * (K + 1) + posts * self.post_bits() {
+                if self.bits_len() != ib + n * (K + 1) + posts * self.post_bits() {
                     return Err("LHC bit-string length mismatch");
                 }
                 // Single pass: each address is read once and compared against
@@ -288,7 +326,7 @@ impl<V, const K: usize> Node<V, K> {
                 // word-chunked popcount over the packed kind run.
                 let mut prev = 0u64;
                 for j in 0..n {
-                    let addr = self.bits.read_bits(ib + j * K, K as u32);
+                    let addr = self.read_bits(ib + j * K, K as u32);
                     if j > 0 && prev >= addr {
                         return Err("LHC addresses not sorted/unique");
                     }
@@ -297,14 +335,14 @@ impl<V, const K: usize> Node<V, K> {
                     }
                     prev = addr;
                 }
-                if self.bits.count_ones(ib + n * K, n) != self.subs.len() {
+                if self.count_ones(ib + n * K, n) != self.subs().len() {
                     return Err("LHC kind bits disagree with child counts");
                 }
             }
             // The segments check their own children below them.
             Repr::Paged => return self.validate_paged(),
         }
-        for sub in self.subs.iter() {
+        for sub in self.subs().iter() {
             if sub.post_len as u32 + sub.infix_len as u32 + 1 != self.post_len as u32 {
                 return Err("child depth arithmetic broken");
             }
@@ -322,18 +360,18 @@ impl<V, const K: usize> Node<V, K> {
     /// totals. Segment *sizes* are not checked: they bound update cost,
     /// not correctness.
     fn validate_paged(&self) -> Result<(), &'static str> {
-        if self.subs.len() < 2 {
+        if self.subs().len() < 2 {
             return Err("paged node with fewer than 2 segments");
         }
-        if !self.values.is_empty() {
+        if !self.values().is_empty() {
             return Err("paged node holds values outside its segments");
         }
-        if self.bits.len() != self.fence_off(self.subs.len()) {
+        if self.bits_len() != self.fence_off(self.subs().len()) {
             return Err("paged bit-string length mismatch");
         }
         let (mut n, mut posts) = (0, 0);
         let mut last = None;
-        for (i, seg) in self.subs.iter().enumerate() {
+        for (i, seg) in self.subs().iter().enumerate() {
             if seg.repr != Repr::Lhc || seg.infix_len != 0 || seg.post_len != self.post_len {
                 return Err("paged segment is not an infix-less LHC node at the split bit");
             }
@@ -350,7 +388,7 @@ impl<V, const K: usize> Node<V, K> {
             }
             last = Some(seg.lhc_addr_at(seg.local_children() - 1));
             n += seg.local_children();
-            posts += seg.values.len();
+            posts += seg.values().len();
         }
         if (self.n_children(), self.n_posts()) != (n, posts) {
             return Err("paged child counters disagree with the segments");
@@ -364,16 +402,13 @@ impl<V, const K: usize> Node<V, K> {
     pub fn new(post_len: u8, infix_len: u8, key: &[u64; K]) -> Self {
         debug_assert!((post_len as u32) < W);
         debug_assert!(post_len as u32 + (infix_len as u32) < W);
-        let mut bits = BitBuf::with_capacity(infix_len as usize * K + 2 * (K + 1));
-        bits.grow(infix_len as usize * K);
-        let mut n = Node {
-            post_len,
-            infix_len,
-            repr: Repr::Lhc,
-            bits,
-            subs: Vec::new(),
-            values: Vec::new(),
-        };
+        let meta = Meta::new(post_len, infix_len, Repr::Lhc);
+        // Room for the two postfix entries a new node most often gets,
+        // so building it is one allocation.
+        let ib = infix_len as usize * K;
+        let two_posts = 2 * (K + 1 + post_len as usize * K);
+        let mut n = Node::with_capacity(meta, ib + two_posts, 0, 2);
+        n.bits_resize(ib);
         n.write_infix(key);
         n
     }
@@ -384,9 +419,9 @@ impl<V, const K: usize> Node<V, K> {
     /// `children` must be sorted by hypercube address with no
     /// duplicates. The representation is chosen **once** from the final
     /// child counts (the same cost comparison
-    /// [`Node::maybe_switch_repr`] applies incrementally), and the bit
-    /// string and child vectors are allocated at exact final size — no
-    /// per-child reallocation, no capacity slack, and no HC⇄LHC
+    /// [`Node::maybe_switch_repr`] applies incrementally), and the node's
+    /// block is allocated once at exact final size — no per-child
+    /// reallocation, no capacity slack, and no HC⇄LHC
     /// flip-flopping on the way up; an LHC table longer than a page is
     /// emitted as segments directly. The result is logically identical
     /// to the node sequential insertion would converge to, because the
@@ -446,42 +481,26 @@ impl<V, const K: usize> Node<V, K> {
                     chunk_posts,
                 ));
             }
-            let mut node = Node {
-                post_len,
-                infix_len,
-                repr: Repr::Lhc,
-                bits: BitBuf::zeroed(ib),
-                subs: Vec::new(),
-                values: Vec::new(),
-            };
+            let mut node = Self::zeroed(Meta::new(post_len, infix_len, Repr::Lhc), ib, 0, 0);
             node.write_infix(key);
             node.install_segments(segs, n, posts);
             return node;
         }
-        let mut node = Node {
-            post_len,
-            infix_len,
-            repr: Repr::Hc,
-            bits: BitBuf::zeroed(ib + hc_cost),
-            subs: Vec::with_capacity(n - posts),
-            values: Vec::with_capacity(posts),
-        };
+        let meta = Meta::new(post_len, infix_len, Repr::Hc);
+        let mut node = Self::zeroed(meta, ib + hc_cost, n - posts, posts);
         node.write_infix(key);
         let pf_base = node.hc_pf_base();
-        for (h, child) in children {
-            let kind_off = node.hc_kind_off(h);
+        for (h, child) in &children {
+            let kind_off = node.hc_kind_off(*h);
             match child {
-                BulkChild::Post { key, value } => {
-                    node.bits.write_bits(kind_off, KIND_POST, 2);
-                    node.write_postfix_at(pf_base + h as usize * pb, &key);
-                    node.values.push(value);
+                BulkChild::Post { key, .. } => {
+                    node.write_bits(kind_off, KIND_POST, 2);
+                    node.write_postfix_at(pf_base + *h as usize * pb, key);
                 }
-                BulkChild::Sub(sub) => {
-                    node.bits.write_bits(kind_off, KIND_SUB, 2);
-                    node.subs.push(Arc::new(sub));
-                }
+                BulkChild::Sub(_) => node.write_bits(kind_off, KIND_SUB, 2),
             }
         }
+        node.adopt(children, posts);
         node
     }
 
@@ -497,32 +516,40 @@ impl<V, const K: usize> Node<V, K> {
         let n = children.len();
         let ib = infix_len as usize * K;
         let pb = post_len as usize * K;
-        let mut node = Node {
-            post_len,
-            infix_len,
-            repr: Repr::Lhc,
-            bits: BitBuf::zeroed(ib + n * (K + 1) + posts * pb),
-            subs: Vec::with_capacity(n - posts),
-            values: Vec::with_capacity(posts),
-        };
+        let bits = ib + n * (K + 1) + posts * pb;
+        let meta = Meta::new(post_len, infix_len, Repr::Lhc);
+        let mut node = Self::zeroed(meta, bits, n - posts, posts);
         node.write_infix(key);
-        let pf_base = ib + n * (K + 1);
-        let mut pr = 0usize;
-        for (j, (h, child)) in children.into_iter().enumerate() {
-            node.bits.write_bits(ib + j * K, h, K as u32);
+        let mut pf = ib + n * (K + 1);
+        for (j, (h, child)) in children.iter().enumerate() {
+            node.write_bits(ib + j * K, *h, K as u32);
             match child {
-                BulkChild::Post { key, value } => {
-                    node.write_postfix_at(pf_base + pr * pb, &key);
-                    node.values.push(value);
-                    pr += 1;
+                BulkChild::Post { key, .. } => {
+                    node.write_postfix_at(pf, key);
+                    pf += pb;
                 }
-                BulkChild::Sub(sub) => {
-                    node.bits.set(ib + n * K + j, true);
-                    node.subs.push(Arc::new(sub));
-                }
+                BulkChild::Sub(_) => node.set(ib + n * K + j, true),
             }
         }
+        node.adopt(children, posts);
         node
+    }
+
+    /// Moves `children`, `posts` of them postfix entries, into a node
+    /// sized for them whose bits already describe them.
+    fn adopt(&mut self, children: Vec<(u64, BulkChild<V, K>)>, posts: usize) {
+        // A child handle pushed behind values has to move them all, so
+        // while sub-nodes may still follow, values wait in `late`.
+        let mixed = posts > 0 && posts < children.len();
+        let mut late = Vec::with_capacity(if mixed { posts } else { 0 });
+        for (_, child) in children {
+            match child {
+                BulkChild::Post { value, .. } if mixed => late.push(value),
+                BulkChild::Post { value, .. } => self.push_val(value),
+                BulkChild::Sub(sub) => self.push_sub(sub),
+            }
+        }
+        late.into_iter().for_each(|value| self.push_val(value));
     }
 
     #[inline]
@@ -540,18 +567,18 @@ impl<V, const K: usize> Node<V, K> {
     /// on a paged node, whose `subs` are segments.
     #[inline]
     fn local_children(&self) -> usize {
-        self.values.len() + self.subs.len()
+        self.values().len() + self.subs().len()
     }
 
     /// Number of locally stored entries (postfixes).
     #[inline]
     pub fn n_posts(&self) -> usize {
         match self.repr {
-            Repr::Paged => self
-                .bits
-                .read_bits(self.infix_bits() + COUNT_BITS, COUNT_BITS as u32)
-                as usize,
-            _ => self.values.len(),
+            Repr::Paged => {
+                let off = self.infix_bits() + COUNT_BITS;
+                self.read_bits(off, COUNT_BITS as u32) as usize
+            }
+            _ => self.values().len(),
         }
     }
 
@@ -559,7 +586,7 @@ impl<V, const K: usize> Node<V, K> {
     #[inline]
     pub fn n_children(&self) -> usize {
         match self.repr {
-            Repr::Paged => self.bits.read_bits(self.infix_bits(), COUNT_BITS as u32) as usize,
+            Repr::Paged => self.read_bits(self.infix_bits(), COUNT_BITS as u32) as usize,
             _ => self.local_children(),
         }
     }
@@ -577,19 +604,19 @@ impl<V, const K: usize> Node<V, K> {
 
     /// The sub-node children in address order, whichever form the node
     /// is in (a paged node's are spread over its segments).
-    pub fn child_nodes(&self) -> impl Iterator<Item = &Arc<Node<V, K>>> {
+    pub fn child_nodes(&self) -> impl Iterator<Item = &NodePtr<V, K>> {
         let own = match self.repr {
             Repr::Paged => &[][..],
-            _ => &self.subs[..],
+            _ => self.subs(),
         };
         own.iter()
-            .chain(self.segments().iter().flat_map(|s| s.subs.iter()))
+            .chain(self.segments().iter().flat_map(|s| s.subs().iter()))
     }
 
     /// Paged: the segments in address order; empty for other forms.
-    pub fn segments(&self) -> &[Arc<Node<V, K>>] {
+    pub fn segments(&self) -> &[NodePtr<V, K>] {
         match self.repr {
-            Repr::Paged => &self.subs,
+            Repr::Paged => self.subs(),
             _ => &[],
         }
     }
@@ -597,9 +624,8 @@ impl<V, const K: usize> Node<V, K> {
     /// The values of the postfix entries in address order, whichever
     /// form the node is in.
     pub fn post_values(&self) -> impl Iterator<Item = &V> {
-        self.values
-            .iter()
-            .chain(self.segments().iter().flat_map(|s| s.values.iter()))
+        let segs = self.segments().iter().flat_map(|s| s.values().iter());
+        self.values().iter().chain(segs)
     }
 
     // ------------------------------------------------------------------
@@ -614,7 +640,8 @@ impl<V, const K: usize> Node<V, K> {
         if il == 0 {
             return;
         }
-        self.bits.write_key(0, il, self.post_len as u32 + 1, key);
+        let shift = self.post_len as u32 + 1;
+        self.write_key(0, il, shift, key);
     }
 
     /// Copies the stored infix into the corresponding bit range of `key`
@@ -624,8 +651,7 @@ impl<V, const K: usize> Node<V, K> {
         if il == 0 {
             return;
         }
-        self.bits
-            .read_key_into(0, il, self.post_len as u32 + 1, key);
+        self.read_key_into(0, il, self.post_len as u32 + 1, key);
     }
 
     /// Whether `key` matches this node's infix in every dimension.
@@ -637,7 +663,7 @@ impl<V, const K: usize> Node<V, K> {
         if il == 0 {
             return true;
         }
-        self.bits.eq_key(0, il, self.post_len as u32 + 1, key)
+        self.eq_key(0, il, self.post_len as u32 + 1, key)
     }
 
     // ------------------------------------------------------------------
@@ -685,7 +711,7 @@ impl<V, const K: usize> Node<V, K> {
     /// Paged: fence `i`, the first address of segment `i`.
     #[inline]
     fn fence(&self, i: usize) -> u64 {
-        self.bits.read_bits(self.fence_off(i), K as u32)
+        self.read_bits(self.fence_off(i), K as u32)
     }
 
     /// Paged: index of the segment whose address range covers `h` — the
@@ -693,7 +719,7 @@ impl<V, const K: usize> Node<V, K> {
     /// below every fence.
     fn seg_index(&self, h: u64) -> usize {
         debug_assert_eq!(self.repr, Repr::Paged);
-        let (mut lo, mut hi) = (0usize, self.subs.len());
+        let (mut lo, mut hi) = (0usize, self.subs().len());
         while lo < hi {
             let mid = (lo + hi) / 2;
             if self.fence(mid) <= h {
@@ -708,26 +734,26 @@ impl<V, const K: usize> Node<V, K> {
     /// LHC: address of child `j`.
     #[inline]
     pub fn lhc_addr_at(&self, j: usize) -> u64 {
-        self.bits.read_bits(self.lhc_addr_off(j), K as u32)
+        self.read_bits(self.lhc_addr_off(j), K as u32)
     }
 
     /// LHC: whether child `j` is a sub-node.
     #[inline]
     fn lhc_is_sub(&self, j: usize) -> bool {
-        self.bits.get(self.lhc_kind_off(self.local_children(), j))
+        self.get(self.lhc_kind_off(self.local_children(), j))
     }
 
     /// LHC: number of postfix entries among children `0..j`.
     #[inline]
     fn lhc_post_rank(&self, j: usize) -> usize {
         let n = self.local_children();
-        j - self.bits.count_ones(self.lhc_kind_off(n, 0), j)
+        j - self.count_ones(self.lhc_kind_off(n, 0), j)
     }
 
     /// HC: 2-bit kind of slot `h`.
     #[inline]
     fn hc_kind(&self, h: u64) -> u64 {
-        self.bits.read_bits(self.hc_kind_off(h), 2)
+        self.read_bits(self.hc_kind_off(h), 2)
     }
 
     /// HC: `(post_rank, sub_rank)` — counts of posts/subs in slots
@@ -740,7 +766,7 @@ impl<V, const K: usize> Node<V, K> {
         let mut done = 0usize;
         while done < nbits {
             let chunk = (nbits - done).min(64) as u32;
-            let w = self.bits.read_bits(base + done, chunk);
+            let w = self.read_bits(base + done, chunk);
             // Kind 01 = post (low bit of the pair), kind 10 = sub.
             posts += (w & 0x5555_5555_5555_5555).count_ones() as usize;
             subs += (w & 0xAAAA_AAAA_AAAA_AAAA).count_ones() as usize;
@@ -763,7 +789,7 @@ impl<V, const K: usize> Node<V, K> {
         let (mut lo, mut hi) = (0usize, n);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match self.bits.cmp_range(ib + mid * K, &key, K) {
+            match self.cmp_range(ib + mid * K, &key, K) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Equal => return Ok(mid),
                 Ordering::Greater => hi = mid,
@@ -777,12 +803,12 @@ impl<V, const K: usize> Node<V, K> {
         debug_assert_eq!(self.repr, Repr::Lhc);
         let pr = self.lhc_post_rank(j);
         let slot = if self.lhc_is_sub(j) {
-            SlotRef::Sub(&self.subs[j - pr])
+            SlotRef::Sub(&self.subs()[j - pr])
         } else {
             SlotRef::Post {
                 seg: self,
                 pf_off: self.lhc_pf_base(self.local_children()) + pr * self.post_bits(),
-                value: &self.values[pr],
+                value: &self.values()[pr],
             }
         };
         (self.lhc_addr_at(j), slot)
@@ -800,7 +826,7 @@ impl<V, const K: usize> Node<V, K> {
         if pl == 0 {
             return;
         }
-        self.bits.write_key(off, pl, 0, key);
+        self.write_key(off, pl, 0, key);
     }
 
     /// Reads the postfix record at bit offset `off` into the low bits of
@@ -811,7 +837,7 @@ impl<V, const K: usize> Node<V, K> {
         if pl == 0 {
             return;
         }
-        self.bits.read_key_into(off, pl, 0, key);
+        self.read_key_into(off, pl, 0, key);
     }
 
     /// Whether the postfix record at `off` equals the low bits of `key`:
@@ -820,7 +846,7 @@ impl<V, const K: usize> Node<V, K> {
     pub fn postfix_matches(&self, off: usize, key: &[u64; K]) -> bool {
         // Fused per-dimension compare: point queries are 50 % misses, so
         // the first-mismatch early exit matters more than bulk compare.
-        self.bits.eq_key(off, self.post_len as u32, 0, key)
+        self.eq_key(off, self.post_len as u32, 0, key)
     }
 
     // ------------------------------------------------------------------
@@ -838,19 +864,19 @@ impl<V, const K: usize> Node<V, K> {
                     Some(SlotRef::Post {
                         seg: self,
                         pf_off: self.hc_pf_base() + h as usize * self.post_bits(),
-                        value: &self.values[pr],
+                        value: &self.values()[pr],
                     })
                 }
                 _ => {
                     let (_, sr) = self.hc_ranks(h);
-                    Some(SlotRef::Sub(&self.subs[sr]))
+                    Some(SlotRef::Sub(&self.subs()[sr]))
                 }
             },
             Repr::Lhc => match self.lhc_search(h) {
                 Ok(j) => Some(self.lhc_at(j).1),
                 Err(_) => None,
             },
-            Repr::Paged => self.subs[self.seg_index(h)].get_slot(h),
+            Repr::Paged => self.subs()[self.seg_index(h)].get_slot(h),
         }
     }
 
@@ -906,26 +932,33 @@ impl<V, const K: usize> Node<V, K> {
     // Paging: segments ⇄ one logical LHC bit string
     // ------------------------------------------------------------------
 
-    /// The node's logical bit string: `bits` itself for an LHC or HC
-    /// node; for a paged node the one LHC bit string
-    /// `[infix | addresses | kinds | postfixes]` its segments
+    /// The node's logical bit string, as words and a bit length: its
+    /// own for an LHC or HC node; for a paged node the one LHC bit
+    /// string `[infix | addresses | kinds | postfixes]` its segments
     /// concatenate to, which is what a plain LHC node with the same
     /// children would hold.
-    pub fn logical_bits(&self) -> Cow<'_, BitBuf> {
+    pub fn logical_bits(&self) -> (Cow<'_, [u64]>, usize) {
         match self.repr {
             Repr::Paged => {
-                let segs: Vec<&Node<V, K>> = self.subs.iter().map(|s| &**s).collect();
-                Cow::Owned(Self::lhc_concat(&self.bits, self.infix_bits(), &segs))
+                let bits = self.segments_concat();
+                let len = bits.len();
+                (Cow::Owned(bits.into_words()), len)
             }
-            _ => Cow::Borrowed(&self.bits),
+            _ => (Cow::Borrowed(self.words()), self.bits_len()),
         }
+    }
+
+    /// Paged: the segments' child tables as one, behind the infix.
+    fn segments_concat(&self) -> BitBuf {
+        let segs: Vec<&Node<V, K>> = self.subs().iter().map(|s| &**s).collect();
+        Self::lhc_concat(self, self.infix_bits(), &segs)
     }
 
     /// Concatenates infix-less LHC child tables (`segs`, in address
     /// order) into one, behind the first `head_bits` bits of `head`.
-    fn lhc_concat(head: &BitBuf, head_bits: usize, segs: &[&Node<V, K>]) -> BitBuf {
+    fn lhc_concat(head: &Node<V, K>, head_bits: usize, segs: &[&Node<V, K>]) -> BitBuf {
         let n: usize = segs.iter().map(|s| s.local_children()).sum();
-        let total: usize = segs.iter().map(|s| s.bits.len()).sum();
+        let total: usize = segs.iter().map(|s| s.bits_len()).sum();
         let mut bits = BitBuf::zeroed(head_bits + total);
         bits.copy_bits_from(head, 0, 0, head_bits);
         // One cursor per region of the result.
@@ -933,10 +966,10 @@ impl<V, const K: usize> Node<V, K> {
         for s in segs {
             debug_assert!(s.repr == Repr::Lhc && s.infix_len == 0);
             let sn = s.local_children();
-            let pf_len = s.bits.len() - sn * (K + 1);
-            bits.copy_bits_from(&s.bits, 0, addr, sn * K);
-            bits.copy_bits_from(&s.bits, sn * K, kind, sn);
-            bits.copy_bits_from(&s.bits, sn * (K + 1), pf, pf_len);
+            let pf_len = s.bits_len() - sn * (K + 1);
+            bits.copy_bits_from(*s, 0, addr, sn * K);
+            bits.copy_bits_from(*s, sn * K, kind, sn);
+            bits.copy_bits_from(*s, sn * (K + 1), pf, pf_len);
             addr += sn * K;
             kind += sn;
             pf += pf_len;
@@ -952,11 +985,11 @@ impl<V, const K: usize> Node<V, K> {
     /// Cuts this plain LHC node's child table into `count` infix-less
     /// segments of (to within one child) equal bit size, each allocated
     /// at exact size. The node's infix is dropped.
-    fn lhc_chunks(self, count: usize) -> Vec<Node<V, K>> {
+    fn lhc_chunks(mut self, count: usize) -> Vec<Node<V, K>> {
         debug_assert_eq!(self.repr, Repr::Lhc);
         let (n, ib, pb) = (self.local_children(), self.infix_bits(), self.post_bits());
         debug_assert!(count >= 1 && count <= n);
-        let total = self.bits.len() - ib;
+        let total = self.bits_len() - ib;
         // Child index where chunk `c` ends: the first at which the
         // table reaches c/count of its length, leaving every chunk at
         // least one child.
@@ -976,78 +1009,71 @@ impl<V, const K: usize> Node<V, K> {
             cuts.push((lo, self.lhc_post_rank(lo)));
             prev = lo;
         }
-        cuts.push((n, self.values.len()));
-        let (src, post_len) = (self.bits, self.post_len);
-        let mut values = self.values.into_iter();
-        let mut subs = self.subs.into_iter();
+        cuts.push((n, self.values().len()));
+        let post_len = self.post_len;
+        let mut values = self.take_vals().into_iter();
+        let mut subs = self.take_subs().into_iter();
+        let src = &self;
         let (mut j0, mut pr0) = (0, 0);
         cuts.into_iter()
             .map(|(j1, pr1)| {
                 let (cn, cp) = (j1 - j0, pr1 - pr0);
-                let mut bits = BitBuf::zeroed(cn * (K + 1) + cp * pb);
-                bits.copy_bits_from(&src, ib + j0 * K, 0, cn * K);
-                bits.copy_bits_from(&src, ib + n * K + j0, cn * K, cn);
-                bits.copy_bits_from(&src, ib + n * (K + 1) + pr0 * pb, cn * (K + 1), cp * pb);
-                let mut seg_values = Vec::with_capacity(cp);
-                seg_values.extend(values.by_ref().take(cp));
-                let mut seg_subs = Vec::with_capacity(cn - cp);
-                seg_subs.extend(subs.by_ref().take(cn - cp));
+                let len = cn * (K + 1) + cp * pb;
+                let mut seg = Self::zeroed(Meta::new(post_len, 0, Repr::Lhc), len, cn - cp, cp);
+                seg.copy_bits_from(src, ib + j0 * K, 0, cn * K);
+                seg.copy_bits_from(src, ib + n * K + j0, cn * K, cn);
+                seg.copy_bits_from(src, ib + n * (K + 1) + pr0 * pb, cn * (K + 1), cp * pb);
+                subs.by_ref().take(cn - cp).for_each(|s| seg.push_sub(s));
+                values.by_ref().take(cp).for_each(|v| seg.push_val(v));
                 (j0, pr0) = (j1, pr1);
-                Node {
-                    post_len,
-                    infix_len: 0,
-                    repr: Repr::Lhc,
-                    bits,
-                    subs: seg_subs,
-                    values: seg_values,
-                }
+                seg
             })
             .collect()
     }
 
-    /// Turns this node — `bits` holding just its infix — into the outer
-    /// node over `segs`, which hold `n` children, `posts` of them
-    /// postfix entries.
+    /// Turns this node — childless, its bit string just the infix —
+    /// into the outer node over `segs`, which hold `n` children,
+    /// `posts` of them postfix entries.
     fn install_segments(&mut self, segs: Vec<Node<V, K>>, n: usize, posts: usize) {
-        debug_assert!(segs.len() >= 2 && self.bits.len() == self.infix_bits());
+        debug_assert!(segs.len() >= 2 && self.bits_len() == self.infix_bits());
+        debug_assert!(self.subs().is_empty() && self.values().is_empty());
         self.repr = Repr::Paged;
-        self.bits.grow(2 * COUNT_BITS + segs.len() * K);
+        let len = self.fence_off(segs.len());
+        self.reserve(len, segs.len(), 0);
+        self.bits_resize(len);
         self.set_counts(n, posts);
-        for (i, seg) in segs.iter().enumerate() {
-            self.bits
-                .write_bits(self.fence_off(i), seg.lhc_addr_at(0), K as u32);
+        for (i, seg) in segs.into_iter().enumerate() {
+            let off = self.fence_off(i);
+            self.write_bits(off, seg.lhc_addr_at(0), K as u32);
+            self.push_sub(seg);
         }
-        self.values = Vec::new();
-        self.subs = segs.into_iter().map(Arc::new).collect();
+        // Bulk-built and decoded nodes carry no slack.
+        self.shrink_to_fit();
     }
 
     /// Paged: stores the child and postfix-entry totals.
     fn set_counts(&mut self, n: usize, posts: usize) {
         let ib = self.infix_bits();
-        self.bits.write_bits(ib, n as u64, COUNT_BITS as u32);
-        self.bits
-            .write_bits(ib + COUNT_BITS, posts as u64, COUNT_BITS as u32);
+        self.write_bits(ib, n as u64, COUNT_BITS as u32);
+        self.write_bits(ib + COUNT_BITS, posts as u64, COUNT_BITS as u32);
     }
 
     /// Pages a plain LHC node whose child table has outgrown one page:
     /// the table is cut into the fewest segments that fit a page each.
     fn page_if_oversized(&mut self) {
         let ib = self.infix_bits();
-        if self.repr != Repr::Lhc || self.bits.len() - ib <= PAGE_BITS {
+        if self.repr != Repr::Lhc || self.bits_len() - ib <= PAGE_BITS {
             return;
         }
-        let pages = (self.bits.len() - ib).div_ceil(PAGE_BITS);
-        let (n, posts) = (self.local_children(), self.values.len());
-        let mut outer_bits = BitBuf::zeroed(ib);
-        outer_bits.copy_bits_from(&self.bits, 0, 0, ib);
-        let outer = Node {
-            post_len: self.post_len,
-            infix_len: self.infix_len,
-            repr: Repr::Lhc,
-            bits: outer_bits,
-            subs: Vec::new(),
-            values: Vec::new(),
-        };
+        let pages = (self.bits_len() - ib).div_ceil(PAGE_BITS);
+        let (n, posts) = (self.local_children(), self.values().len());
+        let mut outer = Self::zeroed(
+            Meta::new(self.post_len, self.infix_len, Repr::Lhc),
+            ib,
+            0,
+            0,
+        );
+        outer.copy_bits_from(&*self, 0, 0, ib);
         let flat = std::mem::replace(self, outer);
         self.install_segments(flat.lhc_chunks(pages), n, posts);
     }
@@ -1072,7 +1098,7 @@ impl<V, const K: usize> Node<V, K> {
         let (node, rest) = match self.repr {
             Repr::Paged => {
                 let si = self.seg_index(h);
-                (&*self.subs[si], self.subs[si + 1..].iter())
+                (&*self.subs()[si], self.subs()[si + 1..].iter())
             }
             Repr::Lhc => (self, [].iter()),
             Repr::Hc => unreachable!("an HC node is probed by address, not scanned"),
@@ -1109,8 +1135,8 @@ impl<V, const K: usize> Node<V, K> {
 }
 
 /// Structural updates and mutating accessors. These need `V: Clone`
-/// because they descend into `Arc`-shared nodes — the segments of a
-/// paged node, or sub-node children — through [`Arc::make_mut`], which
+/// because they descend into shared nodes — the segments of a paged
+/// node, or sub-node children — through [`NodePtr::make_mut`], which
 /// deep-copies a node that is still referenced by another tree version
 /// (a snapshot); when the node is uniquely owned — the steady state
 /// with no snapshots alive — they mutate in place with only a refcount
@@ -1124,9 +1150,9 @@ impl<V: Clone, const K: usize> Node<V, K> {
         self.infix_len = new_len;
         let new = self.infix_bits();
         if new < old {
-            self.bits.remove_range(new, old - new);
+            self.remove_ranges(&[(new, old - new)]);
         } else if new > old {
-            self.bits.insert_gap(old, new - old);
+            self.insert_gaps(&[(old, new - old)]);
         }
         self.write_infix(key);
         // The infix length feeds the HC/LHC size comparison only through
@@ -1141,7 +1167,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
             return self.seg_mut(h).post_value_mut(h);
         }
         let pr = self.post_rank_of(h)?;
-        Some(&mut self.values[pr])
+        Some(&mut self.values_mut()[pr])
     }
 
     /// Paged: the segment covering `h`, copy-on-write. For edits that
@@ -1149,7 +1175,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
     /// ones go through [`Node::edit_segment`].
     fn seg_mut(&mut self, h: u64) -> &mut Node<V, K> {
         let si = self.seg_index(h);
-        Arc::make_mut(&mut self.subs[si])
+        NodePtr::make_mut(&mut self.subs_mut()[si])
     }
 
     // ------------------------------------------------------------------
@@ -1168,38 +1194,32 @@ impl<V: Clone, const K: usize> Node<V, K> {
                 );
                 let (pr, _) = self.hc_ranks(h);
                 let off = self.hc_kind_off(h);
-                self.bits.write_bits(off, KIND_POST, 2);
+                self.write_bits(off, KIND_POST, 2);
                 let pf = self.hc_pf_base() + h as usize * pb;
                 self.write_postfix_at(pf, key);
-                self.values.insert(pr, value);
+                self.vals_insert(pr, value);
             }
             Repr::Lhc => self.lhc_insert_post(h, key, value),
-            Repr::Paged => self.edit_segment(h, |seg| {
-                seg.reserve_growth(true);
-                seg.lhc_insert_post(h, key, value)
-            }),
+            Repr::Paged => self.edit_segment(h, |seg| seg.lhc_insert_post(h, key, value)),
         }
         self.maybe_switch_repr(mode);
     }
 
     /// Inserts a sub-node at (empty) address `h`. Accepts an owned
-    /// node or an already-shared `Arc<Node>` (the path-copy code moves
+    /// node or an already-shared [`NodePtr`] (the path-copy code moves
     /// shared subtrees between nodes without deep-copying them).
-    pub fn insert_sub(&mut self, h: u64, sub: impl Into<Arc<Node<V, K>>>, mode: ReprMode) {
+    pub fn insert_sub(&mut self, h: u64, sub: impl Into<NodePtr<V, K>>, mode: ReprMode) {
         let sub = sub.into();
         match self.repr {
             Repr::Hc => {
                 debug_assert_eq!(self.hc_kind(h), KIND_EMPTY, "insert_sub into occupied slot");
                 let (_, sr) = self.hc_ranks(h);
                 let off = self.hc_kind_off(h);
-                self.bits.write_bits(off, KIND_SUB, 2);
-                self.subs.insert(sr, sub);
+                self.write_bits(off, KIND_SUB, 2);
+                self.subs_insert(sr, sub);
             }
             Repr::Lhc => self.lhc_insert_sub(h, sub),
-            Repr::Paged => self.edit_segment(h, |seg| {
-                seg.reserve_growth(false);
-                seg.lhc_insert_sub(h, sub)
-            }),
+            Repr::Paged => self.edit_segment(h, |seg| seg.lhc_insert_sub(h, sub)),
         }
         self.maybe_switch_repr(mode);
     }
@@ -1212,12 +1232,12 @@ impl<V: Clone, const K: usize> Node<V, K> {
                 assert_eq!(self.hc_kind(h), KIND_POST, "remove_post on non-post slot");
                 let (pr, _) = self.hc_ranks(h);
                 let off = self.hc_kind_off(h);
-                self.bits.write_bits(off, KIND_EMPTY, 2);
+                self.write_bits(off, KIND_EMPTY, 2);
                 // Clear the stale postfix slot for determinism.
                 let pf = self.hc_pf_base() + h as usize * pb;
                 let zero: [u64; K] = [0; K];
                 self.write_postfix_at(pf, &zero);
-                self.values.remove(pr)
+                self.vals_remove(pr)
             }
             Repr::Lhc => self.lhc_remove_post(h),
             Repr::Paged => self.edit_segment(h, |seg| seg.lhc_remove_post(h)),
@@ -1243,7 +1263,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
     pub fn swap_post_for_sub(
         &mut self,
         h: u64,
-        sub: impl Into<Arc<Node<V, K>>>,
+        sub: impl Into<NodePtr<V, K>>,
         mode: ReprMode,
     ) -> V {
         let sub = sub.into();
@@ -1257,18 +1277,15 @@ impl<V: Clone, const K: usize> Node<V, K> {
                 );
                 let (pr, sr) = self.hc_ranks(h);
                 let off = self.hc_kind_off(h);
-                self.bits.write_bits(off, KIND_SUB, 2);
+                self.write_bits(off, KIND_SUB, 2);
                 let pf = self.hc_pf_base() + h as usize * pb;
                 let zero: [u64; K] = [0; K];
                 self.write_postfix_at(pf, &zero);
-                self.subs.insert(sr, sub);
-                self.values.remove(pr)
+                self.subs_insert(sr, sub);
+                self.vals_remove(pr)
             }
             Repr::Lhc => self.lhc_swap_post_for_sub(h, sub),
-            Repr::Paged => self.edit_segment(h, |seg| {
-                seg.reserve_growth(false);
-                seg.lhc_swap_post_for_sub(h, sub)
-            }),
+            Repr::Paged => self.edit_segment(h, |seg| seg.lhc_swap_post_for_sub(h, sub)),
         };
         // The post count feeds the size comparison; keep the
         // representation a pure function of the node's final state.
@@ -1289,31 +1306,28 @@ impl<V: Clone, const K: usize> Node<V, K> {
                 );
                 let (pr, sr) = self.hc_ranks(h);
                 let off = self.hc_kind_off(h);
-                self.bits.write_bits(off, KIND_POST, 2);
+                self.write_bits(off, KIND_POST, 2);
                 let pf = self.hc_pf_base() + h as usize * pb;
                 self.write_postfix_at(pf, key);
-                self.subs.remove(sr);
-                self.values.insert(pr, value);
+                self.subs_remove(sr);
+                self.vals_insert(pr, value);
             }
             Repr::Lhc => self.lhc_replace_sub_with_post(h, key, value),
-            Repr::Paged => self.edit_segment(h, |seg| {
-                seg.reserve_growth(true);
-                seg.lhc_replace_sub_with_post(h, key, value)
-            }),
+            Repr::Paged => self.edit_segment(h, |seg| seg.lhc_replace_sub_with_post(h, key, value)),
         }
         self.maybe_switch_repr(mode);
     }
 
     /// Replaces the sub-node at `h` with another sub-node, returning
-    /// the displaced one still behind its `Arc` (the caller either
+    /// the displaced one still behind its handle (the caller either
     /// re-attaches it elsewhere via [`Node::insert_sub`] or drops it;
     /// neither needs the deep copy an unwrap would cost).
-    pub fn swap_sub(&mut self, h: u64, sub: impl Into<Arc<Node<V, K>>>) -> Arc<Node<V, K>> {
+    pub fn swap_sub(&mut self, h: u64, sub: impl Into<NodePtr<V, K>>) -> NodePtr<V, K> {
         if self.repr == Repr::Paged {
             return self.seg_mut(h).swap_sub(h, sub);
         }
         let sr = self.sub_rank_of(h).expect("swap_sub: not a sub slot");
-        std::mem::replace(&mut self.subs[sr], sub.into())
+        std::mem::replace(&mut self.subs_mut()[sr], sub.into())
     }
 
     // ------------------------------------------------------------------
@@ -1329,31 +1343,30 @@ impl<V: Clone, const K: usize> Node<V, K> {
         let n = self.local_children();
         let pr = self.lhc_post_rank(j);
         // One splice opens the address, kind and postfix gaps.
-        self.bits.insert_gaps(&[
+        self.insert_gaps(&[
             (self.lhc_addr_off(j), K),
             (self.lhc_kind_off(n, j), 1), // zero = post
             (self.lhc_pf_base(n) + pr * pb, pb),
         ]);
         let n = n + 1;
-        self.bits.write_bits(self.lhc_addr_off(j), h, K as u32);
+        self.write_bits(self.lhc_addr_off(j), h, K as u32);
         let pf = self.lhc_pf_base(n) + pr * pb;
         self.write_postfix_at(pf, key);
-        self.values.insert(pr, value);
+        self.vals_insert(pr, value);
     }
 
-    fn lhc_insert_sub(&mut self, h: u64, sub: Arc<Node<V, K>>) {
+    fn lhc_insert_sub(&mut self, h: u64, sub: NodePtr<V, K>) {
         let j = match self.lhc_search(h) {
             Err(j) => j,
             Ok(_) => panic!("insert_sub into occupied slot"),
         };
         let n = self.local_children();
         let sr = j - self.lhc_post_rank(j);
-        self.bits
-            .insert_gaps(&[(self.lhc_addr_off(j), K), (self.lhc_kind_off(n, j), 1)]);
+        self.insert_gaps(&[(self.lhc_addr_off(j), K), (self.lhc_kind_off(n, j), 1)]);
         let n = n + 1;
-        self.bits.write_bits(self.lhc_addr_off(j), h, K as u32);
-        self.bits.set(self.lhc_kind_off(n, j), true); // kind 1 = sub
-        self.subs.insert(sr, sub);
+        self.write_bits(self.lhc_addr_off(j), h, K as u32);
+        self.set(self.lhc_kind_off(n, j), true); // kind 1 = sub
+        self.subs_insert(sr, sub);
     }
 
     fn lhc_remove_post(&mut self, h: u64) -> V {
@@ -1362,15 +1375,15 @@ impl<V: Clone, const K: usize> Node<V, K> {
         assert!(!self.lhc_is_sub(j), "remove_post on sub slot");
         let n = self.local_children();
         let pr = self.lhc_post_rank(j);
-        self.bits.remove_ranges(&[
+        self.remove_ranges(&[
             (self.lhc_addr_off(j), K),
             (self.lhc_kind_off(n, j), 1),
             (self.lhc_pf_base(n) + pr * pb, pb),
         ]);
-        self.values.remove(pr)
+        self.vals_remove(pr)
     }
 
-    fn lhc_swap_post_for_sub(&mut self, h: u64, sub: Arc<Node<V, K>>) -> V {
+    fn lhc_swap_post_for_sub(&mut self, h: u64, sub: NodePtr<V, K>) -> V {
         let pb = self.post_bits();
         let j = self.lhc_search(h).expect("swap_post_for_sub: empty slot");
         assert!(!self.lhc_is_sub(j), "swap_post_for_sub on sub slot");
@@ -1378,10 +1391,10 @@ impl<V: Clone, const K: usize> Node<V, K> {
         let pr = self.lhc_post_rank(j);
         let sr = j - pr;
         let pf = self.lhc_pf_base(n) + pr * pb;
-        self.bits.remove_range(pf, pb);
-        self.bits.set(self.lhc_kind_off(n, j), true);
-        self.subs.insert(sr, sub);
-        self.values.remove(pr)
+        self.remove_ranges(&[(pf, pb)]);
+        self.set(self.lhc_kind_off(n, j), true);
+        self.subs_insert(sr, sub);
+        self.vals_remove(pr)
     }
 
     fn lhc_replace_sub_with_post(&mut self, h: u64, key: &[u64; K], value: V) {
@@ -1393,12 +1406,12 @@ impl<V: Clone, const K: usize> Node<V, K> {
         let n = self.local_children();
         let pr = self.lhc_post_rank(j);
         let sr = j - pr;
-        self.bits.set(self.lhc_kind_off(n, j), false);
+        self.set(self.lhc_kind_off(n, j), false);
         let pf = self.lhc_pf_base(n) + pr * pb;
-        self.bits.insert_gap(pf, pb);
+        self.insert_gaps(&[(pf, pb)]);
         self.write_postfix_at(pf, key);
-        self.subs.remove(sr);
-        self.values.insert(pr, value);
+        self.subs_remove(sr);
+        self.vals_insert(pr, value);
     }
 
     // ------------------------------------------------------------------
@@ -1414,11 +1427,11 @@ impl<V: Clone, const K: usize> Node<V, K> {
     /// representation on its own.
     fn edit_segment<R>(&mut self, h: u64, f: impl FnOnce(&mut Node<V, K>) -> R) -> R {
         let si = self.seg_index(h);
-        let seg = Arc::make_mut(&mut self.subs[si]);
-        let (n0, posts0) = (seg.local_children(), seg.values.len());
+        let seg = NodePtr::make_mut(&mut self.subs_mut()[si]);
+        let (n0, posts0) = (seg.local_children(), seg.values().len());
         let r = f(seg);
         debug_assert_eq!(seg.repr, Repr::Lhc);
-        let (n1, posts1, len) = (seg.local_children(), seg.values.len(), seg.bits.len());
+        let (n1, posts1, len) = (seg.local_children(), seg.values().len(), seg.bits_len());
         self.set_counts(
             self.n_children() + n1 - n0,
             self.n_posts() + posts1 - posts0,
@@ -1435,16 +1448,17 @@ impl<V: Clone, const K: usize> Node<V, K> {
 
     /// Paged: rewrites fence `si` from its segment's first address.
     fn refresh_fence(&mut self, si: usize) {
-        let first = self.subs[si].lhc_addr_at(0);
-        self.bits.write_bits(self.fence_off(si), first, K as u32);
+        let first = self.subs()[si].lhc_addr_at(0);
+        self.write_bits(self.fence_off(si), first, K as u32);
     }
 
     /// Paged: cuts segment `si` into two halves of equal bit size.
     fn split_segment(&mut self, si: usize) {
-        let seg = Arc::unwrap_or_clone(self.subs.remove(si));
-        self.subs
-            .splice(si..si, seg.lhc_chunks(2).into_iter().map(Arc::new));
-        self.bits.insert_gap(self.fence_off(si + 1), K);
+        let seg = NodePtr::into_unique(self.subs_remove(si));
+        for (i, half) in seg.lhc_chunks(2).into_iter().enumerate() {
+            self.subs_insert(si + i, half.into());
+        }
+        self.insert_gaps(&[(self.fence_off(si + 1), K)]);
         self.refresh_fence(si);
         self.refresh_fence(si + 1);
     }
@@ -1453,22 +1467,21 @@ impl<V: Clone, const K: usize> Node<V, K> {
     /// neighbour; splits the result again if it overflows the page, and
     /// unpages the node if it is the only segment left.
     fn merge_segment(&mut self, si: usize) {
-        let len_of = |i: usize| self.subs.get(i).map_or(usize::MAX, |s| s.bits.len());
+        let len_of = |i: usize| self.subs().get(i).map_or(usize::MAX, |s| s.bits_len());
         // Left index of the pair to merge.
         let a = if si > 0 && len_of(si - 1) <= len_of(si + 1) {
             si - 1
         } else {
             si
         };
-        let right = Arc::unwrap_or_clone(self.subs.remove(a + 1));
-        self.bits.remove_range(self.fence_off(a + 1), K);
-        let left = Arc::make_mut(&mut self.subs[a]);
-        left.bits = Self::lhc_concat(&left.bits, 0, &[&*left, &right]);
-        left.values.extend(right.values);
-        left.subs.extend(right.subs);
-        if left.bits.len() > PAGE_BITS {
+        let right = NodePtr::into_unique(self.subs_remove(a + 1));
+        self.remove_ranges(&[(self.fence_off(a + 1), K)]);
+        let left = NodePtr::make_mut(&mut self.subs_mut()[a]);
+        let bits = Self::lhc_concat(left, 0, &[&*left, &right]);
+        left.gather(&bits, &mut [right]);
+        if bits.len() > PAGE_BITS {
             self.split_segment(a);
-        } else if self.subs.len() == 1 {
+        } else if self.subs().len() == 1 {
             self.unpage();
         } else {
             self.refresh_fence(a);
@@ -1478,47 +1491,32 @@ impl<V: Clone, const K: usize> Node<V, K> {
     /// Paged → plain LHC: the segments' tables are concatenated behind
     /// the infix, their values and sub-nodes gathered in order.
     fn unpage(&mut self) {
-        let bits = self.logical_bits().into_owned();
-        self.take_segments();
-        self.bits = bits;
+        let bits = self.segments_concat();
+        self.take_segments(&bits, Repr::Lhc);
     }
 
-    /// Paged: moves the segments' values and sub-nodes, in order, into
-    /// this node's own vectors, leaving it marked LHC with `bits` still
-    /// to be replaced by the caller.
-    fn take_segments(&mut self) {
+    /// Paged: dissolves the segments into this node, which takes the
+    /// representation `repr` with bit string `bits`.
+    fn take_segments(&mut self, bits: &BitBuf, repr: Repr) {
         debug_assert_eq!(self.repr, Repr::Paged);
-        let (n, posts) = (self.n_children(), self.n_posts());
-        self.values = Vec::with_capacity(posts);
-        let segs = std::mem::replace(&mut self.subs, Vec::with_capacity(n - posts));
-        for seg in segs {
-            let seg = Arc::unwrap_or_clone(seg);
-            self.values.extend(seg.values);
-            self.subs.extend(seg.subs);
-        }
-        self.repr = Repr::Lhc;
+        let segs = self.take_subs().into_iter().map(NodePtr::into_unique);
+        self.repr = repr;
+        self.gather(bits, &mut segs.collect::<Vec<_>>());
     }
 
-    /// Segment growth policy: makes room for one more child (a postfix
-    /// entry if `post`) in steps of an eighth, not by doubling. A
-    /// segment never outgrows a page, so the finer steps cost a few
-    /// page-sized copies over its life and keep the capacity slack of a
-    /// paged node near 6 % where one doubling buffer averages 40 %.
-    fn reserve_growth(&mut self, post: bool) {
-        fn reserve<T>(v: &mut Vec<T>) {
-            if v.len() == v.capacity() {
-                v.reserve_exact((v.len() / 8).max(2));
-            }
+    /// Replaces the bit string by `bits` and appends the sub-nodes and
+    /// values of `from`, in order, growing the block once.
+    fn gather(&mut self, bits: &BitBuf, from: &mut [Node<V, K>]) {
+        let subs = from.iter().map(|n| n.subs().len()).sum::<usize>() + self.subs().len();
+        let vals = from.iter().map(|n| n.values().len()).sum::<usize>() + self.values().len();
+        self.reserve(bits.len(), subs, vals);
+        self.set_bits(bits);
+        // All sub-nodes first: one pushed behind values moves them all.
+        let vals: Vec<_> = from.iter_mut().map(|n| n.take_vals()).collect();
+        for node in from.iter_mut() {
+            node.take_subs().into_iter().for_each(|s| self.push_sub(s));
         }
-        let need = self.bits.len() + K + 1 + if post { self.post_bits() } else { 0 };
-        if need > self.bits.heap_bytes() * 8 {
-            self.bits.reserve_exact(need + need / 8);
-        }
-        if post {
-            reserve(&mut self.values);
-        } else {
-            reserve(&mut self.subs);
-        }
+        vals.into_iter().flatten().for_each(|v| self.push_val(v));
     }
 
     // ------------------------------------------------------------------
@@ -1559,7 +1557,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
         let pb = self.post_bits();
         let slots = 1usize << K;
         let mut bits = BitBuf::zeroed(ib + slots * (2 + pb));
-        bits.copy_bits_from(&self.bits, 0, 0, ib);
+        bits.copy_bits_from(&*self, 0, 0, ib);
         let pf_base_new = ib + 2 * slots;
         for (h, slot) in self.iter_slots() {
             let h = h as usize;
@@ -1567,15 +1565,16 @@ impl<V: Clone, const K: usize> Node<V, K> {
                 SlotRef::Sub(_) => bits.write_bits(ib + 2 * h, KIND_SUB, 2),
                 SlotRef::Post { seg, pf_off, .. } => {
                     bits.write_bits(ib + 2 * h, KIND_POST, 2);
-                    bits.copy_bits_from(&seg.bits, pf_off, pf_base_new + h * pb, pb);
+                    bits.copy_bits_from(seg, pf_off, pf_base_new + h * pb, pb);
                 }
             }
         }
         if self.repr == Repr::Paged {
-            self.take_segments();
+            self.take_segments(&bits, Repr::Hc);
+        } else {
+            self.set_bits(&bits);
+            self.repr = Repr::Hc;
         }
-        self.bits = bits;
-        self.repr = Repr::Hc;
     }
 
     fn convert_to_lhc(&mut self) {
@@ -1583,9 +1582,9 @@ impl<V: Clone, const K: usize> Node<V, K> {
         let ib = self.infix_bits();
         let pb = self.post_bits();
         let n = self.local_children();
-        let posts = self.values.len();
+        let posts = self.values().len();
         let mut bits = BitBuf::zeroed(ib + n * (K + 1) + posts * pb);
-        bits.copy_bits_from(&self.bits, 0, 0, ib);
+        bits.copy_bits_from(&*self, 0, 0, ib);
         let pf_base_new = ib + n * (K + 1);
         let mut j = 0usize;
         let mut pr = 0usize;
@@ -1596,7 +1595,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
                     bits.write_bits(ib + j * K, h, K as u32);
                     // kind bit stays 0
                     bits.copy_bits_from(
-                        &self.bits,
+                        &*self,
                         self.hc_pf_base() + h as usize * pb,
                         pf_base_new + pr * pb,
                         pb,
@@ -1611,7 +1610,7 @@ impl<V: Clone, const K: usize> Node<V, K> {
             j += 1;
         }
         debug_assert_eq!(j, n);
-        self.bits = bits;
+        self.set_bits(&bits);
         self.repr = Repr::Lhc;
     }
 
@@ -1625,20 +1624,25 @@ impl<V: Clone, const K: usize> Node<V, K> {
             return self.seg_mut(h).sub_mut(h);
         }
         let sr = self.sub_rank_of(h)?;
-        Some(Arc::make_mut(&mut self.subs[sr]))
+        Some(NodePtr::make_mut(&mut self.subs_mut()[sr]))
     }
 
-    /// Releases surplus capacity in the bit string and both child
-    /// vectors, so the space accounting sees zero slack afterwards,
-    /// then does the same for every node below (copy-on-write) — a
-    /// paged node's segments, and through them its sub-node children.
-    pub fn shrink_subtree(&mut self) {
-        self.bits.shrink_to_fit();
-        self.subs.shrink_to_fit();
-        self.values.shrink_to_fit();
-        for s in self.subs.iter_mut() {
-            Arc::make_mut(s).shrink_subtree();
+    /// Releases the slack of every block of the subtree under `this`,
+    /// so the space accounting sees none afterwards — a paged node's
+    /// segments included, and through them its sub-node children.
+    /// Copy-on-write, but only where there is something to release: a
+    /// subtree shared with another tree version that has no slack
+    /// anywhere stays shared.
+    pub fn shrink_subtree(this: &mut NodePtr<V, K>) {
+        fn has_slack<V, const K: usize>(n: &Node<V, K>) -> bool {
+            n.slack() > 0 || n.subs().iter().any(|s| has_slack(s))
         }
+        if !this.is_unique() && !has_slack(this) {
+            return;
+        }
+        let node = NodePtr::make_mut(this);
+        node.shrink_to_fit();
+        node.subs_mut().iter_mut().for_each(Self::shrink_subtree);
     }
 
     /// If this node has exactly one child, removes and returns it with
@@ -1666,12 +1670,12 @@ impl<V: Clone, const K: usize> Node<V, K> {
             (self.lhc_addr_at(0), self.lhc_is_sub(0))
         };
         // Reset the bit string to "empty node" form (infix only).
-        self.bits.truncate(self.infix_bits());
+        self.bits_resize(self.infix_bits());
         self.repr = Repr::Lhc;
         let child = if is_sub {
-            Child::Sub(Arc::unwrap_or_clone(self.subs.remove(0)))
+            Child::Sub(NodePtr::into_unique(self.subs_remove(0)))
         } else {
-            Child::Post(self.values.remove(0))
+            Child::Post(self.vals_remove(0))
         };
         Some((h, child))
     }
@@ -1685,7 +1689,7 @@ pub(crate) struct SlotIter<'a, V, const K: usize> {
     /// segment.
     node: &'a Node<V, K>,
     /// Paged: the segments still to walk.
-    rest: std::slice::Iter<'a, Arc<Node<V, K>>>,
+    rest: std::slice::Iter<'a, NodePtr<V, K>>,
     /// Bit offset of the postfix area in `node` (loop-invariant).
     pf_base: usize,
     /// Postfix stride in bits (loop-invariant).
@@ -1701,11 +1705,7 @@ impl<'a, V, const K: usize> SlotIter<'a, V, K> {
     /// with `rest` the segments to continue in. The postfix base and
     /// the ranks at `pos` are computed here so the per-item cost stays
     /// one address/kind read.
-    fn enter(
-        node: &'a Node<V, K>,
-        rest: std::slice::Iter<'a, Arc<Node<V, K>>>,
-        pos: usize,
-    ) -> Self {
+    fn enter(node: &'a Node<V, K>, rest: std::slice::Iter<'a, NodePtr<V, K>>, pos: usize) -> Self {
         let (pf_base, pr) = if node.repr == Repr::Hc {
             (node.hc_pf_base(), 0)
         } else {
@@ -1748,7 +1748,7 @@ impl<'a, V, const K: usize> SlotIter<'a, V, K> {
             if node.lhc_is_sub(j) {
                 self.sr += 1;
                 if admitted {
-                    return Some((h, SlotRef::Sub(&node.subs[self.sr - 1])));
+                    return Some((h, SlotRef::Sub(&node.subs()[self.sr - 1])));
                 }
             } else {
                 self.pr += 1;
@@ -1757,7 +1757,7 @@ impl<'a, V, const K: usize> SlotIter<'a, V, K> {
                     let slot = SlotRef::Post {
                         seg: node,
                         pf_off: self.pf_base + pr * self.pb,
-                        value: &node.values[pr],
+                        value: &node.values()[pr],
                     };
                     return Some((h, slot));
                 }
@@ -1781,13 +1781,13 @@ impl<'a, V, const K: usize> Iterator for SlotIter<'a, V, K> {
                         let r = SlotRef::Post {
                             seg: node,
                             pf_off: self.pf_base + h as usize * self.pb,
-                            value: &node.values[self.pr],
+                            value: &node.values()[self.pr],
                         };
                         self.pr += 1;
                         return Some((h, r));
                     }
                     _ => {
-                        let r = SlotRef::Sub(&node.subs[self.sr]);
+                        let r = SlotRef::Sub(&node.subs()[self.sr]);
                         self.sr += 1;
                         return Some((h, r));
                     }
@@ -2046,15 +2046,14 @@ mod tests {
     // Paged LHC
     // ------------------------------------------------------------------
 
-    /// `size_of::<Node>()` as it was before the representation flag
-    /// became a three-way enum: every node pays this once, so the
-    /// bytes/entry figures of the small-node (K = 3) workloads hang
-    /// on it.
+    /// Every node pays its handle and its header once, so the
+    /// bytes/entry figures of the small-node (K = 3) workloads hang on
+    /// these sizes.
     #[test]
     fn node_struct_size_is_pinned() {
-        assert_eq!(std::mem::size_of::<Repr>(), 1);
-        assert_eq!(std::mem::size_of::<Node<u64, 3>>(), 88);
-        assert_eq!(std::mem::size_of::<Node<(), 20>>(), 88);
+        const { assert!(crate::block::HEADER_BYTES <= 32) };
+        assert_eq!(std::mem::size_of::<Node<u64, 3>>(), 8);
+        assert_eq!(std::mem::size_of::<Option<NodePtr<(), 20>>>(), 8);
     }
 
     fn splitmix(mut x: u64) -> u64 {
@@ -2140,7 +2139,7 @@ mod tests {
         seq.validate_local().unwrap();
         assert!(seq.segments().len() >= 10);
         for seg in seq.segments() {
-            assert!(seg.bits.len() <= PAGE_BITS && seg.bits.len() >= PAGE_BITS / 4);
+            assert!(seg.bits_len() <= PAGE_BITS && seg.bits_len() >= PAGE_BITS / 4);
         }
         let bulk = Node::from_children(
             63,
@@ -2163,11 +2162,12 @@ mod tests {
         bulk.validate_local().unwrap();
         assert_eq!(seq.logical_bits(), bulk.logical_bits());
         assert_eq!(slots(&seq), slots(&bulk));
+        let (words, len) = seq.logical_bits();
         let decoded = Node::from_parts(
             63,
             0,
             false,
-            seq.logical_bits().into_owned(),
+            &BitBuf::from_words(words.into_owned().into(), len).unwrap(),
             Vec::new(),
             seq.post_values().copied().collect(),
         )
@@ -2187,7 +2187,7 @@ mod tests {
         let good: Node<u64, 20> = wide_node((0..(1u64 << 20)).step_by(6007));
         assert_eq!(good.repr, Repr::Paged);
         good.validate_local().unwrap();
-        let segs = good.subs.len();
+        let segs = good.subs().len();
         let ib = good.infix_bits();
         let corrupt = |f: &dyn Fn(&mut Node<u64, 20>)| {
             let mut bad = good.clone();
@@ -2198,33 +2198,36 @@ mod tests {
         // A fence that is not its segment's first address.
         for i in 0..segs {
             let off = good.fence_off(i);
-            assert!(corrupt(&|n| n.bits.write_bits(off, good.fence(i) ^ 1, 20)).contains("fence"));
+            assert!(corrupt(&|n| n.write_bits(off, good.fence(i) ^ 1, 20)).contains("fence"));
         }
         // Fences exchanged, all ones, all zero.
         corrupt(&|n| {
             let (a, b) = (n.fence(1), n.fence(2));
-            n.bits.write_bits(n.fence_off(1), b, 20);
-            n.bits.write_bits(n.fence_off(2), a, 20);
+            n.write_bits(n.fence_off(1), b, 20);
+            n.write_bits(n.fence_off(2), a, 20);
         });
-        corrupt(&|n| n.bits.write_bits(n.fence_off(segs - 1), (1 << 20) - 1, 20));
-        corrupt(&|n| n.bits.write_bits(n.fence_off(1), 0, 20));
+        corrupt(&|n| n.write_bits(n.fence_off(segs - 1), (1 << 20) - 1, 20));
+        corrupt(&|n| n.write_bits(n.fence_off(1), 0, 20));
         // A fence too few, a fence too many.
-        corrupt(&|n| n.bits.truncate(n.bits.len() - 20));
-        corrupt(&|n| n.bits.grow(20));
+        corrupt(&|n| n.bits_resize(n.bits_len() - 20));
+        corrupt(&|n| n.bits_resize(n.bits_len() + 20));
         // Counters off.
-        corrupt(&|n| n.bits.write_bits(ib, 1, 32));
-        corrupt(&|n| n.bits.write_bits(ib + 32, 0, 32));
+        corrupt(&|n| n.write_bits(ib, 1, 32));
+        corrupt(&|n| n.write_bits(ib + 32, 0, 32));
         // Segments out of order, missing, duplicated, or not segments.
-        corrupt(&|n| n.subs.swap(0, 1));
+        corrupt(&|n| n.subs_mut().swap(0, 1));
         corrupt(&|n| {
-            n.subs.pop();
+            n.subs_remove(segs - 1);
         });
-        corrupt(&|n| n.subs[1] = n.subs[0].clone());
-        corrupt(&|n| Arc::make_mut(&mut n.subs[0]).infix_len = 1);
-        corrupt(&|n| Arc::make_mut(&mut n.subs[0]).post_len = 62);
-        corrupt(&|n| n.subs[0] = Arc::new(good.clone()));
-        corrupt(&|n| n.subs.truncate(1));
-        corrupt(&|n| n.values.push(7));
+        corrupt(&|n| n.subs_mut()[1] = n.subs()[0].clone());
+        corrupt(&|n| NodePtr::make_mut(&mut n.subs_mut()[0]).infix_len = 1);
+        corrupt(&|n| NodePtr::make_mut(&mut n.subs_mut()[0]).post_len = 62);
+        corrupt(&|n| n.subs_mut()[0] = good.clone().into());
+        corrupt(&|n| {
+            let first = n.take_subs().swap_remove(0);
+            n.push_sub(first);
+        });
+        corrupt(&|n| n.push_val(7));
     }
 
     #[test]
@@ -2233,9 +2236,9 @@ mod tests {
         let mut n: Node<u64, 20> = wide_node((0..(1u64 << 20)).step_by(1013));
         assert_eq!(n.repr, Repr::Paged);
         let shared = |a: &Node<u64, 20>, b: &Node<u64, 20>| {
-            a.subs
+            a.subs()
                 .iter()
-                .filter(|s| b.subs.iter().any(|t| Arc::ptr_eq(s, t)))
+                .filter(|s| b.subs().iter().any(|t| NodePtr::ptr_eq(s, t)))
                 .count()
         };
         let first = n.clone();
@@ -2252,7 +2255,7 @@ mod tests {
             // Every segment of the snapshot but the edited one (and, on
             // a merge, its neighbour) is still the very same allocation.
             assert!(
-                shared(&snapshot, &n) >= snapshot.subs.len() - 2,
+                shared(&snapshot, &n) >= snapshot.subs().len() - 2,
                 "write {i}"
             );
         }

@@ -21,7 +21,7 @@
 //! [`build_node`], which re-validates all structural invariants so that
 //! corrupt input yields an error instead of a broken tree.
 
-use crate::node::Node;
+use crate::node::{Node, NodePtr};
 use crate::tree::PhTree;
 use phbits::BitBuf;
 use std::borrow::Cow;
@@ -32,9 +32,10 @@ use std::borrow::Cow;
 /// write never depends on how a node happens to be paged.
 pub struct NodeRef<'t, V, const K: usize> {
     node: &'t Node<V, K>,
-    /// Borrowed from the node, or for a paged node the segments' bit
-    /// strings concatenated.
-    bits: Cow<'t, BitBuf>,
+    /// The words of the node's logical bit string — borrowed from the
+    /// node, or for a paged node the segments' bit strings concatenated
+    /// — and its length in bits.
+    bits: (Cow<'t, [u64]>, usize),
 }
 
 impl<'t, V, const K: usize> NodeRef<'t, V, K> {
@@ -62,12 +63,12 @@ impl<'t, V, const K: usize> NodeRef<'t, V, K> {
 
     /// Length of the packed bit string, in bits.
     pub fn bits_len(&self) -> usize {
-        self.bits.len()
+        self.bits.1
     }
 
     /// Backing words of the packed bit string.
     pub fn bits_words(&self) -> &[u64] {
-        self.bits.words()
+        &self.bits.0
     }
 
     /// Number of postfix entries.
@@ -143,18 +144,9 @@ pub fn build_node<V, const K: usize>(
 ) -> Result<RawNode<V, K>, RawError> {
     let bits = BitBuf::from_words(bits_words, bits_len)
         .ok_or_else(|| RawError::new("bit-string length disagrees with word count"))?;
-    let mut subs: Vec<std::sync::Arc<Node<V, K>>> = subs
-        .into_iter()
-        .map(|r| std::sync::Arc::new(r.node))
-        .collect();
-    // Decoded trees must carry zero capacity slack (the space accounting
-    // charges capacity): callers may have collected these vectors
-    // through adapters that over-reserve.
-    subs.shrink_to_fit();
-    let mut values = values;
-    values.shrink_to_fit();
+    let subs: Vec<NodePtr<V, K>> = subs.into_iter().map(|r| r.node.into()).collect();
     let node =
-        Node::from_parts(post_len, infix_len, is_hc, bits, subs, values).map_err(RawError::new)?;
+        Node::from_parts(post_len, infix_len, is_hc, &bits, subs, values).map_err(RawError::new)?;
     Ok(RawNode { node })
 }
 
@@ -342,7 +334,7 @@ mod tests {
             if n.is_hc() {
                 return Some(n);
             }
-            n.subs.iter().find_map(|s| find_hc(s))
+            n.subs().iter().find_map(|s| find_hc(s))
         }
         let hc = match t.root.as_deref().and_then(find_hc) {
             Some(n) => NodeRef::new(n),

@@ -15,12 +15,6 @@ use crate::tree::PhTree;
 /// header).
 pub const ALLOC_OVERHEAD: usize = 16;
 
-/// Bytes of the `Arc` control block preceding each node allocation
-/// (strong + weak refcounts). Nodes live behind `Arc`s so tree
-/// versions can share structure (copy-on-write snapshots); the two
-/// counters are the entire per-node cost of that capability.
-pub const ARC_HEADER: usize = 2 * std::mem::size_of::<usize>();
-
 /// Structural statistics of a [`PhTree`], from [`PhTree::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeStats {
@@ -37,10 +31,11 @@ pub struct TreeStats {
     /// Total heap bytes owned by the tree, including per-allocation
     /// overhead ([`ALLOC_OVERHEAD`]).
     pub total_bytes: usize,
-    /// Bytes held in per-node packed bit buffers (infixes, hypercube
+    /// Bytes of the nodes' packed bit strings (infixes, hypercube
     /// addresses, child kinds and postfixes).
     pub bit_bytes: usize,
-    /// Number of heap allocations.
+    /// Number of heap allocations: one per node, plus one per segment
+    /// of a paged node.
     pub allocations: usize,
 }
 
@@ -64,35 +59,13 @@ impl TreeStats {
     }
 }
 
-/// Charges the heap blocks of one node struct — a node, or one segment
-/// of a paged node — to `s`.
-fn charge_allocs<V, const K: usize>(n: &Node<V, K>, s: &mut TreeStats) {
-    // The node's own allocation: `Arc<Node>` puts the refcount control
-    // block and the node struct in one heap block.
+/// Charges the heap block of one node — or of one segment of a paged
+/// node — to `s`: its whole capacity, slack included, since that is
+/// real heap until a shrink pass releases it.
+fn charge_block<V, const K: usize>(n: &Node<V, K>, s: &mut TreeStats) {
     s.allocations += 1;
-    s.total_bytes += ARC_HEADER + std::mem::size_of::<Node<V, K>>() + ALLOC_OVERHEAD;
-    // The packed bit string.
-    let bb = n.bits.heap_bytes();
-    if bb > 0 {
-        s.allocations += 1;
-        s.total_bytes += bb + ALLOC_OVERHEAD;
-        s.bit_bytes += bb;
-    }
-    // Sub-node vector: one pointer per child (the child structs are
-    // separate `Arc` allocations, charged when visited). Charged at
-    // *capacity*, not length — amortised growth leaves slack that is
-    // real heap usage until a shrink pass releases it.
-    if n.subs.capacity() > 0 {
-        s.allocations += 1;
-        s.total_bytes +=
-            n.subs.capacity() * std::mem::size_of::<std::sync::Arc<Node<V, K>>>() + ALLOC_OVERHEAD;
-    }
-    // Value vector, likewise at capacity (no heap at all for zero-sized
-    // values — a ZST Vec reports usize::MAX capacity without allocating).
-    if std::mem::size_of::<V>() > 0 && n.values.capacity() > 0 {
-        s.allocations += 1;
-        s.total_bytes += n.values.capacity() * std::mem::size_of::<V>() + ALLOC_OVERHEAD;
-    }
+    s.total_bytes += n.capacity() + ALLOC_OVERHEAD;
+    s.bit_bytes += std::mem::size_of_val(n.words());
 }
 
 fn node_stats<V, const K: usize>(n: &Node<V, K>, depth: usize, s: &mut TreeStats) {
@@ -105,9 +78,9 @@ fn node_stats<V, const K: usize>(n: &Node<V, K>, depth: usize, s: &mut TreeStats
     } else {
         s.lhc_nodes += 1;
     }
-    charge_allocs(n, s);
+    charge_block(n, s);
     for seg in n.segments() {
-        charge_allocs(seg, s);
+        charge_block(seg, s);
     }
     for sub in n.child_nodes() {
         node_stats(sub, depth + 1, s);

@@ -8,11 +8,10 @@
 //! one entry moving between the two.
 
 use crate::config::ReprMode;
-use crate::node::{BulkChild, Child, Node, Probe, SlotRef, W};
+use crate::node::{BulkChild, Child, Node, NodePtr, Probe, SlotRef, W};
 use crate::telemetry::{self, TreeOp, Visits};
 use crate::walk;
 use phbits::{hc, num};
-use std::sync::Arc;
 
 /// Z-order (Morton-order) comparison of two keys: the order a
 /// depth-first walk of the tree visits entries in. Two keys compare by
@@ -56,15 +55,15 @@ fn z_cmp<const K: usize>(a: &[u64; K], b: &[u64; K]) -> std::cmp::Ordering {
 /// ```
 /// # Cheap clones and copy-on-write
 ///
-/// Nodes are stored behind [`Arc`]s, so `Clone` is O(1): it shares the
-/// whole structure. Mutating either tree afterwards copies only the
-/// nodes on the mutated path ([`Arc::make_mut`]) — the other tree is
-/// never affected. This is what gives the sharded serving layer its
+/// Nodes are refcounted, so `Clone` is O(1): it shares the whole
+/// structure. Mutating either tree afterwards copies only the nodes on
+/// the mutated path, one allocation each — the other tree is never
+/// affected. This is what gives the sharded serving layer its
 /// lock-free snapshot reads; a tree that is never cloned pays only a
 /// refcount check per node on the write path.
 #[derive(Clone)]
 pub struct PhTree<V, const K: usize> {
-    pub(crate) root: Option<Arc<Node<V, K>>>,
+    pub(crate) root: Option<NodePtr<V, K>>,
     len: usize,
     mode: ReprMode,
 }
@@ -113,7 +112,7 @@ impl<V, const K: usize> PhTree<V, K> {
     /// Internal constructor for deserialisation ([`crate::raw`]).
     pub(crate) fn assemble(root: Node<V, K>, len: usize) -> Self {
         PhTree {
-            root: Some(Arc::new(root)),
+            root: Some(root.into()),
             len,
             mode: ReprMode::Adaptive,
         }
@@ -130,10 +129,9 @@ impl<V, const K: usize> PhTree<V, K> {
     ///
     /// The items are sorted by Z-order interleaving, then the sorted run
     /// is split recursively on the highest diverging bit so every node
-    /// is emitted exactly once with its final contents: child vectors
-    /// and the packed bit string are allocated at exact final size, and
-    /// the HC/LHC representation is chosen once from the final child
-    /// count. The result is structurally identical to inserting the
+    /// is emitted exactly once with its final contents: its one heap
+    /// block is allocated at exact final size, and the HC/LHC
+    /// representation is chosen once from the final child count. The result is structurally identical to inserting the
     /// items sequentially (the tree shape is a pure function of its
     /// contents), but without the per-entry node reallocation —
     /// loading large batches is several times faster.
@@ -188,7 +186,7 @@ impl<V, const K: usize> PhTree<V, K> {
         let root = Self::build_range(&keys, 0, len, (W - 1) as u8, 0, &mut vals, mode);
         debug_assert!(vals.next().is_none(), "every value must be consumed");
         PhTree {
-            root: Some(Arc::new(root)),
+            root: Some(root.into()),
             len,
             mode,
         }
@@ -244,11 +242,11 @@ impl<V, const K: usize> PhTree<V, K> {
 }
 
 /// Update operations. These require `V: Clone` because nodes are
-/// `Arc`-shared between tree versions: a mutation descending through a
-/// node that a clone/snapshot still references path-copies it
-/// ([`Arc::make_mut`]), which clones the values stored in that one
+/// shared between tree versions: a mutation descending through a node
+/// that a clone/snapshot still references path-copies it
+/// ([`NodePtr::make_mut`]), which clones the values stored in that one
 /// node. With no other version alive every node is uniquely owned and
-/// updates happen in place, exactly as before.
+/// updates happen in place.
 impl<V: Clone, const K: usize> PhTree<V, K> {
     /// Inserts `key → value`. Returns the previous value if the key was
     /// already present (the PH-tree stores no duplicate keys).
@@ -260,13 +258,14 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
                 // (zb = 1 in the paper's numbering), with no prefix.
                 let mut root = Node::new((W - 1) as u8, 0, &key);
                 root.insert_post(hc::addr(&key, W - 1), &key, value, self.mode);
-                self.root = Some(Arc::new(root));
+                self.root = Some(root.into());
                 self.len = 1;
                 vis.bump();
                 None
             }
             Some(root) => {
-                let old = Self::insert_rec(Arc::make_mut(root), &key, value, self.mode, &mut vis);
+                let old =
+                    Self::insert_rec(NodePtr::make_mut(root), &key, value, self.mode, &mut vis);
                 if old.is_none() {
                     self.len += 1;
                 }
@@ -359,7 +358,7 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
     /// Point query with mutable access to the value (copy-on-write: a
     /// node shared with a snapshot is copied before being borrowed).
     pub fn get_mut(&mut self, key: &[u64; K]) -> Option<&mut V> {
-        let mut node = Arc::make_mut(self.root.as_mut()?);
+        let mut node = NodePtr::make_mut(self.root.as_mut()?);
         loop {
             if !node.infix_matches(key) {
                 return None;
@@ -377,7 +376,7 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
     pub fn remove(&mut self, key: &[u64; K]) -> Option<V> {
         let mut vis = Visits::new();
         let root = match self.root.as_mut() {
-            Some(r) => Arc::make_mut(r),
+            Some(r) => NodePtr::make_mut(r),
             None => {
                 telemetry::record_op(TreeOp::Remove, vis);
                 return None;
@@ -465,7 +464,7 @@ impl<V: Clone, const K: usize> PhTree<V, K> {
     /// paper's post-load `System.gc()` before space measurements).
     pub fn shrink_to_fit(&mut self) {
         if let Some(r) = self.root.as_mut() {
-            Arc::make_mut(r).shrink_subtree();
+            Node::shrink_subtree(r);
         }
     }
 }

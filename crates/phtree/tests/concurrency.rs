@@ -3,6 +3,8 @@
 //! the read side — a built tree is safely shared across threads).
 
 use phtree::{PhTree, PhTreeF64};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 #[test]
 fn tree_is_send_and_sync() {
@@ -62,6 +64,92 @@ fn tree_can_be_moved_to_another_thread() {
     let (n, hits) = handle.join().unwrap();
     assert!(n > 0);
     assert!(hits <= n);
+}
+
+/// Values alive, over all versions of the tree below.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+struct Tracked(u64);
+
+impl Tracked {
+    fn new(v: u64) -> Self {
+        LIVE.fetch_add(1, Ordering::Relaxed);
+        Tracked(v)
+    }
+}
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        Tracked::new(self.0)
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        assert!(
+            LIVE.fetch_sub(1, Ordering::Relaxed) > 0,
+            "value dropped twice"
+        );
+    }
+}
+
+/// Nodes are shared between tree versions by refcount, and the
+/// refcount is the one thing several threads write: a writer keeps
+/// editing and publishing versions while four threads take the
+/// published version, path-copy it with writes of their own and drop
+/// it — so handles to the same blocks are cloned, copied-on-write and
+/// released from five threads at once. Every version must stay intact,
+/// and when the last one is gone every value must have been dropped
+/// exactly once: a block freed early or twice would drop its values
+/// early or twice, and a leaked block would keep at least two alive
+/// (no subtree holds fewer). CI runs this optimised with debug
+/// assertions, so the standard library's pointer checks are in.
+#[test]
+fn versions_are_cloned_copied_and_dropped_from_many_threads() {
+    let key = |i: u64| [i % 61, i / 61 % 61, i.wrapping_mul(0x9E37_79B9) % 4096];
+    let mut tree: PhTree<Tracked, 3> = (0..20_000).map(|i| (key(i), Tracked::new(i))).collect();
+    let published = Mutex::new(tree.clone());
+    let start = Barrier::new(5);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (published, start) = (&published, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..300u64 {
+                    let mut mine = published.lock().unwrap().clone();
+                    let len = mine.len();
+                    for j in 0..20 {
+                        let i = (round * 131 + j * 977 + t * 7919) % 40_000;
+                        match mine.remove(&key(i)) {
+                            Some(old) => assert_eq!(old.0 % 40_000, i),
+                            None => assert!(mine.insert(key(i), Tracked::new(i)).is_none()),
+                        }
+                    }
+                    assert_eq!(mine.iter().count(), mine.len());
+                    assert!(mine.len().abs_diff(len) <= 20);
+                    if round % 50 == 0 {
+                        mine.check_invariants();
+                    }
+                }
+            });
+        }
+        start.wait();
+        for i in 0..20_000u64 {
+            match i % 3 {
+                0 => drop(tree.remove(&key(i))),
+                _ => drop(tree.insert(key(20_000 + i), Tracked::new(20_000 + i))),
+            }
+            if i % 16 == 0 {
+                *published.lock().unwrap() = tree.clone();
+            }
+        }
+    });
+    tree.check_invariants();
+    // The published version shares most of its blocks with `tree`.
+    drop(published);
+    assert_eq!(LIVE.load(Ordering::Relaxed), tree.len() as isize);
+    drop(tree);
+    assert_eq!(LIVE.load(Ordering::Relaxed), 0);
 }
 
 /// Small deterministic point cloud without pulling in the datasets crate
