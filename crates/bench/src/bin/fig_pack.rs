@@ -17,7 +17,8 @@
 //! * **Allocations** — warmed packed `get`/`query`/`knn_into` batches,
 //!   pinned at zero by the counting global allocator.
 //! * **Page locality** — data-page extents touched per window query
-//!   and per kNN(10) on the descent-ordered layout.
+//!   and per kNN(10) on the descent-ordered layout, and the entry
+//!   postfixes a kNN(10) decodes (those its quadrant table keeps).
 //! * **kNN** — µs per kNN(10), packed (resident) against the live tree:
 //!   the same search over two node representations.
 //! * **Cold gets** — µs per `get` through an LRU holding a tenth of the
@@ -215,16 +216,20 @@ fn main() {
     black_box(hits);
     let touches_per_query = (fresh.cache_stats().touches - t0) as f64 / windows.len() as f64;
 
-    // --- kNN: pages touched (an exact count) and time per search, the
-    // packed artifact against the live tree it was packed from. ---
+    // --- kNN: pages touched and entry postfixes decoded (exact counts)
+    // and time per search, the packed artifact against the live tree it
+    // was packed from. ---
     let centres = &probes[..64];
     let t0 = fresh.cache_stats().touches;
+    let mut decoded = 0;
     for c in centres {
-        fresh
-            .knn_into(c, 10, &IntEuclidean, &mut scratch, &mut out)
-            .expect("knn");
+        let trees = [(0.0, &fresh)];
+        decoded += PackedTree::knn_forest(trees, c, 10, &IntEuclidean, &mut scratch, &mut out)
+            .expect("knn")
+            .decoded;
     }
     let touches_per_knn = (fresh.cache_stats().touches - t0) as f64 / centres.len() as f64;
+    let decoded_per_knn = decoded as f64 / centres.len() as f64;
     let live = packed.to_tree().expect("unpack");
     let per_knn_us = 1000.0 / centres.len() as f64;
     let knn_packed_us = per_knn_us
@@ -264,7 +269,8 @@ fn main() {
         "fig_pack k={K}: n={entries} open wal {wal_ms:.3} ms, snapshot {snap_ms:.3} ms, \
          packed {packed_ms:.3} ms ({:.1}x vs wal); bytes/e packed {packed_bpe:.1} vs live \
          {live_bpe:.1}; {allocs} allocs / {ops:.0} warmed ops; {touches_per_query:.1} \
-         page-touches/query, {touches_per_knn:.1} /kNN ({} data pages); kNN(10) packed \
+         page-touches/query, {touches_per_knn:.1} /kNN ({} data pages); kNN(10) decodes \
+         {decoded_per_knn:.1} entries, packed \
          {knn_packed_us:.1} us vs live {knn_live_us:.1} us; cold get {cold_get_us:.2} us at \
          {faults_per_get:.2} faults/get (lru {cold_budget} pages)",
         wal_ms / packed_ms,
@@ -296,6 +302,7 @@ fn main() {
             ("fig_pack_live_bytes_per_entry", live_bpe),
             ("fig_pack_page_touches_per_query", touches_per_query),
             ("fig_pack_page_touches_per_knn", touches_per_knn),
+            ("fig_pack_knn_decoded_per_query", decoded_per_knn),
             ("fig_pack_knn_packed_us", knn_packed_us),
             ("fig_pack_knn_live_us", knn_live_us),
             ("fig_pack_cold_get_us", cold_get_us),

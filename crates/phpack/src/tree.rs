@@ -28,7 +28,7 @@
 use crate::cache::{CacheMode, CacheStats, LruCache, PageCache, SliceCache};
 use crate::format::{page_sum, Meta, PackedRef, PACK_MAGIC, PAGE_SIZE};
 use crate::view::{NodeView, PSlot, PackedPost};
-use phbits::hc;
+use phbits::{bytes, hc, num};
 use phstore::vfs::{StdVfs, Vfs};
 use phstore::{superblock, Corruption, StoreError, ValueCodec};
 use phtree::knn::{self, Expanded, Hit};
@@ -466,8 +466,19 @@ impl<'c, const K: usize> NodeRead<K> for PackedNode<'c, K> {
     }
 
     #[inline]
-    fn read_postfix_into(&self, post: &PackedPost, key: &mut [u64; K]) {
-        self.view.read_postfix_into(post.pf_off, key)
+    fn read_postfix_while(
+        &self,
+        post: &PackedPost,
+        key: &mut [u64; K],
+        mut keep: impl FnMut(usize, u64) -> bool,
+    ) -> bool {
+        let width = self.view.post_len as u32;
+        let low = num::low_mask(width);
+        (0..K).all(|d| {
+            let off = post.pf_off + d * width as usize;
+            key[d] = (key[d] & !low) | bytes::read_bits(self.view.bits(), off, width);
+            keep(d, key[d])
+        })
     }
 
     #[inline]

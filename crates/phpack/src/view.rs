@@ -173,7 +173,7 @@ impl<'c, const K: usize> NodeView<'c, K> {
 
     /// The record's bit string (same bit offsets as the live `BitBuf`).
     #[inline]
-    fn bits(&self) -> &[u8] {
+    pub fn bits(&self) -> &[u8] {
         &self.bytes[self.bits_off..self.values_off]
     }
 
@@ -211,13 +211,6 @@ impl<'c, const K: usize> NodeView<'c, K> {
     #[inline]
     pub fn postfix_matches(&self, pf_off: usize, key: &[u64; K]) -> bool {
         self.post_len == 0 || bytes::eq_key(self.bits(), pf_off, self.post_len as u32, 0, key)
-    }
-
-    #[inline]
-    pub fn read_postfix_into(&self, pf_off: usize, key: &mut [u64; K]) {
-        if self.post_len != 0 {
-            bytes::read_key_into(self.bits(), pf_off, self.post_len as u32, 0, key);
-        }
     }
 
     // --------------------------------------------------------- HC layout

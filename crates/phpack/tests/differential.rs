@@ -192,6 +192,89 @@ proptest! {
     }
 }
 
+// ------------------------------------------------- window edges on data
+
+/// A window edge near stored coordinate `v`: on it, one off either way,
+/// or on the boundary of a node region around it (its low `b` bits
+/// cleared or set). These are where the walker's per-coordinate
+/// postfix test and its region test decide.
+fn edge(v: u64, b: u32, how: u8) -> u64 {
+    let low = phbits::num::low_mask(b);
+    match how {
+        0 => v,
+        1 => v.wrapping_sub(1),
+        2 => v.wrapping_add(1),
+        3 => v & !low,
+        _ => v | low,
+    }
+}
+
+/// A window corner: which stored key it is near, which edge (see
+/// [`edge`]) and `b` per dimension. Two corners span the bounding box
+/// of two stored keys, its faces on, beside or around them.
+type Edges<const K: usize> = (usize, u8, [u32; K]);
+
+fn check_edges<const K: usize>(
+    keys: Vec<[u64; K]>,
+    windows: Vec<(Edges<K>, Edges<K>)>,
+) -> Result<(), TestCaseError> {
+    let model: BTreeMap<[u64; K], u64> = keys.iter().zip(0..).map(|(k, i)| (*k, i)).collect();
+    let live = PhTree::bulk_load(model.iter().map(|(k, v)| (*k, *v)).collect());
+    let vfs = MemVfs::new();
+    let path = Path::new("/m/edges.phk");
+    pack_tree_in(&live, &vfs, path).expect("pack");
+    let packed: PackedTree<u64, K> =
+        PackedTree::open_in(&vfs, path, CacheMode::Lru { pages: 2 }).expect("open");
+    let corner = |e: &Edges<K>| -> [u64; K] {
+        std::array::from_fn(|d| edge(keys[e.0 % keys.len()][d], e.2[d], e.1))
+    };
+    for (a, b) in &windows {
+        let (a, b) = (corner(a), corner(b));
+        let min: [u64; K] = std::array::from_fn(|d| a[d].min(b[d]));
+        let max: [u64; K] = std::array::from_fn(|d| a[d].max(b[d]));
+        let want: Vec<([u64; K], u64)> = model
+            .iter()
+            .filter(|(k, _)| (0..K).all(|d| min[d] <= k[d] && k[d] <= max[d]))
+            .map(|(k, v)| (*k, *v))
+            .collect();
+        let mut got: Vec<([u64; K], u64)> = live.query(&min, &max).map(|(k, &v)| (k, v)).collect();
+        let from_pages: Vec<([u64; K], u64)> = packed
+            .query(&min, &max)
+            .collect::<Result<_, _>>()
+            .expect("window");
+        prop_assert_eq!(&from_pages, &got, "packed order {:?}..{:?}", min, max);
+        got.sort_unstable();
+        prop_assert_eq!(&got, &want, "window {:?}..{:?}", min, max);
+    }
+    Ok(())
+}
+
+macro_rules! window_edges {
+    ($name:ident, $k:literal, $cases:literal) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases($cases))]
+
+            #[test]
+            fn $name(
+                keys in proptest::collection::vec(key_strategy::<$k>(), 1..120),
+                windows in proptest::collection::vec(
+                    std::array::from_fn::<_, 2, _>(|_| {
+                        (any::<usize>(), 0u8..5, std::array::from_fn::<_, $k, _>(|_| 0u32..64))
+                    }),
+                    1..6,
+                ),
+            ) {
+                check_edges::<$k>(keys, windows.into_iter().map(|[a, b]| (a, b)).collect())?;
+            }
+        }
+    };
+}
+
+window_edges!(window_edges_on_stored_values_k1, 1, 64);
+window_edges!(window_edges_on_stored_values_k3, 3, 64);
+window_edges!(window_edges_on_stored_values_k8, 8, 48);
+window_edges!(window_edges_on_stored_values_k20, 20, 24);
+
 // ------------------------------------------------------------ edge cases
 
 #[test]

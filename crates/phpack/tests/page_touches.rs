@@ -4,11 +4,12 @@
 //! opened node again — what the packed walker did before the shared
 //! search — multiplies the count several times over.
 //!
-//! Page touches per window, pinned too: the window walker still fetches
-//! every sub-node its masks admit before testing the sub-node's region,
-//! so its count is the number a deferred child fetch will divide. How
-//! many of those touches miss the LRU is pinned beside it: the cache
-//! keeps exact least-recently-used order however it finds its victim.
+//! Page touches per window, pinned too: the window walker fetches every
+//! sub-node its masks admit, and the masks admit exactly the quadrants
+//! that meet the box, so nearly every fetch finds a region the box
+//! intersects. How many of those touches miss the LRU is pinned beside
+//! it: the cache keeps exact least-recently-used order however it finds
+//! its victim.
 
 use phpack::{pack_tree_in, CacheMode, PackedTree};
 use phstore::vfs::MemVfs;
@@ -70,7 +71,9 @@ fn a_batch_of_knn_touches_no_more_pages_than_recorded() {
     let got = touches(CacheMode::Lru { pages: 64 });
     assert_eq!(got, touches(CacheMode::Resident));
     // Recorded from the change that introduced deferred child fetch;
-    // the fetch-every-child walker before it touched 110 923.
+    // the fetch-every-child walker before it touched 110 923. The
+    // quadrant table decides from the parent alone which slots to read,
+    // so it fetches exactly the pages the search before it did.
     const RECORDED: u64 = 12_968;
     assert!(
         got <= RECORDED,
@@ -98,10 +101,8 @@ fn a_batch_of_windows_touches_exactly_the_recorded_pages() {
     let (hits, touched, faults) = touches(CacheMode::Lru { pages: 64 });
     assert_eq!((hits, touched, 0), touches(CacheMode::Resident));
     // Recorded at the commit before the window walker moved onto the
-    // shared node seam; the move must not change which pages a window
-    // reads. This is the number the roadmap's deferred child fetch for
-    // windows (test a sub-node's quadrant before fetching it) will
-    // divide.
+    // shared node seam; neither that move nor testing postfixes a
+    // coordinate at a time may change which pages a window reads.
     assert_eq!(
         (hits, touched),
         (501, 5_692),

@@ -27,7 +27,7 @@ use crate::DurableSharded;
 use phpack::{pack_tree_in, CacheMode, KnnScratch, PackedTree};
 use phstore::vfs::{StdVfs, Vfs};
 use phstore::{superblock, Corruption, StoreError, ValueCodec};
-use phtree::{Distance, IntEuclidean};
+use phtree::{knn, IntEuclidean};
 use std::path::Path;
 
 /// Manifest file name inside a packed-checkpoint directory.
@@ -246,7 +246,7 @@ impl<V: ValueCodec, const K: usize> PackedShards<V, K> {
     pub fn knn(&self, center: &[u64; K], n: usize) -> Result<Vec<([u64; K], V, f64)>, StoreError> {
         let _d = phtrace::span(phtrace::Phase::Descent);
         let trees = self.map.shard_boxes().into_iter().map(|(s, lo, hi)| {
-            let dist = Distance::<K>::to_box(&IntEuclidean, center, &lo, &hi);
+            let dist = knn::to_box(&IntEuclidean, center, &lo, &hi);
             (dist, self.tree(s))
         });
         let mut out = Vec::new();

@@ -41,7 +41,7 @@
 use crate::epoch::ShardMap;
 use crate::metrics::Probes;
 use crate::ShardStats;
-use phtree::{knn, Distance, IntEuclidean, PhTree};
+use phtree::{knn, IntEuclidean, PhTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -268,7 +268,7 @@ impl<V: Clone, const K: usize> Snapshot<V, K> {
         let t = self.probes.ops.knn.start();
         let _d = phtrace::span(phtrace::Phase::Descent);
         let trees = self.map.shard_boxes().into_iter().map(|(s, lo, hi)| {
-            let dist = Distance::<K>::to_box(&IntEuclidean, center, &lo, &hi);
+            let dist = knn::to_box(&IntEuclidean, center, &lo, &hi);
             (dist, &self.root(s).tree)
         });
         let (hits, seen) = knn::forest(trees, center, n, f64::INFINITY, &IntEuclidean);

@@ -13,7 +13,7 @@ use phmetrics::Registry;
 use phshard::{DurableSharded, ShardStats, ShardedTree, Snapshot, SplitReport};
 use phstore::vfs::MemVfs;
 use phstore::DurableConfig;
-use phtree::{Distance, IntEuclidean, PhTree};
+use phtree::{knn, IntEuclidean, PhTree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -146,7 +146,7 @@ fn assert_reads_match<S: Store>(s: &S, model: &Model, what: &str) {
     assert_eq!(s.count(&lo, &hi), want.len(), "{what}: query_count");
     // kNN: the distance profile of a brute-force scan.
     let center = [5, 1 << 62, u64::MAX];
-    let dist = |k: &Key| Distance::<3>::point(&IntEuclidean, &center, k);
+    let dist = |k: &Key| knn::point(&IntEuclidean, &center, k);
     let mut want: Vec<f64> = model.keys().map(dist).collect();
     want.sort_by(f64::total_cmp);
     want.truncate(4);

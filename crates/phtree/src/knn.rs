@@ -9,19 +9,28 @@
 //! number of roots, so a sharded kNN is one search, not one per shard.
 //!
 //! A priority queue ordered by minimum possible distance holds
-//! unresolved sub-nodes, resolved nodes and entries. Two rules keep it
-//! small:
+//! unresolved sub-nodes and resolved nodes; entries never enter it.
+//! Three rules keep the work small:
 //!
-//! * **Pruning bound.** The `n`-th smallest entry distance seen so far
-//!   (initially the caller's `max_dist`) bounds everything still worth
-//!   looking at: nothing farther is queued, and the loop ends when the
-//!   queue's front exceeds it.
+//! * **Pruning bound.** The `n` best entries seen so far, by
+//!   `(distance, key)`, sit in a bounded max-heap; once it is full the
+//!   top's distance (before that the caller's `max_dist`) bounds
+//!   everything still worth looking at: nothing farther is queued or
+//!   decoded, and the loop ends when the queue's front exceeds it.
+//! * **Quadrants before slots.** Expanding a node measures, per
+//!   dimension, the distance from the centre to the node's lower and
+//!   upper half (2K metric calls). A slot's quadrant bound is then K
+//!   table lookups by its address bits — the window iterator's mask
+//!   test (Sect. 3.5) in metric form. A slot beyond the bound is
+//!   skipped before its key is built or its postfix read, and an entry
+//!   that survives is read one coordinate at a time, abandoned as soon
+//!   as the coordinates read are too far.
 //! * **Deferred children.** A sub-node is queued as an unresolved handle
-//!   keyed by the distance to its *quadrant* of the parent — computable
-//!   from the parent alone. Only when it reaches the front is it
-//!   resolved (for a packed tree: its page fetched), its infix read and
-//!   its own, tighter box measured; it is then expanded or re-queued.
-//!   Sub-trees and pages the bound cuts off are never touched.
+//!   keyed by its quadrant bound — computable from the parent alone.
+//!   Only when it reaches the front is it resolved (for a packed tree:
+//!   its page fetched), its infix read and its own, tighter box
+//!   measured; it is then expanded or re-queued. Sub-trees and pages
+//!   the bound cuts off are never touched.
 //!
 //! Results are sorted by `(distance, key)`, so which of several
 //! equidistant keys is returned does not depend on tree shape, shard
@@ -32,38 +41,43 @@ use crate::node::Node;
 use crate::tree::PhTree;
 use crate::walk::{NodeRead, Slot};
 use phbits::{hc, num};
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// A distance metric over PH-tree keys.
+/// A distance metric over PH-tree keys, given by its per-dimension
+/// term; [`point`] and [`to_box`] sum the terms in dimension order.
 ///
-/// Implementations define a per-dimension distance; point and
-/// point-to-box distances derive from it. Distances must be
-/// non-negative and the per-dimension distance monotone in `|a − b|`
-/// along each axis for the search to be exact.
+/// The terms must be non-negative, and `dim_dist2(d, a, b)` must not
+/// shrink as `b` moves away from `a` along dimension `d`. The search
+/// relies on it to skip a quadrant whose box is already too far: the
+/// term to the box's clamped coordinate is then a lower bound for the
+/// term to any coordinate inside it.
 pub trait Distance<const K: usize> {
     /// Distance contribution of dimension `d` between coordinates `a`
     /// and `b` (stored key space). Returns the *squared* term.
     fn dim_dist2(&self, d: usize, a: u64, b: u64) -> f64;
+}
 
-    /// Euclidean-style distance between two points.
-    fn point(&self, a: &[u64; K], b: &[u64; K]) -> f64 {
-        (0..K)
-            .map(|d| self.dim_dist2(d, a[d], b[d]))
-            .sum::<f64>()
-            .sqrt()
-    }
+/// Distance between two points under `metric`.
+pub fn point<M: Distance<K>, const K: usize>(metric: &M, a: &[u64; K], b: &[u64; K]) -> f64 {
+    (0..K)
+        .fold(0.0, |s, d| s + metric.dim_dist2(d, a[d], b[d]))
+        .sqrt()
+}
 
-    /// Minimum distance from `p` to the axis-aligned box `[lo, hi]`.
-    fn to_box(&self, p: &[u64; K], lo: &[u64; K], hi: &[u64; K]) -> f64 {
-        (0..K)
-            .map(|d| {
-                let c = p[d].clamp(lo[d], hi[d]);
-                self.dim_dist2(d, p[d], c)
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
+/// Minimum distance under `metric` from `p` to the axis-aligned box
+/// `[lo, hi]`.
+pub fn to_box<M: Distance<K>, const K: usize>(
+    metric: &M,
+    p: &[u64; K],
+    lo: &[u64; K],
+    hi: &[u64; K],
+) -> f64 {
+    (0..K)
+        .fold(0.0, |s, d| {
+            s + metric.dim_dist2(d, p[d], p[d].clamp(lo[d], hi[d]))
+        })
+        .sqrt()
 }
 
 /// Euclidean distance treating keys as unsigned integers.
@@ -114,16 +128,19 @@ pub struct Expanded {
     pub roots: usize,
     /// Nodes whose slots were visited, roots included.
     pub nodes: usize,
+    /// Entry postfixes read, in full or in part: the entry slots of
+    /// those nodes that their quadrant did not rule out.
+    pub decoded: usize,
 }
 
 /// An f64 wrapper giving total order for the priority queues
 /// (distances are never NaN, where the derived order would differ).
-#[derive(PartialEq, PartialOrd)]
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
 struct D(f64);
 impl Eq for D {}
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for D {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
     }
 }
@@ -134,18 +151,21 @@ enum Item<N: NodeRead<K>, const K: usize> {
     Child(N::Child, [u64; K]),
     /// A resolved node and the low corner of its own region.
     Node(N, [u64; K]),
-    Entry(Hit<N::Value, K>),
 }
 
-/// Reusable state of the search: the queue, its item arena and the
-/// results. Keep one per worker and searches stop allocating once the
-/// capacity high-water mark is reached.
+/// Reusable state of the search: the queue, its item arena, the best
+/// entries and the results. Keep one per worker and searches stop
+/// allocating once the capacity high-water mark is reached.
 pub struct KnnScratch<N: NodeRead<K>, const K: usize> {
     heap: BinaryHeap<(Reverse<D>, u32)>,
     /// Queue items by arena index; `None` once popped.
     items: Vec<Option<Item<N, K>>>,
-    /// The `n` smallest entry distances seen, largest on top.
-    nearest: BinaryHeap<D>,
+    /// The `n` best entries seen as `(distance, key, index into
+    /// values)`, worst on top: `(distance, key)` is the result order,
+    /// so it also decides which of equidistant entries are kept.
+    best: BinaryHeap<(D, [u64; K], u32)>,
+    /// The values of the entries in `best`, at the index each keeps.
+    values: Vec<Option<N::Value>>,
     /// Nothing farther than this can be a result.
     bound: f64,
     hits: Vec<Hit<N::Value, K>>,
@@ -163,7 +183,8 @@ impl<N: NodeRead<K>, const K: usize> KnnScratch<N, K> {
         KnnScratch {
             heap: BinaryHeap::new(),
             items: Vec::new(),
-            nearest: BinaryHeap::new(),
+            best: BinaryHeap::new(),
+            values: Vec::new(),
             bound: f64::INFINITY,
             hits: Vec::new(),
         }
@@ -192,7 +213,8 @@ impl<N: NodeRead<K>, const K: usize> KnnScratch<N, K> {
     ) -> Result<Expanded, N::Error> {
         self.heap.clear();
         self.items.clear();
-        self.nearest.clear();
+        self.best.clear();
+        self.values.clear();
         self.hits.clear();
         self.bound = max_dist;
         let mut seen = Expanded::default();
@@ -212,17 +234,13 @@ impl<N: NodeRead<K>, const K: usize> KnnScratch<N, K> {
                 .take()
                 .expect("every arena slot is popped once");
             let (node, corner) = match item {
-                Item::Entry(hit) => {
-                    self.hits.push(hit);
-                    continue;
-                }
                 Item::Node(node, corner) => (node, corner),
                 Item::Child(child, mut corner) => {
                     let node = N::resolve(&child)?;
                     seen.roots += ((idx as usize) < n_roots) as usize;
                     node.read_infix_into(&mut corner);
                     let span = num::low_mask(node.post_len() + 1);
-                    let tight = metric.to_box(center, &corner, &corner.map(|c| c | span));
+                    let tight = to_box(metric, center, &corner, &corner.map(|c| c | span));
                     // Not the nearest thing any more: queue it again
                     // (or, beyond the bound, drop it).
                     let next = self.heap.peek().map_or(self.bound, |(Reverse(d), _)| d.0);
@@ -234,44 +252,69 @@ impl<N: NodeRead<K>, const K: usize> KnnScratch<N, K> {
                 }
             };
             seen.nodes += 1;
-            let span = num::low_mask(node.post_len());
+            let p = node.post_len();
+            let span = num::low_mask(p);
+            // Squared distance from the centre to the node's lower and
+            // upper half, per dimension: the terms `to_box` sums for a
+            // quadrant, computed once for all of them.
+            let halves: [[f64; 2]; K] = std::array::from_fn(|d| {
+                [0, 1 << p].map(|half| {
+                    let lo = corner[d] | half;
+                    metric.dim_dist2(d, center[d], center[d].clamp(lo, lo | span))
+                })
+            });
             node.visit_slots(|h, slot| {
+                let quadrant = (0..K)
+                    .fold(0.0, |s, d| s + halves[d][(h >> (K - 1 - d)) as usize & 1])
+                    .sqrt();
+                if quadrant > self.bound {
+                    return;
+                }
                 // What the slot spells below the node's low corner: an
                 // entry's key, or a sub-node's quadrant's low corner.
                 let mut key = corner;
-                hc::apply_addr(&mut key, h, node.post_len());
-                match slot {
-                    Slot::Post(post) => {
-                        node.read_postfix_into(&post, &mut key);
-                        let dist = metric.point(center, &key);
-                        if dist <= self.bound {
-                            // Tighten the bound to the n-th smallest entry
-                            // distance seen (never below `dist` itself).
-                            self.nearest.push(D(dist));
-                            if self.nearest.len() > n {
-                                self.nearest.pop();
-                            }
-                            if let (true, Some(top)) =
-                                (self.nearest.len() == n, self.nearest.peek())
-                            {
-                                self.bound = self.bound.min(top.0);
-                            }
-                            let value = node.value(post);
-                            self.push(dist, Item::Entry(Hit { key, value, dist }));
-                        }
+                hc::apply_addr(&mut key, h, p);
+                let post = match slot {
+                    Slot::Sub(child) => return self.push(quadrant, Item::Child(child, key)),
+                    Slot::Post(post) => post,
+                };
+                seen.decoded += 1;
+                // Coordinates are summed as read, as `point` sums them;
+                // once a partial sum's root is past the bound the entry
+                // cannot win (`bound2` only spares the roots below it).
+                let (bound, bound2, mut sum) = (self.bound, self.bound * self.bound, 0.0);
+                let read = node.read_postfix_while(&post, &mut key, |d, v| {
+                    sum += metric.dim_dist2(d, center[d], v);
+                    !(sum > bound2 && sum.sqrt() > bound)
+                });
+                let dist = D(sum.sqrt());
+                if !read || dist.0 > bound {
+                    return;
+                }
+                if self.best.len() < n {
+                    self.best.push((dist, key, self.values.len() as u32));
+                    self.values.push(Some(node.value(post)));
+                } else {
+                    let mut worst = self.best.peek_mut().expect("n > 0");
+                    if (dist, key).cmp(&(worst.0, worst.1)).is_ge() {
+                        return;
                     }
-                    Slot::Sub(child) => {
-                        let dist = metric.to_box(center, &key, &key.map(|c| c | span));
-                        self.push(dist, Item::Child(child, key));
-                    }
+                    *worst = (dist, key, worst.2);
+                    self.values[worst.2 as usize] = Some(node.value(post));
+                }
+                if let (true, Some((D(worst), ..))) = (self.best.len() == n, self.best.peek()) {
+                    self.bound = *worst;
                 }
             })?;
         }
-        // The bound admits every entry tied with the n-th: order the
-        // ties by key, then cut.
+        for (D(dist), key, at) in self.best.drain() {
+            let value = self.values[at as usize]
+                .take()
+                .expect("one value per entry");
+            self.hits.push(Hit { key, value, dist });
+        }
         self.hits
             .sort_unstable_by(|a, b| a.dist.total_cmp(&b.dist).then_with(|| a.key.cmp(&b.key)));
-        self.hits.truncate(n);
         Ok(seen)
     }
 
@@ -362,10 +405,7 @@ mod tests {
 
     fn brute_knn<const K: usize>(pts: &[[u64; K]], center: &[u64; K], n: usize) -> Vec<f64> {
         let m = IntEuclidean;
-        let mut d: Vec<f64> = pts
-            .iter()
-            .map(|p| Distance::<K>::point(&m, center, p))
-            .collect();
+        let mut d: Vec<f64> = pts.iter().map(|p| point(&m, center, p)).collect();
         d.sort_by(f64::total_cmp);
         d.truncate(n);
         d
@@ -491,6 +531,34 @@ mod tests {
         assert!(seen.nodes < unbounded.nodes);
     }
 
+    /// Counts on a seeded K=8 tree. `nodes` was measured before the
+    /// quadrant table, which decoded every entry slot of those nodes:
+    /// 584 057. The table changes what is read, not what is opened.
+    #[test]
+    fn knn_opens_the_same_nodes_and_decodes_a_fifth_of_their_entries() {
+        let mut x = 8u64;
+        let mut point = || -> [u64; 8] {
+            std::array::from_fn(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+        };
+        let t: PhTree<usize, 8> = PhTree::bulk_load((0..20_000).map(|i| (point(), i)).collect());
+        let mut total = Expanded::default();
+        for c in (0..64).map(|_| point()) {
+            for n in [1, 10, 100] {
+                let (hits, seen) = forest([(0.0, &t)], &c, n, f64::INFINITY, &IntEuclidean);
+                assert_eq!(hits.len(), n);
+                total.nodes += seen.nodes;
+                total.decoded += seen.decoded;
+            }
+        }
+        assert_eq!(total.nodes, 26_479);
+        assert!(total.decoded * 4 <= 584_057, "{total:?}");
+    }
+
     #[test]
     fn forest_never_enters_a_tree_beyond_the_results() {
         let near = lcg_tree(1_000);
@@ -498,7 +566,7 @@ mod tests {
         far.insert([u64::MAX; 3], 0);
         let empty: PhTree<usize, 3> = PhTree::new();
         let center = [1u64 << 40; 3];
-        let far_bound = IntEuclidean.point(&center, &[u64::MAX; 3]);
+        let far_bound = point(&IntEuclidean, &center, &[u64::MAX; 3]);
         let trees = [(0.0, &near), (far_bound, &far), (0.0, &empty)];
         let (hits, seen) = forest(trees, &center, 5, f64::INFINITY, &IntEuclidean);
         assert_eq!(seen.roots, 1);

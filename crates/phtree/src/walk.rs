@@ -12,11 +12,13 @@
 //!
 //! The traversals, not the nodes, resolve child handles: a node only
 //! ever hands out an unresolved [`NodeRead::Child`], and what is
-//! fetched when is decided here.
+//! fetched when is decided here. Likewise an entry's postfix is read a
+//! coordinate at a time ([`NodeRead::read_postfix_while`]), so a
+//! traversal stops reading at the first coordinate that rules it out.
 
 use crate::node::{Node, SlotIter, SlotRef};
 use crate::telemetry::Visits;
-use phbits::{hc, num};
+use phbits::{hc, num, BitRead};
 use std::convert::Infallible;
 
 /// Maximum descent depth: the root splits at bit 63 and every child
@@ -46,8 +48,8 @@ pub trait NodeRead<const K: usize>: Sized {
     type Child;
     /// Token for a postfix entry, valid while its node is.
     type Post;
-    /// What a queued kNN entry keeps to reach its value after its node
-    /// is gone — for a packed tree still undecoded.
+    /// What kNN keeps of one of its best entries to reach the value
+    /// after the node is gone — for a packed tree still undecoded.
     type Value;
     /// Cursor of an address-ordered slot scan ([`NodeRead::scan_from`]).
     type Scan;
@@ -87,8 +89,18 @@ pub trait NodeRead<const K: usize>: Sized {
         m_u: u64,
     ) -> Result<Option<(u64, SlotOf<Self, K>)>, Self::Error>;
 
-    /// Writes an entry's postfix into the low bits of `key`.
-    fn read_postfix_into(&self, post: &Self::Post, key: &mut [u64; K]);
+    /// Writes an entry's postfix into the low bits of `key` one
+    /// dimension at a time, in dimension order, handing each finished
+    /// coordinate to `keep(d, key[d])`; stops at the first it rejects.
+    /// Returns whether every coordinate was kept (if not, `key` is only
+    /// partly written). The window walker tests the box this way, kNN
+    /// its distance sum.
+    fn read_postfix_while(
+        &self,
+        post: &Self::Post,
+        key: &mut [u64; K],
+        keep: impl FnMut(usize, u64) -> bool,
+    ) -> bool;
 
     /// Whether the low bits of `key` are an entry's postfix.
     fn postfix_matches(&self, post: &Self::Post, key: &[u64; K]) -> bool;
@@ -291,8 +303,10 @@ impl<N: NodeRead<K>, const K: usize> Window<N, K> {
             hc::apply_addr(&mut key, h, frame.node.post_len());
             match slot {
                 Slot::Post(post) => {
-                    frame.node.read_postfix_into(&post, &mut key);
-                    if inside || (0..K).all(|d| self.min[d] <= key[d] && key[d] <= self.max[d]) {
+                    let (min, max) = (&self.min, &self.max);
+                    if frame.node.read_postfix_while(&post, &mut key, |d, v| {
+                        inside || (min[d] <= v && v <= max[d])
+                    }) {
                         let frame = self.stack[self.depth - 1].as_ref().expect("live frame");
                         return Ok(Some((key, &frame.node, post)));
                     }
@@ -378,8 +392,19 @@ impl<'t, V, const K: usize> NodeRead<K> for &'t Node<V, K> {
     }
 
     #[inline]
-    fn read_postfix_into(&self, post: &Self::Post, key: &mut [u64; K]) {
-        post.seg.read_postfix_into(post.pf_off, key)
+    fn read_postfix_while(
+        &self,
+        post: &Self::Post,
+        key: &mut [u64; K],
+        mut keep: impl FnMut(usize, u64) -> bool,
+    ) -> bool {
+        let width = post.seg.post_len as u32;
+        let low = num::low_mask(width);
+        (0..K).all(|d| {
+            let field = post.seg.read_bits(post.pf_off + d * width as usize, width);
+            key[d] = (key[d] & !low) | field;
+            keep(d, key[d])
+        })
     }
 
     #[inline]
