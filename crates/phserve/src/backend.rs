@@ -189,8 +189,8 @@ impl<const K: usize> Backend<K> for DurableSharded<u64, K> {
         DurableSharded::bulk_load(self, items)
     }
 
-    /// One WAL write and one sync per involved shard for the whole run
-    /// ([`DurableSharded::apply_run`]).
+    /// One WAL write and one sync for the whole run, however many
+    /// shards it spans ([`DurableSharded::apply_run`]).
     fn write_run(&self, ops: Vec<Op<u64, K>>) -> (Vec<Option<u64>>, Result<(), ShardError>) {
         match self.apply_run(ops) {
             Ok(prevs) => (prevs, Ok(())),

@@ -25,10 +25,10 @@
 //! jobs (the deeper the queue, the bigger the pop, across connections)
 //! and applies each maximal run of consecutive `Insert`/`Remove` jobs
 //! with one [`Backend::write_run`] call — on the durable backend one
-//! WAL write and one sync per involved shard, however long the run —
+//! WAL write and one sync per run, however many shards it spans —
 //! releasing the run's replies only after it returns: **acked ⇒
 //! synced**. An error reply to a run means *outcome unknown* for each
-//! of its ops (it may have committed on some shards), except
+//! of its ops (a prefix of it may be in the log), except
 //! `Overloaded`: none applied.
 //!
 //! ## Backpressure and shedding

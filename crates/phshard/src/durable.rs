@@ -1,13 +1,55 @@
-//! Durable sharded mode: one `phstore::Durable` WAL per shard, with
-//! crash-safe online shard splitting.
+//! Durable sharded mode: one store-wide write-ahead log, a snapshot
+//! per shard, and crash-safe online shard splitting.
 //!
-//! Each shard journals to its own subdirectory
-//! (`phstore::durable::shard_dir`: `base/shard-NNN/`), so WAL appends
-//! on different shards never serialise on one file, and recovery —
-//! snapshot load + WAL replay per shard — runs on all cores. A
-//! manifest in the base directory records the full routing topology
-//! (a [`ShardMap`] trie), the routing epoch, and — while a split is in
-//! flight — an in-progress migration record.
+//! ```text
+//! base/phshard.meta            routing manifest (below)
+//! base/wal.log                 the one log: PHWAL001, generation g
+//! base/shard-NNN/snapshot.pht  a live shard's checkpoint (PHSTORE1)
+//! ```
+//!
+//! **Write path.** A frame of the log is a logical op (tag, key, maybe
+//! a value) and names no shard. A write locks its cells — a run's in
+//! ascending slot order — then the log mutex, ranked above every cell;
+//! it journals all its frames with one write and one sync, then
+//! applies them.
+//!
+//! **Checkpoint.** Under every live cell's lock and the log's, each
+//! shard's snapshot is written stamped `g+1` (atomically), then the log
+//! is rotated to an empty one stamped `g+1`. It fires once the log
+//! passes `checkpoint_bytes × live shards`, after the triggering write
+//! has released its cells.
+//!
+//! **Recovery invariant.** A shard snapshot is only ever written while
+//! the log it will be replayed with already exists, and inserts and
+//! removes are blind writes, so replaying the *whole* log onto every
+//! snapshot, each frame routed by the committed [`ShardMap`], is exact.
+//! A snapshot stamped `g` or `g+1` (a torn checkpoint) is valid against
+//! log `g`; any other generation is typed corruption.
+//!
+//! **Split** of slot `P`; the commit point is one manifest rename:
+//!
+//! ```text
+//! 1 copy    freeze-point clone of P under a brief lock, backlog armed
+//!           (full ⇒ typed Overloaded shed, nothing journaled);
+//!           children written as snapshots stamped with the log's
+//!           generation; reads keep serving from P
+//! 2 commit  under P's lock: drain the backlog into the children's
+//!           trees (its ops are logged already); manifest := {new map}
+//!           (atomic rename); install the new epoch; retire P's cell
+//! ```
+//!
+//! Until the rename the children are unreferenced files a later split
+//! overwrites; a crash reopens the old map. Splits and checkpoints
+//! exclude each other through the split gate (a rotation would strand
+//! children built against the old log); the write path only try-locks
+//! it, so a pending split defers the checkpoint to its commit or abort.
+//! `tests/migration_crash.rs` cuts both write streams at every byte.
+//!
+//! **Upgrade.** A store of one `phstore::Durable` per `shard-NNN/` is
+//! upgraded one way on open: each shard recovered through `Durable`,
+//! all checkpointed one generation past the newest, an empty log
+//! written at it, then the per-shard logs removed; a crash re-runs it.
+//! One with a split in flight (a manifest migration record) is refused.
 //!
 //! ## Manifest v2 (`PHSHARD2`)
 //!
@@ -18,59 +60,27 @@
 //! epoch      routing epoch             u64 LE
 //! next_slot  slot allocation bound     u32 LE
 //! map        length-prefixed ShardMap  u32 LE + preorder bytes
-//! migration  0, or 1 + record          u8 [+ src u32, bits u32,
-//!                                          n u32, children u32×n]
+//! migration  0 (1 + a record: refused)  u8
 //! crc        FNV-1a of all above       u64 LE
 //! ```
 //!
-//! Every manifest write is atomic: staging file, fsync, rename over
-//! `phshard.meta`, directory fsync — a crash can only ever expose the
-//! previous or the next manifest, never a torn one. Legacy `PHSHARD1`
-//! manifests (uniform shard count only) are read and upgraded in
-//! place.
-//!
-//! ## Migration protocol (hot-shard split)
-//!
-//! A split of slot `P` into children `C₀..Cₙ` walks four states; the
-//! commit point is a single manifest rename:
-//!
-//! ```text
-//! IDLE ──(1 prepare)──▶ PREPARED ──(2 copy)──▶ COPIED ──(3 commit)──▶ DONE
-//!
-//! 1 prepare  manifest := {old map, migration record}   (atomic)
-//! 2 copy     freeze-point snapshot of P under a brief write lock;
-//!            children built via bulk_load + snapshot write;
-//!            writes to P keep journaling to P's WAL *and* queue in a
-//!            bounded backlog (full backlog ⇒ typed Overloaded shed —
-//!            the shed op is neither journaled nor applied);
-//!            reads keep serving from P throughout
-//! 3 commit   under P's write lock: drain backlog into the children's
-//!            WALs, sync, then manifest := {new map, no record}
-//!            (atomic rename = commit point); install the new routing
-//!            epoch in memory; retire P's cell
-//! ```
-//!
-//! Crash recovery is deterministic at every byte: a manifest *with* a
-//! migration record rolls the split back (delete the children's files
-//! — their content is a re-derivable copy — then clear the record),
-//! landing in the pre-migration state with every acknowledged write
-//! intact in `P`'s WAL; a manifest *without* a record is already the
-//! pre- or post-migration state. Backlogged writes are journaled to
-//! `P` at acknowledgement time, so they survive rollback even though
-//! commit re-journals them to the children. The `migration_crash`
-//! integration test sweeps a crash through every byte of this write
-//! stream and asserts exactly that.
+//! Every manifest write is atomic (staging file, fsync, rename,
+//! directory fsync). Legacy `PHSHARD1` manifests (uniform shard count
+//! only) are read and upgraded in place.
 
 use crate::engine::{CellState, Engine, SplitPlan};
 use crate::epoch::ShardMap;
 use crate::error::ShardError;
+use crate::lockstat::DataMutex;
 use crate::metrics::{OpInstruments, Probes};
 use crate::sharded::SplitReport;
 use crate::snapshot::Snapshot;
 use phmetrics::Registry;
-use phstore::durable::shard_dir;
+use phstore::durable::{shard_dir, SNAPSHOT_FILE, WAL_FILE};
 use phstore::vfs::{StdVfs, Vfs};
-use phstore::{fnv1a, Corruption, Durable, DurableConfig, RecoveryStats, StoreError, ValueCodec};
+use phstore::wal::{self, WalWriter};
+use phstore::{fnv1a, load_with, save_with, Corruption, Durable, DurableConfig};
+use phstore::{RecoveryStats, RetryVfs, StoreError, ValueCodec};
 use phtree::{Op, PhTree};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -86,23 +96,11 @@ const MAGIC_V2: &[u8; 8] = b"PHSHARD2";
 /// writes shed with [`ShardError::Overloaded`].
 pub const DEFAULT_BACKLOG_CAP: usize = 4096;
 
-/// In-progress migration record, persisted in the manifest between
-/// prepare and commit so recovery knows which child directories to
-/// roll back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct MigrationRecord {
-    src: u32,
-    bits: u32,
-    children: Vec<u32>,
-}
-
-/// The decoded manifest: committed routing map + optional in-flight
-/// migration.
+/// The decoded manifest: the committed routing map, the write counter.
 #[derive(Debug, Clone, PartialEq)]
 struct Manifest<const K: usize> {
     map: ShardMap<K>,
     gen: u64,
-    migration: Option<MigrationRecord>,
 }
 
 impl<const K: usize> Manifest<K> {
@@ -117,18 +115,7 @@ impl<const K: usize> Manifest<K> {
         self.map.encode(&mut map_bytes);
         out.extend_from_slice(&(map_bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(&map_bytes);
-        match &self.migration {
-            None => out.push(0),
-            Some(m) => {
-                out.push(1);
-                out.extend_from_slice(&m.src.to_le_bytes());
-                out.extend_from_slice(&m.bits.to_le_bytes());
-                out.extend_from_slice(&(m.children.len() as u32).to_le_bytes());
-                for c in &m.children {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-        }
+        out.push(0); // no migration record: only per-shard logs had one
         let crc = fnv1a(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
@@ -145,7 +132,6 @@ impl<const K: usize> Manifest<K> {
             return Ok(Manifest {
                 map: ShardMap::uniform(count),
                 gen: 0,
-                migration: None,
             });
         }
         if bytes.len() < 8 || &bytes[..8] != MAGIC_V2 {
@@ -178,35 +164,15 @@ impl<const K: usize> Manifest<K> {
         let map_bytes = take(map_len)?;
         let map = ShardMap::decode(map_bytes, epoch, next_slot)
             .ok_or_else(|| bad("sharded manifest routing map malformed"))?;
-        let migration = match take(1)?[0] {
-            0 => None,
-            1 => {
-                let src = u32::from_le_bytes(take(4)?.try_into().unwrap());
-                let bits = u32::from_le_bytes(take(4)?.try_into().unwrap());
-                let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                if n > crate::MAX_SHARDS {
-                    return Err(bad("sharded manifest migration record malformed"));
-                }
-                let mut children = Vec::with_capacity(n);
-                for _ in 0..n {
-                    children.push(u32::from_le_bytes(take(4)?.try_into().unwrap()));
-                }
-                Some(MigrationRecord {
-                    src,
-                    bits,
-                    children,
-                })
-            }
+        match take(1)?[0] {
+            0 => {}
+            1 => return Err(bad("per-shard-log store has a split in flight")),
             _ => return Err(bad("sharded manifest migration tag invalid")),
-        };
+        }
         if pos != body.len() {
             return Err(bad("sharded manifest has trailing bytes"));
         }
-        Ok(Manifest {
-            map,
-            gen,
-            migration,
-        })
+        Ok(Manifest { map, gen })
     }
 }
 
@@ -245,21 +211,32 @@ fn read_manifest<const K: usize>(
     Manifest::decode(&bytes).map(Some)
 }
 
-/// Best-effort removal of one shard directory's files (snapshot, WAL,
-/// staging leftovers). Used by migration rollback and post-commit
-/// cleanup; failures are ignored — leftover bytes in an unreferenced
-/// directory are garbage, not state.
-fn scrub_shard_dir(vfs: &dyn Vfs, dir: &Path) {
-    for name in [phstore::durable::SNAPSHOT_FILE, phstore::durable::WAL_FILE] {
-        let p = dir.join(name);
-        let _ = vfs.remove_file(&p);
-        let _ = vfs.remove_file(&dir.join(format!("{name}.tmp")));
-    }
+fn snapshot_path(dir: &Path, slot: usize) -> PathBuf {
+    shard_dir(dir, slot).join(SNAPSHOT_FILE)
 }
 
-/// Runs `job` for every shard in `shards`, each on its own scoped
-/// thread (recovery and checkpoints are per-shard I/O); results come
-/// back in `shards` order.
+/// Writes `tree` as shard `slot`'s snapshot stamped `generation`
+/// (atomic: staging file, sync, rename, directory sync).
+fn save_shard<V: ValueCodec, const K: usize>(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    slot: usize,
+    tree: &PhTree<V, K>,
+    generation: u64,
+) -> Result<(), StoreError> {
+    vfs.create_dir_all(&shard_dir(dir, slot))?;
+    save_with(vfs, tree, &snapshot_path(dir, slot), generation).map(drop)
+}
+
+/// Best-effort removal of an unreferenced shard's snapshot: what is
+/// left behind is garbage, not state.
+fn scrub_shard(vfs: &dyn Vfs, dir: &Path, slot: usize) {
+    let _ = vfs.remove_file(&snapshot_path(dir, slot));
+}
+
+/// Runs `job` for every shard on its own scoped thread — snapshots are
+/// independent files, so a checkpoint's saves and an open's loads
+/// overlap; results come back in `shards` order.
 fn per_shard<T: Sync, R: Send>(shards: &[T], job: impl Fn(&T) -> R + Sync) -> Vec<R> {
     std::thread::scope(|scope| {
         let spawned: Vec<_> = shards.iter().map(|s| scope.spawn(|| job(s))).collect();
@@ -270,6 +247,50 @@ fn per_shard<T: Sync, R: Send>(shards: &[T], job: impl Fn(&T) -> R + Sync) -> Ve
     })
 }
 
+/// Puts an empty log stamped with generation `g` at `base/wal.log`:
+/// staging file, sync, rename. The caller syncs the directory.
+fn new_log(vfs: &dyn Vfs, dir: &Path, g: u64, sync: bool) -> Result<WalWriter, StoreError> {
+    let staging = dir.join(format!("{WAL_FILE}.tmp"));
+    let wal = WalWriter::create(vfs, &staging, g, sync)?;
+    vfs.rename(&staging, &dir.join(WAL_FILE))?;
+    Ok(wal)
+}
+
+/// The one-way upgrade of the per-shard layout (see the module docs).
+fn upgrade<V: ValueCodec + Clone, const K: usize>(
+    vfs: &Arc<dyn Vfs>,
+    dir: &Path,
+    live: &[usize],
+    mut config: DurableConfig,
+) -> Result<(), StoreError> {
+    config.retry = None; // `vfs` retries already
+    let open = |&slot: &usize| {
+        Durable::<V, K>::open_with(Arc::clone(vfs), &shard_dir(dir, slot), config.clone())
+    };
+    let shards = live.iter().map(open).collect::<Result<Vec<_>, _>>()?;
+    let generation = shards.iter().map(|d| d.generation() + 1).max();
+    let generation = generation.unwrap_or(0);
+    for (&slot, d) in live.iter().zip(&shards) {
+        save_shard(vfs.as_ref(), dir, slot, d.tree(), generation)?;
+    }
+    new_log(vfs.as_ref(), dir, generation, config.sync_writes)?;
+    vfs.sync_dir(dir)?;
+    for &slot in live {
+        // Unread from here on: a leftover is garbage, not state.
+        let _ = vfs.remove_file(&shard_dir(dir, slot).join(WAL_FILE));
+    }
+    Ok(())
+}
+
+/// Rank of the log mutex in the lock order: above every cell.
+const LOG_RANK: usize = usize::MAX;
+
+/// The store-wide log and the generation it is stamped with.
+pub(crate) struct Log {
+    wal: WalWriter,
+    generation: u64,
+}
+
 /// Bounded queue of writes accepted while a slot's contents are being
 /// copied; drained onto the children at commit.
 struct Backlog<V, const K: usize> {
@@ -277,28 +298,21 @@ struct Backlog<V, const K: usize> {
     cap: usize,
 }
 
-/// A durable cell's writer-side state: the store plus (while
-/// migrating) the write backlog, guarded together so backlog
-/// membership is exactly "journaled after the freeze-point snapshot".
-pub(crate) struct DurState<V: ValueCodec, const K: usize> {
-    store: Durable<V, K>,
+/// A durable cell's writer-side state: the tree plus (while migrating)
+/// the write backlog, guarded together so backlog membership is
+/// exactly "applied after the freeze-point clone".
+pub(crate) struct DurState<V, const K: usize> {
+    tree: PhTree<V, K>,
     backlog: Option<Backlog<V, K>>,
 }
 
-impl<V: ValueCodec, const K: usize> CellState<V, K> for DurState<V, K> {
+impl<V, const K: usize> CellState<V, K> for DurState<V, K> {
     fn tree(&self) -> &PhTree<V, K> {
-        self.store.tree()
+        &self.tree
     }
 }
 
-impl<V: ValueCodec + Clone, const K: usize> DurState<V, K> {
-    fn fresh(store: Durable<V, K>) -> Self {
-        DurState {
-            store,
-            backlog: None,
-        }
-    }
-
+impl<V: Clone, const K: usize> DurState<V, K> {
     /// Admission: `n` more writes must fit the armed backlog, checked
     /// **before** anything is journaled — a shed write is neither
     /// durable nor applied, safe to retry.
@@ -312,31 +326,28 @@ impl<V: ValueCodec + Clone, const K: usize> DurState<V, K> {
         }
     }
 
-    /// Journals and applies `ops` as one group commit (one WAL write,
-    /// one sync), queueing them on the backlog if a migration armed it.
-    fn apply(&mut self, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, StoreError> {
-        let queued = self.backlog.is_some().then(|| ops.clone());
-        let prevs = self.store.apply_batch(ops)?;
+    /// Applies a journaled op, queueing it on the backlog if a
+    /// migration armed it.
+    fn apply(&mut self, op: Op<V, K>) -> Option<V> {
         if let Some(b) = &mut self.backlog {
-            b.ops.extend(queued.unwrap_or_default());
+            b.ops.push(op.clone());
         }
-        Ok(prevs)
+        self.tree.apply(op)
     }
 }
 
 type DurPlan<'a, V, const K: usize> = SplitPlan<'a, DurState<V, K>, V, K>;
 
-/// A split prepared by [`DurableSharded::begin_split`]: children built
-/// and durable, backlog accepting writes, manifest carrying the
-/// migration record. Holds the split gate, so exactly one can exist;
-/// pass it to [`DurableSharded::commit_split`] to make the new routing
-/// epoch the committed state, or [`DurableSharded::abort_split`] to
-/// roll back. Dropping it without either leaves the slot backlogging
-/// (and eventually shedding) until the next reopen rolls the split
-/// back — always safe, never lossy, but don't.
+/// A split prepared by [`DurableSharded::begin_split`]: children
+/// written, backlog accepting writes. Holds the split gate, so exactly
+/// one can exist and no checkpoint runs; pass it to
+/// [`DurableSharded::commit_split`] or [`DurableSharded::abort_split`].
+/// Dropping it without either leaves the slot backlogging (and
+/// eventually shedding) until the next reopen — never lossy, but
+/// don't.
 pub struct PendingSplit<'a, V: ValueCodec, const K: usize> {
     plan: DurPlan<'a, V, K>,
-    children: Vec<Durable<V, K>>,
+    children: Vec<PhTree<V, K>>,
     migrated: usize,
 }
 
@@ -352,39 +363,31 @@ impl<V: ValueCodec, const K: usize> PendingSplit<'_, V, K> {
     }
 }
 
-/// A crash-safe [`crate::ShardedTree`]-alike: per-shard
-/// [`phstore::Durable`] write-ahead logs, parallel recovery, and
-/// online hot-shard splitting (see the module docs for the migration
-/// protocol).
+/// A crash-safe [`crate::ShardedTree`]-alike: one store-wide
+/// write-ahead log, a snapshot per shard, and online hot-shard
+/// splitting (see the module docs).
 ///
-/// Consistency matches the in-memory layer: single-key operations are
-/// linearizable within their shard *and* durable once acknowledged
-/// (journal-then-apply under the shard's write lock, published to the
-/// lock-free read path before the ack); cross-shard reads are snapshot
-/// reads over a consistent cut ([`DurableSharded::snapshot`]).
-/// Durability is per shard too — a crash can lose
-/// no acknowledged op, but ops acknowledged on different shards have
-/// no global order in the logs. During a migration the source shard
-/// keeps serving reads and accepting writes; only backlog overflow
-/// sheds (typed [`ShardError::Overloaded`], not journaled, safe to
-/// retry).
-///
-/// The cell, cut, retire and lock-order protocols are the shared
-/// engine's (`engine.rs`), the same code [`crate::ShardedTree`] runs
-/// on; what is this type's own is the manifest, backlog admission and
-/// shedding, the prepare/commit/rollback of a split, and checkpointing.
+/// Consistency matches the in-memory layer, and an acknowledged write
+/// is durable (journaled before it is applied and published). During
+/// a migration the source keeps serving reads and accepting writes;
+/// only backlog overflow sheds ([`ShardError::Overloaded`], not
+/// journaled, safe to retry). The cell, cut, retire and lock-order
+/// protocols are the shared engine's (`engine.rs`); this type adds the
+/// log, the manifest, backlog admission, the split's commit and
+/// rollback, and checkpoints.
 pub struct DurableSharded<V: ValueCodec + Clone + Send + Sync, const K: usize> {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     config: DurableConfig,
     pub(crate) engine: Engine<DurState<V, K>, V, K>,
+    /// The one log; taken inside a write's cell locks.
+    pub(crate) log: DataMutex<Log>,
     /// The manifest write counter; only touched under the engine's
     /// split gate (a [`SplitPlan`] holds it) or before the store is
     /// shared.
     manifest_gen: AtomicU64,
     backlog_cap: AtomicUsize,
     recovery: Vec<RecoveryStats>,
-    rolled_back: bool,
 }
 
 impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
@@ -394,13 +397,12 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         Self::open_with(Arc::new(StdVfs), dir, shards, DurableConfig::default())
     }
 
-    /// Opens (or initialises) on any [`Vfs`]. Recovers all shards in
-    /// parallel (one thread per shard). `shards` is the *initial*
-    /// uniform topology: once the store has split (epoch > 0), the
-    /// manifest's topology is authoritative and `shards` is ignored;
-    /// at epoch 0 a mismatch with the manifest is refused, as before.
-    /// A manifest carrying an in-progress migration record (crash
-    /// mid-split) is rolled back to the pre-migration state first.
+    /// Opens (or initialises) on any [`Vfs`]: loads every live shard's
+    /// snapshot and replays the log onto it, routed by the committed
+    /// map. `shards` is the *initial* uniform topology: once the store
+    /// has split (epoch > 0), the manifest's topology is authoritative
+    /// and `shards` is ignored; at epoch 0 a mismatch with the manifest
+    /// is refused. A store in the per-shard-log layout is upgraded.
     pub fn open_with(
         vfs: Arc<dyn Vfs>,
         dir: &Path,
@@ -422,58 +424,84 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         config: DurableConfig,
         registry: &Registry,
     ) -> Result<Self, StoreError> {
+        let vfs: Arc<dyn Vfs> = match &config.retry {
+            Some(policy) => Arc::new(RetryVfs::new(vfs, policy.clone())),
+            None => vfs,
+        };
         vfs.create_dir_all(dir)?;
-        let mut rolled_back = false;
         let manifest: Manifest<K> = match read_manifest(vfs.as_ref(), dir)? {
             None => {
                 let m = Manifest {
                     map: ShardMap::uniform(shards),
                     gen: 1,
-                    migration: None,
                 };
                 write_manifest(vfs.as_ref(), dir, &m)?;
                 m
             }
-            Some(mut m) => {
-                if m.map.epoch() == 0 && m.map.shards() != shards {
-                    return Err(Corruption::new("shard count differs from manifest").into());
-                }
-                if let Some(mig) = m.migration.take() {
-                    // Crash mid-migration: the children are a
-                    // re-derivable copy; every acknowledged write is in
-                    // the source's WAL. Scrub the children, then clear
-                    // the record — idempotent if we crash again here.
-                    for c in &mig.children {
-                        scrub_shard_dir(vfs.as_ref(), &shard_dir(dir, *c as usize));
-                    }
-                    m.gen += 1;
-                    write_manifest(vfs.as_ref(), dir, &m)?;
-                    rolled_back = true;
-                }
-                m
+            Some(m) if m.map.epoch() == 0 && m.map.shards() != shards => {
+                return Err(Corruption::new("shard count differs from manifest").into());
             }
+            Some(m) => m,
         };
-
         let live = manifest.map.live_slots();
-        let opened = per_shard(&live, |&slot| {
-            Durable::open_with(Arc::clone(&vfs), &shard_dir(dir, slot), config.clone())
-        });
+        let log_path = dir.join(WAL_FILE);
+        if !vfs.exists(&log_path) {
+            let shard_log = |&slot: &usize| vfs.exists(&shard_dir(dir, slot).join(WAL_FILE));
+            if !live.iter().any(shard_log) {
+                // A new store: empty snapshots, then the log.
+                for &slot in &live {
+                    if !vfs.exists(&snapshot_path(dir, slot)) {
+                        save_shard(vfs.as_ref(), dir, slot, &PhTree::<V, K>::new(), 0)?;
+                    }
+                }
+                new_log(vfs.as_ref(), dir, 0, config.sync_writes)?;
+                vfs.sync_dir(dir)?;
+            } else {
+                upgrade::<V, K>(&vfs, dir, &live, config.clone())?;
+            }
+        }
+
+        let rec = wal::recover::<V, K>(vfs.as_ref(), &log_path)?;
+        let generation = rec
+            .generation
+            .ok_or_else(|| Corruption::new("store log header damaged"))?;
+        let mut routed: Vec<Vec<Op<V, K>>> =
+            (0..manifest.map.slot_bound()).map(|_| Vec::new()).collect();
+        for op in rec.ops {
+            routed[manifest.map.route(op.key())].push(op);
+        }
         let mut states = Vec::with_capacity(live.len());
         let mut recovery = Vec::with_capacity(live.len());
-        for r in opened {
-            let d: Durable<V, K> = r?;
-            recovery.push(d.recovery_stats());
-            states.push(DurState::fresh(d));
+        let load = |&slot: &usize| load_with::<V, K>(vfs.as_ref(), &snapshot_path(dir, slot));
+        for (&slot, loaded) in live.iter().zip(per_shard(&live, load)) {
+            let (mut tree, snap_gen) = loaded?;
+            if !(generation..=generation + 1).contains(&snap_gen) {
+                let what = "shard snapshot generation does not match the log";
+                return Err(Corruption::new(what).into());
+            }
+            let replay = tree.replay_stats(std::mem::take(&mut routed[slot]));
+            recovery.push(RecoveryStats {
+                generation: snap_gen,
+                replayed_ops: replay.applied,
+                bulk_replayed: replay.bulk_loaded,
+                truncated_bytes: rec.total_bytes - rec.valid_bytes,
+                reset_stale_wal: false,
+            });
+            states.push(DurState {
+                tree,
+                backlog: None,
+            });
         }
+        let wal = wal::resume_writer(vfs.as_ref(), &log_path, rec.valid_bytes, config.sync_writes)?;
         Ok(DurableSharded {
             vfs,
             dir: dir.to_path_buf(),
             config,
             engine: Engine::new(manifest.map, states, Probes::new(registry)),
+            log: DataMutex::new(LOG_RANK, Log { wal, generation }),
             manifest_gen: AtomicU64::new(manifest.gen),
             backlog_cap: AtomicUsize::new(DEFAULT_BACKLOG_CAP),
             recovery,
-            rolled_back,
         })
     }
 
@@ -505,14 +533,11 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     }
 
     /// What recovery found and did, per live shard (in
-    /// [`ShardMap::live_slots`] order).
+    /// [`ShardMap::live_slots`] order): the shard's snapshot
+    /// generation and the log ops routed to it. `truncated_bytes` is
+    /// the one log's torn tail, the same in every entry.
     pub fn recovery_stats(&self) -> &[RecoveryStats] {
         &self.recovery
-    }
-
-    /// Whether this open rolled back a crashed in-flight migration.
-    pub fn rolled_back_migration(&self) -> bool {
-        self.rolled_back
     }
 
     /// Caps how many writes a migrating shard queues before shedding
@@ -523,35 +548,36 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         self.backlog_cap.store(cap.max(1), Ordering::Relaxed);
     }
 
-    /// One journaled single-key write: admitted against the armed
-    /// backlog, then journaled and applied under the owning shard's
-    /// lock, published before the ack.
-    fn write_one(&self, w: Op<V, K>) -> Result<Option<V>, ShardError> {
-        let probes = &self.engine.probes;
-        let (op, key) = match &w {
-            Op::Insert { key, .. } => (&probes.ops.insert, *key),
-            Op::Remove { key } => (&probes.ops.remove, *key),
-        };
-        self.engine.with_cell_write(op, &key, |slot, cs| {
-            cs.admit(slot, 1).inspect_err(|_| probes.reb.shed.inc())?;
-            Ok(cs.apply(vec![w])?.pop().expect("one result per op"))
-        })
+    /// Journals `ops` with one log write and one sync (the caller
+    /// holds their cells), and says whether the log has passed the
+    /// checkpoint threshold.
+    fn journal(&self, ops: &[Op<V, K>]) -> Result<bool, StoreError> {
+        let mut log = self.log.lock();
+        log.wal.append_batch(ops)?;
+        Ok(log.wal.bytes() >= self.checkpoint_threshold())
     }
 
-    /// Inserts `key` → `value`: journaled on the owning shard's WAL
-    /// before being applied, under that shard's write lock. If the
-    /// shard is mid-migration the op is also queued on the bounded
-    /// backlog for replay onto the children; a full backlog sheds the
-    /// write with [`ShardError::Overloaded`] *before* journaling, so a
-    /// shed write is neither durable nor applied — safe to retry.
+    /// `checkpoint_bytes` per live shard.
+    fn checkpoint_threshold(&self) -> u64 {
+        let shards = self.shards() as u64;
+        self.config.checkpoint_bytes.saturating_mul(shards)
+    }
+
+    /// Inserts `key` → `value`: a run of one (see
+    /// [`DurableSharded::apply_run`]) — one log write and one sync. A
+    /// full migration backlog sheds it with [`ShardError::Overloaded`]
+    /// *before* journaling — neither durable nor applied, safe to
+    /// retry.
     pub fn insert(&self, key: [u64; K], value: V) -> Result<Option<V>, ShardError> {
-        self.write_one(Op::Insert { key, value })
+        let insert = &self.engine.probes.ops.insert;
+        Ok(self.run(insert, vec![Op::Insert { key, value }])?[0].take())
     }
 
     /// Removes `key`, journaled (and backlogged / shed) like
     /// [`DurableSharded::insert`].
     pub fn remove(&self, key: &[u64; K]) -> Result<Option<V>, ShardError> {
-        self.write_one(Op::Remove { key: *key })
+        let remove = &self.engine.probes.ops.remove;
+        Ok(self.run(remove, vec![Op::Remove { key: *key }])?[0].take())
     }
 
     /// Applies `f` to the value at `key` in the current published
@@ -613,35 +639,23 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         self.snapshot().query_count(min, max)
     }
 
-    /// Applies a run of inserts and removes as one group commit per
-    /// involved shard — the multi-cell write path the serving layer's
-    /// pipelined writes ride on. Returns each op's previous value, in
-    /// run order.
+    /// Applies a run of inserts and removes as one group commit: one
+    /// log write and one sync however many shards it spans. Returns
+    /// each op's previous value, in run order.
     ///
-    /// The run is partitioned by the routing map in run order (so ops
-    /// on one key keep their order: last writer wins), every involved
-    /// shard is write-locked in ascending slot order, and admission is
-    /// checked against each armed migration backlog **before anything
-    /// is journaled**: if any partition would overflow its backlog the
-    /// whole run sheds with [`ShardError::Overloaded`] — nothing
-    /// journaled, nothing applied, safe to retry. Once admitted, each
-    /// shard's partition is one [`Durable::apply_batch`]: one WAL
-    /// write and one sync per involved shard, however long the run.
+    /// The run is partitioned by the routing map in run order (ops on
+    /// one key keep their order), the involved shards are locked in
+    /// ascending slot order, and every armed migration backlog must
+    /// admit its partition **before anything is journaled** — else the
+    /// whole run sheds with [`ShardError::Overloaded`], nothing
+    /// journaled or applied. The frames go to the log in *journal
+    /// order* (ascending slot, run order within a slot), then apply.
     ///
-    /// On a store I/O error the failing shard's partition is not
-    /// applied and later shards (in slot order) are not attempted;
-    /// earlier shards' partitions are durable. The caller learns only
-    /// the error, so it must treat every op of the run as
-    /// outcome-unknown. The same holds for a crash before the call
-    /// returns: the run may survive in part — whole partitions of some
-    /// shards, a frame prefix of one.
-    ///
-    /// Publication is all-at-once: every involved shard's new tree
-    /// version is published inside **one** write-clock bracket after
-    /// the whole run applies, so a [`Snapshot`] observes either none
-    /// of the run or all of it — never a torn run. (A shed run
-    /// publishes nothing; an I/O error publishes the applied, durable
-    /// partitions before surfacing.)
+    /// On an I/O error nothing is applied or published, and every op
+    /// is outcome-unknown: the log may keep a journal-order frame
+    /// prefix of the run, as a crash before the call returns may.
+    /// Every involved shard publishes inside **one** write-clock
+    /// bracket, so a [`Snapshot`] sees none of the run or all of it.
     pub fn apply_run(&self, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, ShardError> {
         self.run(&self.engine.probes.ops.apply_run, ops)
     }
@@ -650,7 +664,7 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
     /// routes, locks (ascending slot order) and partitions; this is
     /// what happens to the locked partitions.
     fn run(&self, op: &OpInstruments, ops: Vec<Op<V, K>>) -> Result<Vec<Option<V>>, ShardError> {
-        self.engine.write_run(op, ops, Op::key, |route, parts| {
+        let (prevs, due) = self.engine.write_run(op, ops, Op::key, |route, parts| {
             // Admission: every partition must fit its armed backlog
             // before anything is journaled — all-or-nothing shedding
             // (and nothing published: the trees never changed).
@@ -660,19 +674,34 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
                     return (false, Err(shed));
                 }
             }
-            let mut prevs = Vec::with_capacity(parts.len());
-            for p in parts.iter_mut() {
-                match p.state.apply(std::mem::take(&mut p.items)) {
-                    Ok(prev) => prevs.push(prev.into_iter()),
-                    // Publish the applied (journaled, durable)
-                    // partitions, then surface.
-                    Err(e) => return (true, Err(e.into())),
-                }
-            }
+            let lens: Vec<usize> = parts.iter().map(|p| p.items.len()).collect();
+            let journal: Vec<_> = parts
+                .iter_mut()
+                .flat_map(|p| std::mem::take(&mut p.items))
+                .collect();
+            let due = match self.journal(&journal) {
+                Ok(due) => due,
+                Err(e) => return (false, Err(e.into())),
+            };
+            let mut journal = journal.into_iter();
+            let mut prevs: Vec<_> = parts
+                .iter_mut()
+                .zip(lens)
+                .map(|(p, n)| {
+                    let ops = journal.by_ref().take(n);
+                    ops.map(|op| p.state.apply(op))
+                        .collect::<Vec<_>>()
+                        .into_iter()
+                })
+                .collect();
             let in_run_order = route.iter().map(|&part| prevs[part].next());
             let out = in_run_order.map(|p| p.expect("one result per op"));
-            (true, Ok(out.collect()))
-        })
+            (true, Ok((out.collect(), due)))
+        })?;
+        if due {
+            self.checkpoint(true)?;
+        }
+        Ok(prevs)
     }
 
     /// Bulk-inserts `items` as one run (same admission, durability and
@@ -695,83 +724,79 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         self.snapshot().stats()
     }
 
-    /// Checkpoints every live shard (snapshot + WAL rotation) in
-    /// parallel. Returns `(slot, new_generation)` per shard.
-    ///
-    /// Shards checkpoint independently — each shard's snapshot+WAL
-    /// pair stays self-consistent no matter which other shards
-    /// advanced — and the routing manifest is **not** touched, so a
-    /// failure on one shard can never publish topology past broken
-    /// data. On failure, the first failing shard is reported with its
-    /// slot ([`ShardError::Checkpoint`]); other shards may or may not
-    /// have advanced, which is safe, and a subsequent reopen recovers
-    /// every shard from whatever generation it reached.
+    /// Checkpoints the store: every live shard's snapshot stamped
+    /// `g+1`, then the log rotated to `g+1`, under every cell lock and
+    /// the log's (writes wait, reads do not). Waits for a split in
+    /// flight, so never call it holding a [`PendingSplit`]. Returns
+    /// `(slot, new_generation)` per shard. On failure the log keeps
+    /// generation `g`, valid against every snapshot, advanced or not; a
+    /// failed snapshot is reported with its slot
+    /// ([`ShardError::Checkpoint`]).
     pub fn checkpoint_all(&self) -> Result<Vec<(usize, u64)>, ShardError> {
-        let live = self.engine.live_cells();
-        let gens = per_shard(&live, |(_, cell)| cell.lock().store.checkpoint());
-        let tagged = live.iter().zip(gens).map(|(&(slot, _), r)| match r {
-            Ok(gen) => Ok((slot, gen)),
-            Err(source) => Err(ShardError::Checkpoint { slot, source }),
-        });
-        tagged.collect()
+        self.checkpoint(false)
     }
 
-    /// Durability barrier on every live shard's WAL.
+    /// The store-wide checkpoint. With `due`, it is the automatic one:
+    /// deferred while a split holds the gate (its commit or abort runs
+    /// it then), and skipped if another writer rotated the log first.
+    fn checkpoint(&self, due: bool) -> Result<Vec<(usize, u64)>, ShardError> {
+        let _gate = match due {
+            true => match self.engine.try_gate() {
+                Some(gate) => gate,
+                None => return Ok(Vec::new()),
+            },
+            false => self.engine.gate(),
+        };
+        self.engine.with_all_locked(|_, cells| {
+            let mut log = self.log.lock();
+            if due && log.wal.bytes() < self.checkpoint_threshold() {
+                return Ok(Vec::new());
+            }
+            let (vfs, next) = (self.vfs.as_ref(), log.generation + 1);
+            let saved = per_shard(cells, |(slot, cs)| {
+                save_shard(vfs, &self.dir, *slot, &cs.tree, next)
+            });
+            for (&(slot, _), saved) in cells.iter().zip(saved) {
+                saved.map_err(|source| ShardError::Checkpoint { slot, source })?;
+            }
+            // Switch writers to the new log at the rename: a failed
+            // directory sync must not leave appends going to the old.
+            log.wal = new_log(vfs, &self.dir, next, self.config.sync_writes)?;
+            log.generation = next;
+            vfs.sync_dir(&self.dir).map_err(StoreError::from)?;
+            Ok(cells.iter().map(|&(slot, _)| (slot, next)).collect())
+        })
+    }
+
+    /// Durability barrier on the log.
     pub fn sync_all(&self) -> Result<(), StoreError> {
-        for (_, cell) in self.engine.live_cells() {
-            cell.lock().store.sync()?;
-        }
-        Ok(())
+        self.log.lock().wal.sync()
     }
 
-    /// Splits the live shard `slot` into `2^bits` children — prepare,
-    /// copy, and commit in one call (see the module docs for the
-    /// protocol and its crash windows). Reads and writes to every
-    /// shard, including `slot`, keep flowing throughout; only backlog
-    /// overflow on `slot` sheds.
+    /// Splits the live shard `slot` into `2^bits` children — copy and
+    /// commit in one call (see the module docs). Reads and writes keep
+    /// flowing throughout; only backlog overflow on `slot` sheds.
     pub fn split_shard(&self, slot: usize, bits: u32) -> Result<SplitReport, ShardError> {
         let pending = self.begin_split(slot, bits)?;
         self.commit_split(pending)
     }
 
-    /// Phases 1–2 of a split: persists the migration record (atomic
-    /// manifest write), takes the freeze-point snapshot of `slot`
-    /// under a brief write lock, arms the write backlog, and builds
-    /// the `2^bits` children as durable generation-0 stores. On return
-    /// the split is fully prepared but not committed: recovery at this
-    /// point rolls it back.
+    /// Phase 1 of a split: takes the freeze-point clone of `slot` under
+    /// a brief write lock, arms the write backlog, and writes the
+    /// `2^bits` children as snapshots stamped with the log's
+    /// generation. On return the split is fully prepared but not
+    /// committed: a crash now reopens the old map.
     pub fn begin_split(
         &self,
         slot: usize,
         bits: u32,
     ) -> Result<PendingSplit<'_, V, K>, ShardError> {
         let plan = self.engine.plan_split(slot, bits)?;
-        let reb = &self.engine.probes.reb;
+        self.engine.probes.reb.migration_inflight.add(1);
 
-        // Phase 1 — prepare: persist the migration record before any
-        // child bytes exist, so every later crash finds the record and
-        // knows what to scrub.
-        let prepared = Manifest {
-            map: (*plan.routing.map).clone(),
-            gen: self.next_gen(),
-            migration: Some(MigrationRecord {
-                src: slot as u32,
-                bits,
-                children: plan.children.iter().map(|&c| c as u32).collect(),
-            }),
-        };
-        if let Err(e) = write_manifest(self.vfs.as_ref(), &self.dir, &prepared) {
-            reb.split_failures.inc();
-            return Err(e.into());
-        }
-        reb.migration_inflight.add(1);
-
-        // Freeze point: under the cell's state lock, snapshot the tree
-        // and arm the backlog. Every write ordered after this lock
-        // release lands in the backlog (or sheds); everything before
-        // is in the snapshot. The lock is held only for the O(1)
-        // structural clone (versions share nodes copy-on-write), not
-        // the rebuild.
+        // Freeze point: under the cell's lock, clone the tree (O(1),
+        // copy-on-write) and arm the backlog. Every later write lands
+        // in the backlog (or sheds); every earlier one is in the clone.
         let snap = {
             let mut cs = plan.cell.lock();
             debug_assert!(cs.backlog.is_none(), "split gate admitted two migrations");
@@ -779,26 +804,23 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
                 ops: Vec::new(),
                 cap: self.backlog_cap.load(Ordering::Relaxed),
             });
-            cs.store.tree().clone()
+            cs.tree.clone()
         };
 
-        // Phase 2 — copy: partition the frozen snapshot by the
-        // successor map and build each child as a durable generation-0
-        // store (snapshot written atomically, fresh WAL). No locks
-        // held: reads and writes keep flowing.
+        // Copy, with no cell lock held: each child's snapshot is
+        // stamped with the current log (the gate keeps it from
+        // rotating).
         let migrated = snap.len();
         let parts = plan.partition(&snap);
         drop(snap);
+        let generation = self.log.lock().generation;
         let mut children = Vec::with_capacity(parts.len());
         for (&child, part) in plan.children.iter().zip(parts) {
-            let d = shard_dir(&self.dir, child);
             let tree = PhTree::bulk_load(part);
-            match Durable::create_with_tree(Arc::clone(&self.vfs), &d, tree, self.config.clone()) {
-                Ok(c) => children.push(c),
-                // Build failed: roll back in place (same steps
-                // recovery would take) and disarm the backlog.
-                Err(e) => return Err(self.fail_split(&plan, e)),
+            if let Err(e) = save_shard(self.vfs.as_ref(), &self.dir, child, &tree, generation) {
+                return Err(self.fail_split(&plan, e));
             }
+            children.push(tree);
         }
         Ok(PendingSplit {
             plan,
@@ -807,14 +829,12 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         })
     }
 
-    /// Phase 3 of a split: under the source's write lock, drains the
-    /// backlog into the children's WALs, syncs them, then atomically
-    /// rewrites the manifest with the successor map — the commit point
-    /// — and has the engine install the new routing epoch (retire,
-    /// then install, in one clock bracket, still under that lock). On
-    /// any error before the manifest rename the split rolls back in
-    /// place (children scrubbed, backlog disarmed, record cleared);
-    /// acknowledged writes are in the source's WAL either way.
+    /// Phase 2 of a split: under the source's write lock, drains the
+    /// backlog into the children's trees (its ops are in the log
+    /// already), rewrites the manifest with the successor map — the
+    /// commit point — and has the engine install the new epoch. An
+    /// error before the rename rolls the split back in place. A
+    /// checkpoint the split deferred runs after the commit.
     pub fn commit_split(&self, pending: PendingSplit<'_, V, K>) -> Result<SplitReport, ShardError> {
         let PendingSplit {
             plan,
@@ -823,85 +843,63 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         } = pending;
         let cell = Arc::clone(&plan.cell);
         let mut cs = cell.lock();
-        let backlog = cs
-            .backlog
-            .take()
-            .expect("pending split lost its backlog")
-            .ops;
-        let drained = backlog.len();
+        let backlog = cs.backlog.take().expect("pending split lost its backlog");
+        let drained = backlog.ops.len();
         let base = plan.children[0];
-        let drain = || -> Result<(), StoreError> {
-            for op in backlog {
-                let child = &mut children[plan.map2.route(op.key()) - base];
-                match op {
-                    Op::Insert { key, value } => child.insert(key, value)?,
-                    Op::Remove { key } => child.remove(&key)?,
-                };
-            }
-            if !self.config.sync_writes {
-                for c in children.iter_mut() {
-                    c.sync()?;
-                }
-            }
-            Ok(())
+        for op in backlog.ops {
+            children[plan.map2.route(op.key()) - base].apply(op);
+        }
+        // Commit point: one atomic rename flips recovery from the
+        // source to the children.
+        let manifest = Manifest {
+            map: plan.map2.clone(),
+            gen: self.next_gen(),
         };
-        // Commit point: one atomic rename flips recovery from
-        // "roll back to source" to "serve from children".
-        let committed = drain().and_then(|()| {
-            let manifest = Manifest {
-                map: plan.map2.clone(),
-                gen: self.next_gen(),
-                migration: None,
-            };
-            write_manifest(self.vfs.as_ref(), &self.dir, &manifest)
-        });
-        if let Err(e) = committed {
+        if let Err(e) = write_manifest(self.vfs.as_ref(), &self.dir, &manifest) {
             drop(cs);
             return Err(self.fail_split(&plan, e));
         }
 
         let src = plan.src;
-        let children = children.into_iter().map(DurState::fresh).collect();
+        let children = children.into_iter().map(|tree| DurState {
+            tree,
+            backlog: None,
+        });
         let report = self
             .engine
-            .install_split(plan, cs, children, migrated, drained);
-        // The source directory is now unreferenced; scrub best-effort
+            .install_split(plan, cs, children.collect(), migrated, drained);
+        // The source snapshot is now unreferenced; scrub best-effort
         // (a crash here just leaves garbage bytes).
-        scrub_shard_dir(self.vfs.as_ref(), &shard_dir(&self.dir, src));
+        scrub_shard(self.vfs.as_ref(), &self.dir, src);
+        // The split stands whatever this returns; a failed checkpoint
+        // leaves the log long, and the next write past it retries.
+        let _ = self.checkpoint(true);
         Ok(report)
     }
 
     /// Abandons a prepared split: scrubs the children, disarms the
-    /// backlog, clears the manifest record. The store is back in the
-    /// pre-migration state with every acknowledged write intact.
+    /// backlog, and runs a checkpoint the split deferred (as
+    /// [`DurableSharded::commit_split`] does).
     pub fn abort_split(&self, pending: PendingSplit<'_, V, K>) -> Result<(), ShardError> {
-        drop(pending.children);
         self.rollback_in_place(&pending.plan);
+        drop(pending);
+        let _ = self.checkpoint(true);
         Ok(())
     }
 
-    /// A split that failed after its prepare: rolled back in place,
-    /// counted, and surfaced.
+    /// A split that failed: rolled back in place, counted, surfaced.
     fn fail_split(&self, plan: &DurPlan<'_, V, K>, e: StoreError) -> ShardError {
         self.rollback_in_place(plan);
         self.engine.probes.reb.split_failures.inc();
         e.into()
     }
 
-    /// Shared rollback: scrub child files, clear the migration record
-    /// (best-effort — recovery redoes both if the VFS is already
-    /// dead), disarm the backlog. Ordering matters: files first, then
-    /// the record, so a crash between the two re-runs the scrub.
+    /// Shared rollback: scrub child snapshots (best-effort — they are
+    /// unreferenced either way), disarm the backlog.
     fn rollback_in_place(&self, plan: &DurPlan<'_, V, K>) {
         for &c in &plan.children {
-            scrub_shard_dir(self.vfs.as_ref(), &shard_dir(&self.dir, c));
+            scrub_shard(self.vfs.as_ref(), &self.dir, c);
         }
-        let restored = Manifest {
-            map: (*plan.routing.map).clone(),
-            gen: self.next_gen(),
-            migration: None,
-        };
-        let _ = write_manifest(self.vfs.as_ref(), &self.dir, &restored);
         plan.cell.lock().backlog = None;
         self.engine.probes.reb.migration_inflight.add(-1);
     }

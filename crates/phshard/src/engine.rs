@@ -3,8 +3,8 @@
 //! [`crate::DurableSharded`].
 //!
 //! The engine is generic over a cell's *writer-side state* `S` — a
-//! bare [`PhTree`] in memory; a `phstore::Durable` plus its migration
-//! backlog when journaled — and needs only one thing of it: the tree
+//! bare [`PhTree`] in memory; the tree plus its migration backlog
+//! when journaled to a log — and needs only one thing of it: the tree
 //! to publish ([`CellState`]). What a store does to a locked state
 //! (insert, journal, shed, rebuild) it says in a closure; *when* the
 //! lock is taken, in which order, what happens if the cell was retired
@@ -44,7 +44,7 @@ use crate::swap::Swap;
 use phmetrics::Counter;
 use phtree::PhTree;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// How many optimistic attempts [`Engine::snapshot`] makes before
 /// falling back to locking the cells.
@@ -89,8 +89,7 @@ impl<S: CellState<V, K>, V: Clone, const K: usize> Cell<S, V, K> {
 
 impl<S, V, const K: usize> Cell<S, V, K> {
     /// Locks the writer-side state *without* the retired check: for
-    /// callers that hold the split gate or do not care (a checkpoint
-    /// of a just-retired store is harmless).
+    /// callers that hold the split gate (a split locking its source).
     pub(crate) fn lock(&self) -> DataGuard<'_, S> {
         self.state.lock()
     }
@@ -189,15 +188,6 @@ impl<S, V, const K: usize> Engine<S, V, K> {
         Arc::clone(&self.routing.load().map)
     }
 
-    /// The live cells with their slot ids, in Z-order of their regions.
-    pub(crate) fn live_cells(&self) -> Vec<(usize, Arc<Cell<S, V, K>>)> {
-        let routing = self.routing.load();
-        let live = routing.map.live_slots();
-        live.into_iter()
-            .map(|s| (s, Arc::clone(routing.cell(s))))
-            .collect()
-    }
-
     /// Routes `key` to its current published version: the lock-free
     /// read primitive. Loads the routing state, the cell's published
     /// root, and then checks the cell wasn't retired by a split —
@@ -255,17 +245,44 @@ impl<S, V, const K: usize> Engine<S, V, K> {
 
     /// The snapshot slow path, for when sustained write pressure
     /// starves the optimistic loop: freeze the cut by holding every
-    /// live cell's lock (publications happen under these locks). A
+    /// live cell's lock (publications happen under these locks).
+    fn snapshot_locked(&self) -> Snapshot<V, K> {
+        self.with_all_locked(|routing, _| {
+            let (map, probes) = (Arc::clone(&routing.map), Arc::clone(&self.probes));
+            Snapshot::new(map, routing.roots(), probes)
+        })
+    }
+
+    /// Runs `f` with every live cell locked in ascending slot order. A
     /// split mid-install shows up as a retired cell — re-route and
     /// re-lock.
-    fn snapshot_locked(&self) -> Snapshot<V, K> {
+    pub(crate) fn with_all_locked<R>(
+        &self,
+        f: impl FnOnce(&Routing<S, V, K>, &[(usize, DataGuard<'_, S>)]) -> R,
+    ) -> R {
         loop {
             let routing = self.routing.load();
-            let frozen = routing.lock_ascending(routing.map.live_slots());
-            if frozen.is_some() {
-                let (map, probes) = (Arc::clone(&routing.map), Arc::clone(&self.probes));
-                return Snapshot::new(map, routing.roots(), probes);
+            let locked = routing.lock_ascending(routing.map.live_slots());
+            if let Some(locked) = locked {
+                return f(&routing, &locked);
             }
+        }
+    }
+
+    /// Takes the split gate: at most one topology change in flight, and
+    /// none beside a store-wide checkpoint.
+    pub(crate) fn gate(&self) -> MutexGuard<'_, ()> {
+        self.split_gate
+            .lock()
+            .expect("a split panicked holding the gate")
+    }
+
+    /// The split gate if no one holds it.
+    pub(crate) fn try_gate(&self) -> Option<MutexGuard<'_, ()>> {
+        match self.split_gate.try_lock() {
+            Ok(gate) => Some(gate),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("a split panicked holding the gate"),
         }
     }
 }
@@ -381,7 +398,7 @@ impl<S: CellState<V, K>, V: Clone, const K: usize> Engine<S, V, K> {
         slot: usize,
         bits: u32,
     ) -> Result<SplitPlan<'_, S, V, K>, ShardError> {
-        let gate = self.split_gate.lock().unwrap();
+        let gate = self.gate();
         let routing = self.routing.load();
         let cell = routing.cells.get(slot).and_then(|c| c.clone());
         let planned = cell
@@ -459,9 +476,10 @@ impl<S: CellState<V, K>, V: Clone, const K: usize> Engine<S, V, K> {
 /// The lock-order test PR 15's hang never got: after a split, Z-order
 /// and slot order differ, and every multi-cell acquisition — the
 /// snapshot slow path (driven directly: no spin-exhaustion race), a
-/// multi-shard run, a bulk load — must still satisfy the rank
-/// assertion in [`crate::lockstat`], on both stores; an acquisition in
-/// Z-order must trip it.
+/// multi-shard run, a bulk load, a store-wide checkpoint — must still
+/// satisfy the rank assertion in [`crate::lockstat`], on both stores;
+/// an acquisition in Z-order, or of a cell under the durable store's
+/// log, must trip it.
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use crate::{DurableSharded, ShardedTree};
@@ -497,6 +515,7 @@ mod tests {
         assert_eq!(dur.bulk_load(items()).unwrap(), 0);
         let run = items().into_iter().map(|(key, _)| Op::Remove { key });
         assert_eq!(dur.apply_run(run.collect()).unwrap().len(), 8);
+        assert_eq!(dur.checkpoint_all().unwrap().len(), z_order.len());
 
         // The order PR 15 removed from one copy and left in the other.
         let routing = mem.engine.routing.load();
@@ -505,5 +524,17 @@ mod tests {
             cells.map(|c| c.lock()).collect::<Vec<_>>().len()
         }));
         assert!(in_z_order.is_err(), "locking in Z-order must assert");
+
+        // The log ranks above every cell: journaling happens inside
+        // the cell locks, never the other way round.
+        let routing = dur.engine.routing.load();
+        let under_log = catch_unwind(AssertUnwindSafe(|| {
+            let _log = dur.log.lock();
+            drop(routing.cell(z_order[0]).lock());
+        }));
+        assert!(
+            under_log.is_err(),
+            "a cell locked under the log must assert"
+        );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The sharded layer adds failure modes the per-shard store cannot
 //! express: a write shed because a migration backlog is full, a split
-//! addressed at a retired slot, a checkpoint that failed on one shard
-//! of many. Each gets its own variant so callers can react per mode —
+//! addressed at a retired slot, a checkpoint that failed on one shard's
+//! snapshot. Each gets its own variant so callers can react per mode —
 //! retry a shed write later, refresh a stale routing snapshot, alert
 //! on a checkpoint failure — instead of pattern-matching error
 //! strings.
@@ -53,11 +53,11 @@ pub enum ShardError {
         /// Resulting depth that was rejected.
         depth: u32,
     },
-    /// A per-shard checkpoint failed. Shards checkpoint independently,
-    /// so other shards may have advanced their generation — that is
-    /// safe (each shard's snapshot+WAL pair stays self-consistent) —
-    /// but the caller must know *which* shard still carries its old
-    /// generation and a long WAL.
+    /// A shard's snapshot failed during a store-wide checkpoint. Other
+    /// shards may have advanced their generation — that is safe (the
+    /// log keeps its generation, valid against every snapshot) — but
+    /// the caller must know which shard failed; the log stays long
+    /// until a checkpoint succeeds.
     Checkpoint {
         /// Slot whose checkpoint failed.
         slot: usize,

@@ -28,10 +28,10 @@
 //!   thread: a window scans the shards its masks admit and
 //!   concatenates them in Z-order; kNN is one best-first search over
 //!   all shard roots ([`phtree::knn`]).
-//! * [`DurableSharded`] gives every shard its own [`phstore::Durable`]
-//!   write-ahead log in `base/shard-NNN/`, so journaling never
-//!   serialises across shards and crash recovery replays all shards in
-//!   parallel.
+//! * [`DurableSharded`] journals every shard to one store-wide
+//!   write-ahead log — a write run costs one write and one sync however
+//!   many shards it spans — and checkpoints a snapshot per shard in
+//!   `base/shard-NNN/`.
 //! * Both stores are thin fronts over **one engine** (`engine.rs`,
 //!   private): the cell (writer state + published version + retire
 //!   flag), the lock-free point read, the retired-cell retry, the
@@ -40,7 +40,7 @@
 //! * Both layers **split hot shards online**: [`ShardMap`] is a routing
 //!   trie that deepens one leaf's Z-prefix into `2^bits` children while
 //!   serving continues, and the durable layer makes the migration
-//!   crash-safe with a two-phase manifest commit (see
+//!   crash-safe with a one-rename manifest commit (see
 //!   `phshard::durable` module docs). A [`Rebalancer`] watches per-shard
 //!   skew and fires splits by [`RebalancePolicy`].
 //!

@@ -19,9 +19,9 @@
 //! on one thread, instead of deadlocking one run in six.
 //!
 //! Scope: shard cell locks — the locks whose absence on the read path
-//! is the point. `Swap`'s internal writer mutex (write path only —
-//! `load` takes no lock at all) and the split gate (never held while
-//! waiting for a second gate) are not counted.
+//! is the point — and the durable store's log, ranked above every cell.
+//! `Swap`'s internal writer mutex (write path only — `load` takes no
+//! lock) and the split gate (always taken first) are not counted.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};

@@ -5,8 +5,8 @@
 //! A packed checkpoint is a *serving* artifact, not a recovery log: it
 //! complements (never replaces) the WAL+snapshot durability chain.
 //! [`DurableSharded::checkpoint_packed`] cuts one snapshot across all
-//! shards — so the artifact set is globally consistent, unlike
-//! per-shard WAL checkpoints which are only per-shard consistent — and
+//! shards — so the artifact set is globally consistent, without
+//! stopping writes as the store-wide WAL checkpoint does — and
 //! packs each live shard's pinned tree. The manifest (routing trie +
 //! dimensions + entry count, one superblock-checksummed page) is
 //! written **last**, atomically: a crash mid-checkpoint leaves no

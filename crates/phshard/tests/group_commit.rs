@@ -1,6 +1,7 @@
-//! The multi-cell write path ([`DurableSharded::apply_run`]): what a
-//! run costs in I/O calls (counted, not timed), what a shed run leaves
-//! behind (nothing), and what order ops on one key take inside a run.
+//! The multi-cell write path ([`DurableSharded::apply_run`]) over the
+//! one log: what a run and a checkpoint cost in I/O calls (counted, not
+//! timed), what a shed run leaves behind (nothing), what order ops on
+//! one key take inside a run, and how a checkpoint waits for a split.
 
 use phshard::{DurableSharded, ShardError};
 use phstore::vfs::{FaultConfig, FaultVfs, MemVfs};
@@ -12,7 +13,7 @@ use std::sync::Arc;
 type Store = DurableSharded<u32, 2>;
 
 /// A store on a fresh in-memory disk behind a probe that counts the
-/// writes, syncs and bytes going to WAL files.
+/// writes, syncs and bytes going to the log.
 fn open(shards: usize) -> (Store, FaultVfs, MemVfs) {
     let mem = MemVfs::new();
     let probe = FaultVfs::new(
@@ -42,12 +43,12 @@ fn key_in(slot: u64, i: u64) -> [u64; 2] {
 }
 
 #[test]
-fn a_run_costs_one_write_and_one_sync_per_involved_shard() {
+fn a_run_costs_one_write_and_one_sync_per_run() {
     let (store, probe, _mem) = open(8);
     for slot in 0..8 {
         assert_eq!(store.router().route(&key_in(slot, 5)), slot as usize);
     }
-    // 64 ops, mixed, over all 8 shards.
+    // 64 ops, mixed, over all 8 shards: one log, one write, one sync.
     let run: Vec<Op<u32, 2>> = (0..64u64)
         .map(|i| match i % 4 {
             3 => Op::Remove {
@@ -61,10 +62,10 @@ fn a_run_costs_one_write_and_one_sync_per_involved_shard() {
         .collect();
     let (writes, syncs) = (probe.writes(), probe.syncs());
     store.apply_run(run).unwrap();
-    assert_eq!(probe.writes() - writes, 8, "one WAL write per shard");
-    assert_eq!(probe.syncs() - syncs, 8, "one WAL sync per shard");
+    assert_eq!(probe.writes() - writes, 1, "one WAL write per run");
+    assert_eq!(probe.syncs() - syncs, 1, "one WAL sync per run");
 
-    // A run confined to three shards pays for three.
+    // A run confined to three shards costs the same.
     let run: Vec<Op<u32, 2>> = (0..30u64)
         .map(|i| Op::Insert {
             key: key_in([1, 4, 6][i as usize % 3], 1000 + i),
@@ -73,8 +74,8 @@ fn a_run_costs_one_write_and_one_sync_per_involved_shard() {
         .collect();
     let (writes, syncs) = (probe.writes(), probe.syncs());
     store.apply_run(run).unwrap();
-    assert_eq!(probe.writes() - writes, 3);
-    assert_eq!(probe.syncs() - syncs, 3);
+    assert_eq!(probe.writes() - writes, 1);
+    assert_eq!(probe.syncs() - syncs, 1);
 
     // Single ops are what they were: a write and a sync each.
     let (writes, syncs) = (probe.writes(), probe.syncs());
@@ -82,6 +83,21 @@ fn a_run_costs_one_write_and_one_sync_per_involved_shard() {
     store.remove(&key_in(2, 77)).unwrap();
     assert_eq!(probe.writes() - writes, 2);
     assert_eq!(probe.syncs() - syncs, 2);
+}
+
+/// A store-wide checkpoint of S shards: one snapshot per shard (its
+/// pages, one sync), then one fresh log (header write, one sync).
+#[test]
+fn a_checkpoint_costs_one_sync_per_shard_and_one_for_the_log() {
+    let mem = MemVfs::new();
+    let probe = FaultVfs::new(Arc::new(mem), FaultConfig::default());
+    let store = reopen(Arc::new(probe.clone()), 8);
+    let run = (0..64u64).map(|i| (key_in(i % 8, i), i as u32));
+    store.bulk_load(run.collect()).unwrap();
+    let syncs = probe.syncs();
+    let gens = store.checkpoint_all().unwrap();
+    assert_eq!(gens, (0..8).map(|slot| (slot, 1)).collect::<Vec<_>>());
+    assert_eq!(probe.syncs() - syncs, 8 + 1);
 }
 
 #[test]
@@ -175,4 +191,51 @@ fn ops_on_one_key_apply_in_run_order() {
     let store = reopen(Arc::new(mem), 4);
     assert_eq!(store.len(), 1);
     assert_eq!(store.get_with(&k, |v| *v), Some(3));
+}
+
+/// The log's generation, from its header.
+fn log_generation(mem: &MemVfs) -> u64 {
+    let header = mem.read_file(Path::new("/db/wal.log")).unwrap();
+    u64::from_le_bytes(header[8..16].try_into().unwrap())
+}
+
+/// A write that crosses the automatic checkpoint threshold while a
+/// split is pending must not wait for the split gate (its holder may be
+/// the writing thread): the checkpoint defers, the log keeps growing
+/// at its generation, and the commit runs the checkpoint.
+#[test]
+fn a_checkpoint_due_during_a_split_waits_for_its_commit() {
+    let mem = MemVfs::new();
+    let config = DurableConfig {
+        checkpoint_bytes: 256, // the log checkpoints past 2 × 256 bytes
+        ..DurableConfig::default()
+    };
+    let store: Store =
+        DurableSharded::open_with(Arc::new(mem.clone()), Path::new("/db"), 2, config.clone())
+            .unwrap();
+    let low = |i: u64| [i, i];
+    store.insert(low(0), 0).unwrap();
+    let pending = store.begin_split(0, 1).unwrap();
+    for i in 1..40 {
+        store.insert(low(i), i as u32).unwrap(); // same thread as the split
+    }
+    let log_bytes = mem.read_file(Path::new("/db/wal.log")).unwrap().len();
+    assert!(
+        log_bytes > 1000,
+        "the log passed the threshold: {log_bytes} B"
+    );
+    assert_eq!(log_generation(&mem), 0, "the checkpoint was deferred");
+
+    let report = store.commit_split(pending).unwrap();
+    assert_eq!(report.backlog_drained, 39);
+    assert_eq!(log_generation(&mem), 1, "the commit ran the checkpoint");
+    assert_eq!(mem.read_file(Path::new("/db/wal.log")).unwrap().len(), 24);
+    drop(store);
+    let store: Store =
+        DurableSharded::open_with(Arc::new(mem), Path::new("/db"), 2, config).unwrap();
+    assert_eq!(store.len(), 40);
+    assert!(store
+        .recovery_stats()
+        .iter()
+        .all(|r| r.generation == 1 && r.replayed_ops == 0));
 }

@@ -1,25 +1,23 @@
-//! Crash-point sweep over an **in-flight shard migration**.
+//! Crash-point sweeps over the store-wide protocols of the one log:
+//! an **in-flight shard split** and **store-wide checkpoints**.
 //!
-//! The central test runs a deterministic script — writes, then
-//! `begin_split` on the hot shard, writes *during* the migration
-//! (issued as multi-shard runs, which backlog), `commit_split`, writes
-//! after — under a
-//! [`FaultVfs`] that cuts the write stream at a given byte budget,
-//! then reopens the surviving bytes fault-free and asserts the
-//! recovered store holds **exactly** the model state after the
-//! acknowledged ops (plus, of the call that crashed, what became
-//! durable inside it: the op, or a per-shard prefix of the run): no
-//! lost writes, no duplicated or phantom keys, at every single crash
-//! offset. Companion tests kill the
-//! manifest renames and syncs that fence the protocol's phases.
+//! Each sweep runs a deterministic script under a [`FaultVfs`] that
+//! cuts the write stream at a given byte budget, then reopens the
+//! surviving bytes fault-free and asserts the recovered store holds
+//! **exactly** the model state after the acknowledged ops plus, of the
+//! call that crashed, a journal-order frame prefix (a run journals its
+//! partitions in ascending slot order with one write): no lost writes,
+//! no duplicated or phantom keys, at every crash offset. Companion
+//! tests kill the manifest renames and syncs, and upgrade the earlier
+//! per-shard-log layout.
 //!
-//! By default the sweep strides across the byte space so it stays
+//! By default the sweeps stride across the byte space so they stay
 //! fast enough for PR CI; set `MIGRATION_SWEEP_FULL=1` to cut at
 //! every byte (the nightly configuration).
 
 use phshard::{DurableSharded, ShardError};
-use phstore::vfs::{FaultConfig, FaultVfs, MemVfs};
-use phstore::DurableConfig;
+use phstore::vfs::{FaultConfig, FaultVfs, MemVfs, Vfs};
+use phstore::{Durable, DurableConfig, StoreError};
 use phtree::Op;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -29,8 +27,8 @@ type Key = [u64; 2];
 type Model = BTreeMap<Key, u32>;
 
 /// Ops 0..PRE run before `begin_split`, PRE..MID while the migration
-/// is in flight (they journal to the source *and* queue on the
-/// backlog), MID.. after `commit_split` (routed by the new epoch).
+/// is in flight (they journal to the log *and* queue on the backlog),
+/// MID.. after `commit_split` (routed by the new epoch).
 const PRE: usize = 12;
 const MID: usize = 22;
 const N_OPS: usize = 30;
@@ -147,28 +145,32 @@ fn run_script(store: &DurableSharded<u32, 2>, ops: &[(bool, Key, u32)]) -> (usiz
 }
 
 /// Whether `store` holds exactly the acknowledged ops plus what a
-/// crashed call may have made durable before dying: of its `in_flight`
-/// ops, a prefix per shard — a run journals one shard after another,
-/// and a torn WAL write keeps the frames before the tear. (Every call
-/// that can crash routes on the two initial shards.)
+/// crashed call may have made durable before dying: a prefix of its
+/// `in_flight` ops in journal order — stably sorted by `slot`, the
+/// slot the call routed each key to — since a run's frames go out in
+/// one write and a torn write keeps the frames before the tear.
 fn landed(
     store: &DurableSharded<u32, 2>,
     ops: &[(bool, Key, u32)],
     states: &[Model],
-    acked: usize,
-    in_flight: usize,
+    (acked, in_flight): (usize, usize),
+    slot: impl Fn(&Key) -> usize,
 ) -> bool {
-    let call = &ops[acked..(acked + in_flight).min(ops.len())];
-    let (low, high): (Vec<_>, Vec<_>) = call.iter().partition(|op| op.1[0] >> 63 == 0);
-    (0..=low.len()).any(|i| {
-        (0..=high.len()).any(|j| {
-            let mut model = states[acked].clone();
-            for op in low[..i].iter().chain(&high[..j]) {
-                apply_model(&mut model, op);
-            }
-            store_equals_model(store, &model)
-        })
+    let mut call: Vec<_> = ops[acked..(acked + in_flight).min(ops.len())]
+        .iter()
+        .collect();
+    call.sort_by_key(|op| slot(&op.1));
+    (0..=call.len()).any(|i| {
+        let mut model = states[acked].clone();
+        call[..i].iter().for_each(|op| apply_model(&mut model, op));
+        store_equals_model(store, &model)
     })
+}
+
+/// The slot of the two initial shards: every call of the split script
+/// that can crash mid-run routes on them.
+fn two_shard_slot(key: &Key) -> usize {
+    (key[0] >> 63) as usize
 }
 
 /// Fault-free reference run: asserts the script itself is sound and
@@ -194,16 +196,26 @@ fn reference_run() -> (Vec<Model>, u64) {
     (states, probe.bytes_written())
 }
 
-/// THE sweep: cut the full write stream (WALs, snapshots, manifests —
+/// Every crash offset in PR CI's strided form, or every byte.
+fn sweep_stride(total_bytes: u64) -> u64 {
+    let full = std::env::var("MIGRATION_SWEEP_FULL").is_ok_and(|v| v == "1");
+    if full {
+        1
+    } else {
+        (total_bytes / 192).max(1)
+    }
+}
+
+/// THE sweep: cut the full write stream (log, snapshots, manifests —
 /// everything) at byte offsets across the whole migration, recover,
 /// and check the recovered contents are exactly a model state.
 #[test]
 fn migration_crash_sweep() {
     let (states, total_bytes) = reference_run();
+    eprintln!("migration sweep space: {total_bytes} bytes");
     assert!(total_bytes > 2_000, "sweep space too small: {total_bytes}");
     let ops = workload();
-    let full = std::env::var("MIGRATION_SWEEP_FULL").is_ok_and(|v| v == "1");
-    let stride = if full { 1 } else { (total_bytes / 192).max(1) };
+    let stride = sweep_stride(total_bytes);
 
     let mut rolled_back = 0u32;
     let mut committed = 0u32;
@@ -232,11 +244,10 @@ fn migration_crash_sweep() {
         let store =
             DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config())
                 .unwrap_or_else(|e| panic!("budget {budget}: recovery must not fail: {e}"));
-        if store.rolled_back_migration() {
-            rolled_back += 1;
-        }
-        if store.epoch() > 0 {
-            committed += 1;
+        match store.epoch() {
+            0 if acked >= PRE => rolled_back += 1,
+            0 => {}
+            _ => committed += 1,
         }
         // Deterministic landing: pre-migration state (rollback) or
         // post-migration state (commit), never in between — and in
@@ -244,7 +255,7 @@ fn migration_crash_sweep() {
         // inside the crashing call). Never fewer: no lost acks. Never
         // other keys: no duplicated or phantom entries.
         assert!(
-            landed(&store, &ops, &states, acked, in_flight),
+            landed(&store, &ops, &states, (acked, in_flight), two_shard_slot),
             "budget {budget}: recovered state diverged (acked {acked}, epoch {})",
             store.epoch()
         );
@@ -255,10 +266,9 @@ fn migration_crash_sweep() {
     assert!(committed > 0, "sweep never recovered a committed split");
 }
 
-/// Kill the manifest *renames* that fence the protocol: the prepare
-/// record, the commit point, and the rollback each publish via one
-/// atomic rename. A failed rename must leave the previous manifest
-/// fully in force.
+/// Kill the manifest *renames*: the store's creation and the split's
+/// commit point each publish via one atomic rename. A failed rename
+/// must leave the previous manifest fully in force.
 #[test]
 fn migration_rename_kill_lands_pre_or_post() {
     let ops = workload();
@@ -290,7 +300,7 @@ fn migration_rename_kill_lands_pre_or_post() {
             DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config())
                 .unwrap_or_else(|e| panic!("rename budget {rename_budget}: recovery failed: {e}"));
         assert!(
-            landed(&store, &ops, &states, acked, in_flight),
+            landed(&store, &ops, &states, (acked, in_flight), two_shard_slot),
             "rename budget {rename_budget}: diverged (acked {acked})"
         );
     }
@@ -329,7 +339,7 @@ fn migration_sync_kill_lands_pre_or_post() {
             DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config())
                 .unwrap_or_else(|e| panic!("sync budget {sync_budget}: recovery failed: {e}"));
         assert!(
-            landed(&store, &ops, &states, acked, in_flight),
+            landed(&store, &ops, &states, (acked, in_flight), two_shard_slot),
             "sync budget {sync_budget}: diverged (acked {acked})"
         );
     }
@@ -338,9 +348,8 @@ fn migration_sync_kill_lands_pre_or_post() {
 
 /// Crash confined to the *children* being built: writes to
 /// `shard-002`/`shard-003` are a re-derivable copy, so the split
-/// aborts in place (no process death needed — the source VFS is
-/// healthy) and the store keeps serving the pre-split topology with
-/// nothing lost.
+/// rolls back in place and the store reopens the pre-split topology
+/// with nothing lost.
 #[test]
 fn child_build_failure_aborts_split_in_place() {
     let ops = workload();
@@ -374,15 +383,12 @@ fn child_build_failure_aborts_split_in_place() {
         DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config()).unwrap();
     assert_eq!(store.epoch(), 0);
     assert!(store_equals_model(&store, &states[PRE]));
-    // The in-place rollback could not persist the record-clear (the
-    // faulted VFS was already dead), so recovery finished the job.
-    assert!(store.rolled_back_migration());
 }
 
-/// Satellite (a): a failed per-shard checkpoint reports a typed
-/// [`ShardError::Checkpoint`], never publishes topology past the
-/// broken shard (the manifest is untouched by checkpoints), and a
-/// reopen recovers every acknowledged write.
+/// A store-wide checkpoint torn at shard 1's snapshot reports a typed
+/// [`ShardError::Checkpoint`], leaves the manifest untouched, and a
+/// reopen — shard 0 at `g+1`, the rest and the log at `g` — recovers
+/// every acknowledged write.
 #[test]
 fn checkpoint_failure_is_typed_and_recoverable() {
     // Size the budget to clear shard 1's initial empty snapshot but
@@ -421,14 +427,13 @@ fn checkpoint_failure_is_typed_and_recoverable() {
         assert!(matches!(err, ShardError::Checkpoint { .. }), "got {err}");
         manifest_before
     };
-    // The routing manifest never moves on a checkpoint — success or
-    // failure — so a partial checkpoint cannot publish topology past
-    // the failing shard.
+    // The routing manifest never moves on a checkpoint.
     assert_eq!(
         mem.read_file(Path::new("/db/phshard.meta")).unwrap(),
         manifest_before
     );
-    // Every shard recovers from whatever generation it reached.
+    // Every shard replays the whole log onto whichever generation its
+    // snapshot reached.
     let store =
         DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 4, config()).unwrap();
     assert_eq!(store.len(), 64);
@@ -465,4 +470,209 @@ fn legacy_manifest_reads_and_upgrades_on_split() {
         DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config()).unwrap();
     assert!(store.epoch() > 0);
     assert_eq!(store.len(), 32);
+}
+
+/// The checkpoint sweep's shards, runs and threshold: 72 ops in runs of
+/// six over four shards; `checkpoint_all` after the second run, and
+/// one automatic checkpoint once the log passes 4 × 400 bytes
+/// (about 48 frames later).
+const CK_SHARDS: usize = 4;
+const CK_RUN: usize = 6;
+const CK_OPS: usize = 72;
+
+fn ck_config() -> DurableConfig {
+    DurableConfig {
+        checkpoint_bytes: 400,
+        ..config()
+    }
+}
+
+/// Keys over all four shards (both top bits random), values distinct.
+fn ck_workload() -> Vec<(bool, Key, u32)> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..CK_OPS)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = [
+                ((x >> 33 & 1) << 63) | ((x >> 16) % 16),
+                ((x >> 34 & 1) << 63) | ((x >> 40) % 16),
+            ];
+            (i > 6 && x.is_multiple_of(5), key, i as u32)
+        })
+        .collect()
+}
+
+/// Runs the checkpoint script: runs of [`CK_RUN`], `checkpoint_all`
+/// after the second. Returns the acknowledged ops and the size of the
+/// call that failed.
+fn ck_script(store: &DurableSharded<u32, 2>, ops: &[(bool, Key, u32)]) -> (usize, usize) {
+    let mut acked = 0;
+    for (i, run) in ops.chunks(CK_RUN).enumerate() {
+        if i == 2 && store.checkpoint_all().is_err() {
+            return (acked, 0);
+        }
+        let run_ops = run.iter().map(|&(is_remove, key, value)| match is_remove {
+            true => Op::Remove { key },
+            false => Op::Insert { key, value },
+        });
+        if store.apply_run(run_ops.collect()).is_err() {
+            return (acked, run.len());
+        }
+        acked += run.len();
+    }
+    (acked, 0)
+}
+
+fn ck_open(vfs: Arc<dyn Vfs>) -> Result<DurableSharded<u32, 2>, StoreError> {
+    DurableSharded::open_with(vfs, Path::new("/db"), CK_SHARDS, ck_config())
+}
+
+/// Cut the write stream of two store-wide checkpoints — one manual, one
+/// automatic, each four snapshots and a log rotation — at byte offsets
+/// across the script. Torn checkpoints (some snapshots at `g+1`, the
+/// log at `g`) must recover exactly like whole ones.
+#[test]
+fn checkpoint_crash_sweep() {
+    let ops = ck_workload();
+    let states = model_states(&ops);
+    let mem = MemVfs::new();
+    let probe = FaultVfs::new(Arc::new(mem.clone()), FaultConfig::default());
+    let store = ck_open(Arc::new(probe.clone())).unwrap();
+    assert_eq!(ck_script(&store, &ops), (CK_OPS, 0));
+    drop(store);
+    let store = ck_open(Arc::new(mem)).unwrap();
+    let gens: Vec<u64> = store
+        .recovery_stats()
+        .iter()
+        .map(|r| r.generation)
+        .collect();
+    assert_eq!(
+        gens, [2; CK_SHARDS],
+        "one manual and one automatic checkpoint"
+    );
+    assert!(store_equals_model(&store, &states[CK_OPS]));
+    let total_bytes = probe.bytes_written();
+    eprintln!("checkpoint sweep space: {total_bytes} bytes");
+
+    let mut torn = 0u32;
+    let mut budget = 0u64;
+    while budget <= total_bytes {
+        let mem = MemVfs::new();
+        let faulty = FaultVfs::new(
+            Arc::new(mem.clone()),
+            FaultConfig {
+                write_budget: Some(budget),
+                ..Default::default()
+            },
+        );
+        let crashed = ck_open(Arc::new(faulty)).map(|store| ck_script(&store, &ops));
+        let (acked, in_flight) = crashed.unwrap_or((0, 0));
+        let store = ck_open(Arc::new(mem))
+            .unwrap_or_else(|e| panic!("budget {budget}: recovery must not fail: {e}"));
+        let gens = store.recovery_stats().iter().map(|r| r.generation);
+        if gens.clone().min() != gens.max() {
+            torn += 1;
+        }
+        let slot = |key: &Key| store.router().route(key);
+        assert!(
+            landed(&store, &ops, &states, (acked, in_flight), slot),
+            "budget {budget}: recovered state diverged (acked {acked})"
+        );
+        budget += sweep_stride(total_bytes);
+    }
+    assert!(
+        torn > 0,
+        "sweep never cut a checkpoint between two snapshots"
+    );
+}
+
+/// A store in the per-shard-log layout: a `phstore::Durable` per
+/// shard directory — shard 1 checkpointed once, so the two sit at
+/// different generations — under the 12-byte `PHSHARD1` manifest.
+fn per_shard_fixture(mem: &MemVfs) -> Model {
+    let mut manifest = b"PHSHARD1".to_vec();
+    manifest.extend_from_slice(&2u32.to_le_bytes());
+    mem.write_file(Path::new("/db/phshard.meta"), manifest);
+    let mut model = Model::new();
+    for slot in 0..2u64 {
+        let dir = format!("/db/shard-00{slot}");
+        let mut d: Durable<u32, 2> =
+            Durable::open_with(Arc::new(mem.clone()), Path::new(&dir), config()).unwrap();
+        for i in 0..20u64 {
+            let key = [slot << 63 | i, i];
+            d.insert(key, i as u32).unwrap();
+            model.insert(key, i as u32);
+            if slot == 1 && i == 9 {
+                d.checkpoint().unwrap();
+            }
+        }
+        d.remove(&[slot << 63 | 3, 3]).unwrap();
+        model.remove(&[slot << 63 | 3, 3]);
+    }
+    model
+}
+
+/// The one-way upgrade: every acknowledged write of every per-shard
+/// log survives, the store-wide log replaces them, and the result
+/// reopens as an ordinary one-log store.
+#[test]
+fn per_shard_layout_upgrades_to_one_log() {
+    let mem = MemVfs::new();
+    let model = per_shard_fixture(&mem);
+    let store =
+        DurableSharded::<u32, 2>::open_with(Arc::new(mem.clone()), Path::new("/db"), 2, config())
+            .unwrap();
+    assert!(store_equals_model(&store, &model));
+    let gens: Vec<u64> = store
+        .recovery_stats()
+        .iter()
+        .map(|r| r.generation)
+        .collect();
+    assert_eq!(gens, [2, 2], "one past the newest per-shard generation");
+    assert!(mem.exists(Path::new("/db/wal.log")));
+    for slot in 0..2 {
+        assert!(!mem.exists(Path::new(&format!("/db/shard-00{slot}/wal.log"))));
+    }
+    store.insert([100, 100], 7).unwrap();
+    drop(store);
+    let store =
+        DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config()).unwrap();
+    assert_eq!(store.len(), model.len() + 1);
+    assert_eq!(store.recovery_stats()[0].replayed_ops, 1);
+}
+
+/// A per-shard-log store whose manifest still carries a split in
+/// flight (a migration record, which only that layout wrote) is
+/// refused with typed corruption, and left as it was.
+#[test]
+fn per_shard_layout_with_a_split_in_flight_is_refused() {
+    let mem = MemVfs::new();
+    let model = per_shard_fixture(&mem);
+    // A PHSHARD2 manifest of two shards whose migration tag (the last
+    // body byte) becomes a record: split slot 0 by one bit into 2, 3.
+    let donor = MemVfs::new();
+    drop(DurableSharded::<u32, 2>::open_with(
+        Arc::new(donor.clone()),
+        Path::new("/db"),
+        2,
+        config(),
+    ));
+    let bytes = donor.read_file(Path::new("/db/phshard.meta")).unwrap();
+    let mut body = bytes[..bytes.len() - 9].to_vec();
+    body.push(1);
+    for field in [0u32, 1, 2, 2, 3] {
+        body.extend_from_slice(&field.to_le_bytes());
+    }
+    body.extend_from_slice(&phstore::fnv1a(&body).to_le_bytes());
+    mem.write_file(Path::new("/db/phshard.meta"), body);
+
+    let refused =
+        DurableSharded::<u32, 2>::open_with(Arc::new(mem.clone()), Path::new("/db"), 2, config());
+    assert!(matches!(refused, Err(StoreError::Corrupt(_))));
+    assert!(!mem.exists(Path::new("/db/wal.log")));
+    let d: Durable<u32, 2> =
+        Durable::open_with(Arc::new(mem), Path::new("/db/shard-001"), config()).unwrap();
+    assert_eq!(d.len(), model.range([1u64 << 63, 0]..).count());
 }

@@ -49,12 +49,9 @@ pub const SNAPSHOT_FILE: &str = "snapshot.pht";
 /// WAL file name inside a [`Durable`] directory.
 pub const WAL_FILE: &str = "wal.log";
 
-/// Directory for one shard of a sharded durable store: `base/shard-NNN`.
-///
-/// Keeping each shard's snapshot + WAL in its own subdirectory lets a
-/// sharding layer (phshard's `DurableSharded`) journal shards
-/// independently and recover them in parallel. Zero-padded so listings
-/// sort in shard order.
+/// Directory for one shard of a sharded durable store: `base/shard-NNN`,
+/// holding that shard's snapshot (phshard's `DurableSharded`, whose one
+/// log sits in `base`). Zero-padded so listings sort in shard order.
 pub fn shard_dir(base: &Path, shard: usize) -> PathBuf {
     base.join(format!("shard-{shard:03}"))
 }
@@ -63,7 +60,9 @@ pub fn shard_dir(base: &Path, shard: usize) -> PathBuf {
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
     /// Checkpoint (snapshot + log rotation) once the WAL exceeds this
-    /// many bytes. Default 1 MiB.
+    /// many bytes. Default 1 MiB. Under phshard's `DurableSharded` it is
+    /// per live shard: the one store-wide log checkpoints every shard
+    /// once it passes `checkpoint_bytes × live shards`.
     pub checkpoint_bytes: u64,
     /// Fsync the WAL on every append. Default `true`; turning it off
     /// trades the "every acknowledged op survives" guarantee for
